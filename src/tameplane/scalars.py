@@ -23,34 +23,73 @@ except ImportError:  # pragma: no cover - gmpy2 is a speedup, not a requirement
 _RATIO_TYPES = (int, Fraction) if _ratio is Fraction else (int, Fraction, type(_ratio(1)))
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).  The first 12 alone are fooled by
+# psi_12 = 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality by deterministic Miller-Rabin.
+
+    Raises ValueError for n >= 3.3e24, where these bases no longer decide
+    primality; there is no probabilistic fallback.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("prime too large: %d bits; primality is decided exactly "
+                         "only below 3.3e24" % n.bit_length())
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+class _LazyTable(dict):
+    """A dict that stores ``make(key)`` the first time ``key`` is looked up."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class PrimeFieldElement:
     """A residue in F_p.  Arithmetic coerces plain ints.
 
-    Instances are interned per field; ops hand back table entries instead of
-    allocating, which matters in polynomial inner loops.
+    Instances are interned per field: there is one element per residue,
+    created the first time that residue is needed, and ops look it up in the
+    field's ``_elems`` table instead of allocating, which matters in
+    polynomial inner loops.  ``PrimeFieldElement(F, v)`` is ``F.of(v)``.
     """
 
     __slots__ = ("field", "value")
 
     def __new__(cls, field: PrimeField, value: int):
-        table = field._elems
-        if table is not None:
-            return table[value % field.p]
-        self = object.__new__(cls)
-        self.field = field
-        self.value = value % field.p
-        return self
+        return field._elems[value % field.p]
 
     def __add__(self, other):
         f = self.field
@@ -144,8 +183,21 @@ class PrimeFieldElement:
         return "%d" % self.value
 
 
+def _new_element(field: PrimeField, v: int) -> PrimeFieldElement:
+    # the only place an element is allocated; v is already reduced mod p
+    e = object.__new__(PrimeFieldElement)
+    e.field = field
+    e.value = v
+    return e
+
+
 class PrimeField:
-    """The field with p elements.  Instances are interned per prime."""
+    """The field with p elements.  Instances are interned per prime.
+
+    Set-up is O(1) for every p: the element of a residue and the inverse of
+    a residue are each computed on first use and kept, so memory grows with
+    the residues a computation touches, not with p.
+    """
 
     _cache: dict[int, PrimeField] = {}
 
@@ -156,15 +208,10 @@ class PrimeField:
                 raise ValueError("not a prime: %d" % p)
             inst = super().__new__(cls)
             inst.p = p
-            inst._elems = None
-            table = []
-            for v in range(p):
-                e = PrimeFieldElement(inst, v)
-                table.append(e)
-            inst._elems = table
-            inst._inverses = [0] + [pow(v, p - 2, p) for v in range(1, p)]
-            inst.zero = table[0]
-            inst.one = table[1 % p]
+            inst._elems = _LazyTable(lambda v: _new_element(inst, v))
+            inst._inverses = _LazyTable(lambda v: pow(v, -1, p))
+            inst.zero = inst._elems[0]
+            inst.one = inst._elems[1]
             cls._cache[p] = inst
         return inst
 
@@ -191,7 +238,8 @@ class PrimeField:
         raise TypeError("cannot coerce %r into %r" % (v, self))
 
     def elements(self):
-        return iter(self._elems)
+        """Every element, in residue order 0, 1, ..., p - 1."""
+        return (self._elems[v] for v in range(self.p))
 
     def random_element(self, rng, height: int = 0) -> PrimeFieldElement:
         # height is ignored; every residue is equally small

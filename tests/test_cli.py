@@ -70,6 +70,13 @@ class TestExpressionCommands:
                            "x, y+x^2", "x, y+4*x^2")
         assert code == 0 and out == "x, y\n"
 
+    @pytest.mark.parametrize("p", ["1000003", "2305843009213693951"])
+    def test_large_prime_fields(self, capsys, p):
+        code, out, _ = run(capsys, "--field", "fp:" + p, "compose",
+                           "x + y^2, y", "x, y + 3*x^2")
+        assert code == 0
+        assert out == "x + y^2 + 6*x^2*y + 9*x^4, y + 3*x^2\n"
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
@@ -79,6 +86,11 @@ class TestExitCodes:
     def test_bad_field_is_2(self, capsys):
         code, _, err = run(capsys, "--field", "fp:6", "classify", "x, y")
         assert code == 2
+
+    def test_strong_pseudoprime_field_is_2(self, capsys):
+        # 3215031751 passes Miller-Rabin to bases 2, 3, 5 and 7
+        code, _, err = run(capsys, "--field", "fp:3215031751", "classify", "x, y")
+        assert code == 2 and "not a prime" in err
 
     def test_domain_error_is_3(self, capsys):
         code, _, err = run(capsys, "invert", "x^2, y")

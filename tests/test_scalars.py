@@ -1,12 +1,14 @@
 """Field axioms and interning for the scalar backends."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tameplane import PrimeField, QQ, RationalFunctionField, field_from_spec
+from tameplane.scalars import _is_prime
 from tameplane.textio import field_spec
 
 from conftest import F5, QZ, nonzero_scalars, scalars
@@ -99,3 +101,77 @@ def test_function_field_generator_arithmetic():
     z = QZ.gen
     assert (z + QZ.one) * (z - QZ.one) == z * z - QZ.one
     assert z / z == QZ.one
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division_below_20000(self):
+        assert [n for n in range(20000) if _is_prime(n)] == [
+            n for n in range(20000) if _trial_division(n)
+        ]
+
+    @pytest.mark.parametrize("n", [
+        561,                        # Carmichael
+        2047,                       # strong pseudoprime to base 2
+        1373653,                    # ... to bases 2, 3
+        3215031751,                 # ... to bases 2, 3, 5, 7
+        3825123056546413051,        # ... to the first 11 prime bases
+        318665857834031151167461,   # ... to the first 12 prime bases
+    ])
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("n", [2 ** 61 - 1, 2 ** 64 - 59, 2 ** 80 - 65])
+    def test_accepts_large_primes(self, n):
+        assert _is_prime(n)
+
+    def test_refuses_to_guess_above_the_exact_bound(self):
+        assert not _is_prime(2 ** 89)  # even: decided before the bound check
+        with pytest.raises(ValueError, match="prime too large"):
+            _is_prime(2 ** 89 - 1)
+        with pytest.raises(ValueError, match="prime too large"):
+            field_from_spec("fp:%d" % (2 ** 89 - 1))
+
+
+class TestLargePrimeField:
+    P = 10000019
+
+    def test_set_up_allocates_no_table(self):
+        tracemalloc.start()
+        try:
+            PrimeField(self.P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_residues_are_interned_on_first_use(self):
+        F = PrimeField(self.P)
+        assert F.of(3) is F.of(3 + self.P)
+        assert F.of(-1) is F.of(self.P - 1)
+        assert F.of(Fraction(1, 2)) * 2 is F.one
+        with pytest.raises(ZeroDivisionError):
+            F.one / F.zero
+
+    def test_elements_come_in_residue_order(self):
+        F7 = PrimeField(7)
+        assert list(F7.elements()) == list(range(7))
+
+    @given(st.data())
+    def test_ring_laws_over_a_large_prime(self, data):
+        F = PrimeField(1000003)
+        elems = st.integers(0, F.p - 1).map(F.of)
+        a, b, c = data.draw(elems), data.draw(elems), data.draw(elems)
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == F.zero
+        assert a + (-a) == F.zero
+        if a:
+            assert a * (F.one / a) == F.one
+            assert a ** -1 is a.inverse()
