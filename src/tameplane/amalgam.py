@@ -42,12 +42,6 @@ def in_borel(auto: PlaneAuto) -> bool:
     return aff is not None and aff.is_lower_triangular()
 
 
-def _atom_in_borel(g) -> bool:
-    if isinstance(g, AffineAuto):
-        return g.is_lower_triangular()
-    return g.is_lower_triangular()
-
-
 def _to_borel_elem(g) -> ElemAuto:
     if isinstance(g, AffineAuto):
         return ElemAuto.from_affine(g)
@@ -106,7 +100,7 @@ class _Normalizer:
         self._settle(g)
 
     def _settle(self, g) -> None:
-        if _atom_in_borel(g):
+        if g.is_lower_triangular():
             self.carry = _to_borel_elem(g)
             return
         top = self.stack[-1] if self.stack else None

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from ..scalars import _is_prime
+from ..poly import Poly1
+from ..scalars import PrimeField, _is_prime
 
 DEFAULT_WORK_BOUND = 200_000
 DEFAULT_ALGEBRA_BOUND = 27
@@ -175,17 +176,34 @@ class PGroup:
         return self.q * self.p ** self.q
 
 
-def _work_cost(p: int, r: int) -> int:
-    q = p ** r
-    return q * p ** q
+def _check_bound(p: int, r: int, bound: int, name: str, order: bool = False) -> None:
+    """Raise ValueError if q = p**r exceeds bound, or with ``order`` if the
+    group order q * p**q does.
+
+    The power grows one factor of p at a time and the check fails as soon
+    as it passes the bound, so a huge p or r costs at most log2(bound) + 1
+    multiplications.  p < 2 and r < 1 are left to the callers' own checks.
+    """
+    if p < 2 or r < 1:
+        return
+
+    def times_p(size: int, steps: int) -> int:
+        for _ in range(steps):
+            size *= p
+            if size > bound:
+                raise ValueError("%s bound exceeded for (p, r) = (%d, %d)" % (name, p, r))
+        return size
+
+    q = times_p(1, r)
+    if order:
+        times_p(q, q)
 
 
 def pgroup_nilpotency_index(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND) -> int:
     """Length of the ascending central series of the group above,
     computed structurally (each term as a subgroup-of-E times a subspace
     of the module)."""
-    if _work_cost(p, r) > work_bound:
-        raise ValueError("work bound exceeded for (p, r) = (%d, %d)" % (p, r))
+    _check_bound(p, r, work_bound, "work", order=True)
     group = PGroup(p, r)
     q = group.q
     gens_e = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
@@ -226,8 +244,7 @@ def pgroup_nilpotency_index(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND
 
 def nilpotency_index_by_enumeration(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND) -> int:
     """Oracle: the same series length by listing every group element."""
-    if _work_cost(p, r) > work_bound:
-        raise ValueError("work bound exceeded for (p, r) = (%d, %d)" % (p, r))
+    _check_bound(p, r, work_bound, "work", order=True)
     group = PGroup(p, r)
     gens = group.generators()
     all_elements = list(group.elements())
@@ -246,65 +263,22 @@ def nilpotency_index_by_enumeration(p: int, r: int, work_bound: int = DEFAULT_WO
 # power sums in F_p[x_1..x_r]
 
 
-def _mv_add(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = (out.get(k, 0) + v) % p
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _mv_mul(a: dict, b: dict, p: int) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            s = (out.get(key, 0) + va * vb) % p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _mv_pow(a: dict, n: int, r: int, p: int) -> dict:
-    out = {(0,) * r: 1}
-    base = a
-    while n:
-        if n & 1:
-            out = _mv_mul(out, base, p)
-        base = _mv_mul(base, base, p)
-        n >>= 1
-    return out
-
-
-def _linear_form(u, r: int, p: int) -> dict:
-    out = {}
-    for i, c in enumerate(u):
-        if c % p:
-            key = tuple(1 if j == i else 0 for j in range(r))
-            out[key] = c % p
-    return out
-
-
 def power_sum_identity(p: int, r: int, algebra_bound: int = DEFAULT_ALGEBRA_BOUND) -> bool:
     """Whether the sum of u^(q-1) over all u in span(x_1..x_r) equals the
     product of the nonzero u, in F_p[x_1..x_r] with q = p^r."""
+    _check_bound(p, r, algebra_bound, "algebra")
     q = p ** r
-    if q > algebra_bound:
-        raise ValueError("algebra bound exceeded for (p, r) = (%d, %d)" % (p, r))
-    points = list(product(range(p), repeat=r))
-    lhs: dict = {}
-    rhs = {(0,) * r: 1}
-    for u in points:
-        form = _linear_form(u, r, p)
-        if not form:
-            continue
-        lhs = _mv_add(lhs, _mv_pow(form, q - 1, r, p), p)
-        rhs = _mv_mul(rhs, form, p)
+    field = PrimeField(p)
+    # x_i is encoded as t^(q^i) (Kronecker substitution).  Every monomial
+    # that arises has total degree at most q - 1, so each of its exponents
+    # is below q and the encoding is injective.
+    lhs = Poly1.zero(field)
+    rhs = Poly1.one(field)
+    for u in product(range(p), repeat=r):
+        form = Poly1(field, {q ** i: field.of(c) for i, c in enumerate(u)})
+        if form:
+            lhs = lhs + form ** (q - 1)
+            rhs = rhs * form
     return lhs == rhs
 
 
@@ -325,9 +299,8 @@ def cyclic_module_is_free(p: int, r: int, table,
     Also evaluates the sufficient criterion "the sum of all translates is
     nonzero" and raises if the two ever disagree in the forbidden
     direction (criterion positive but annihilator nontrivial)."""
+    _check_bound(p, r, algebra_bound, "algebra")
     group = PGroup(p, r)
-    if group.q > algebra_bound:
-        raise ValueError("algebra bound exceeded for (p, r) = (%d, %d)" % (p, r))
     f = tuple(v % p for v in table)
     if len(f) != group.q:
         raise ValueError("coefficient table must have length %d" % group.q)

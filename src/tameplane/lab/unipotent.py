@@ -70,9 +70,6 @@ class RationalMatrix:
     def trace(self):
         return sum(self.entries[i][i] for i in range(self.n))
 
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix(list(zip(*self.entries)))
-
     def __pow__(self, k: int) -> RationalMatrix:
         if k < 0:
             return self.inverse() ** (-k)

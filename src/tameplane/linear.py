@@ -1,5 +1,10 @@
 """Exact 2x2 matrices, points of the projective line, and matrices of polynomials.
 
+``Mat2`` (entries in the field K) and ``PolyMat2`` (entries ``Poly1`` in
+K[t]) share ``_Mat2Base``, which holds every operation that only adds and
+multiplies entries: products, sums, determinant, action on a pair,
+equality.  Each subclass keeps what depends on its entry ring.
+
 The square-zero endomorphism attached to a projective point is the bridge
 between plane automorphisms that shear along a line and matrices over K[t];
 its normalization is fixed here once and shared by every consumer.
@@ -7,37 +12,31 @@ its normalization is fixed here once and shared by every consumer.
 
 from __future__ import annotations
 
-from .poly import NEG_INF, Poly1
+from .poly import Poly1
 
 
-class Mat2:
-    """A 2x2 matrix of field scalars, rows (e00 e01; e10 e11)."""
+class _Mat2Base:
+    """A 2x2 matrix over a commutative ring, rows (e00 e01; e10 e11)."""
 
     __slots__ = ("field", "e00", "e01", "e10", "e11")
 
     def __init__(self, field, e00, e01, e10, e11):
         self.field = field
-        self.e00 = field.of(e00)
-        self.e01 = field.of(e01)
-        self.e10 = field.of(e10)
-        self.e11 = field.of(e11)
+        self.e00 = e00
+        self.e01 = e01
+        self.e10 = e10
+        self.e11 = e11
 
-    @classmethod
-    def identity(cls, field) -> Mat2:
-        return cls(field, field.one, field.zero, field.zero, field.one)
-
-    @classmethod
-    def zero(cls, field) -> Mat2:
-        z = field.zero
-        return cls(field, z, z, z, z)
+    def entries(self):
+        return (self.e00, self.e01, self.e10, self.e11)
 
     def rows(self):
         return ((self.e00, self.e01), (self.e10, self.e11))
 
     def __mul__(self, other):
-        if not isinstance(other, Mat2):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return Mat2(
+        return type(self)(
             self.field,
             self.e00 * other.e00 + self.e01 * other.e10,
             self.e00 * other.e01 + self.e01 * other.e11,
@@ -46,9 +45,9 @@ class Mat2:
         )
 
     def __add__(self, other):
-        if not isinstance(other, Mat2):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return Mat2(
+        return type(self)(
             self.field,
             self.e00 + other.e00,
             self.e01 + other.e01,
@@ -57,19 +56,59 @@ class Mat2:
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Mat2):
+        if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        return type(self)(
+            self.field,
+            self.e00 - other.e00,
+            self.e01 - other.e01,
+            self.e10 - other.e10,
+            self.e11 - other.e11,
+        )
 
     def __neg__(self):
-        return Mat2(self.field, -self.e00, -self.e01, -self.e10, -self.e11)
+        return type(self)(self.field, -self.e00, -self.e01, -self.e10, -self.e11)
+
+    def det(self):
+        return self.e00 * self.e11 - self.e01 * self.e10
+
+    def act(self, vec):
+        """Column-vector action: self @ (v0, v1)."""
+        v0, v1 = vec
+        return (self.e00 * v0 + self.e01 * v1, self.e10 * v0 + self.e11 * v1)
+
+    def is_identity(self) -> bool:
+        return self == self.identity(self.field)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.field == other.field
+            and self.entries() == other.entries()
+        )
+
+    def __hash__(self):
+        return hash((self.field, *self.entries()))
+
+    def __repr__(self):
+        return "%s((%r, %r), (%r, %r))" % (type(self).__name__, *self.entries())
+
+
+class Mat2(_Mat2Base):
+    """A 2x2 matrix of field scalars; entries are coerced into the field."""
+
+    __slots__ = ()
+
+    def __init__(self, field, e00, e01, e10, e11):
+        super().__init__(field, field.of(e00), field.of(e01), field.of(e10), field.of(e11))
+
+    @classmethod
+    def identity(cls, field) -> Mat2:
+        return cls(field, field.one, field.zero, field.zero, field.one)
 
     def scale(self, c) -> Mat2:
         c = self.field.of(c)
         return Mat2(self.field, c * self.e00, c * self.e01, c * self.e10, c * self.e11)
-
-    def det(self):
-        return self.e00 * self.e11 - self.e01 * self.e10
 
     def trace(self):
         return self.e00 + self.e11
@@ -93,14 +132,6 @@ class Mat2:
             n >>= 1
         return out
 
-    def act(self, vec):
-        """Column-vector action: self @ (v0, v1)."""
-        v0, v1 = vec
-        return (self.e00 * v0 + self.e01 * v1, self.e10 * v0 + self.e11 * v1)
-
-    def is_identity(self) -> bool:
-        return self == Mat2.identity(self.field)
-
     def is_zero(self) -> bool:
         return not (self.e00 or self.e01 or self.e10 or self.e11)
 
@@ -109,22 +140,6 @@ class Mat2:
 
     def is_diagonal(self) -> bool:
         return not self.e01 and not self.e10
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Mat2)
-            and self.field == other.field
-            and self.e00 == other.e00
-            and self.e01 == other.e01
-            and self.e10 == other.e10
-            and self.e11 == other.e11
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.e00, self.e01, self.e10, self.e11))
-
-    def __repr__(self):
-        return "Mat2((%r, %r), (%r, %r))" % (self.e00, self.e01, self.e10, self.e11)
 
 
 class ProjPoint:
@@ -209,78 +224,16 @@ def direction_of(field, vec) -> ProjPoint:
     return ProjPoint.of(field, vec[0], vec[1])
 
 
-class PolyMat2:
+class PolyMat2(_Mat2Base):
     """A 2x2 matrix with Poly1 entries (the variable is called t)."""
 
-    __slots__ = ("field", "e00", "e01", "e10", "e11")
-
-    def __init__(self, field, e00: Poly1, e01: Poly1, e10: Poly1, e11: Poly1):
-        self.field = field
-        self.e00 = e00
-        self.e01 = e01
-        self.e10 = e10
-        self.e11 = e11
+    __slots__ = ()
 
     @classmethod
     def identity(cls, field) -> PolyMat2:
         one = Poly1.one(field)
         zero = Poly1.zero(field)
         return cls(field, one, zero, zero, one)
-
-    @classmethod
-    def from_scalar(cls, m: Mat2) -> PolyMat2:
-        f = m.field
-        c = lambda v: Poly1.constant(f, v)
-        return cls(f, c(m.e00), c(m.e01), c(m.e10), c(m.e11))
-
-    @classmethod
-    def scalar_monomial(cls, m: Mat2, k: int) -> PolyMat2:
-        """m * t^k as a polynomial matrix."""
-        f = m.field
-        mk = lambda v: Poly1.monomial(f, k, v)
-        return cls(f, mk(m.e00), mk(m.e01), mk(m.e10), mk(m.e11))
-
-    def entries(self):
-        return (self.e00, self.e01, self.e10, self.e11)
-
-    def rows(self):
-        return ((self.e00, self.e01), (self.e10, self.e11))
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(
-            self.field,
-            self.e00 * other.e00 + self.e01 * other.e10,
-            self.e00 * other.e01 + self.e01 * other.e11,
-            self.e10 * other.e00 + self.e11 * other.e10,
-            self.e10 * other.e01 + self.e11 * other.e11,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(
-            self.field,
-            self.e00 + other.e00,
-            self.e01 + other.e01,
-            self.e10 + other.e10,
-            self.e11 + other.e11,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(
-            self.field,
-            self.e00 - other.e00,
-            self.e01 - other.e01,
-            self.e10 - other.e10,
-            self.e11 - other.e11,
-        )
-
-    def det(self) -> Poly1:
-        return self.e00 * self.e11 - self.e01 * self.e10
 
     def degree(self):
         return max(e.degree() for e in self.entries())
@@ -299,70 +252,3 @@ class PolyMat2:
 
     def at_zero(self) -> Mat2:
         return self.coeff_matrix(0)
-
-    def act(self, vec: PolyVec) -> PolyVec:
-        return PolyVec(self.e00 * vec.u0 + self.e01 * vec.u1, self.e10 * vec.u0 + self.e11 * vec.u1)
-
-    def is_identity(self) -> bool:
-        return self == PolyMat2.identity(self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyMat2)
-            and self.field == other.field
-            and self.e00 == other.e00
-            and self.e01 == other.e01
-            and self.e10 == other.e10
-            and self.e11 == other.e11
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.e00, self.e01, self.e10, self.e11))
-
-    def __repr__(self):
-        return "PolyMat2((%r, %r), (%r, %r))" % (self.e00, self.e01, self.e10, self.e11)
-
-
-class PolyVec:
-    """A column vector of two Poly1 entries."""
-
-    __slots__ = ("u0", "u1")
-
-    def __init__(self, u0: Poly1, u1: Poly1):
-        self.u0 = u0
-        self.u1 = u1
-
-    @classmethod
-    def of_scalars(cls, field, v0, v1) -> PolyVec:
-        return cls(Poly1.constant(field, v0), Poly1.constant(field, v1))
-
-    def degree(self):
-        return max(self.u0.degree(), self.u1.degree())
-
-    def top_coeff_pair(self):
-        """The coefficient vector at the vector's own degree."""
-        d = self.degree()
-        if d is NEG_INF:
-            raise ValueError("zero vector has no top coefficient")
-        return (self.u0.coeff(d), self.u1.coeff(d))
-
-    def is_zero(self) -> bool:
-        return self.u0.is_zero() and self.u1.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, PolyVec) and self.u0 == other.u0 and self.u1 == other.u1
-
-    def __hash__(self):
-        return hash((self.u0, self.u1))
-
-    def __repr__(self):
-        return "PolyVec(%r, %r)" % (self.u0, self.u1)
-
-
-def det_polarization(a: PolyMat2, b: PolyMat2) -> Poly1:
-    """The bilinear form det(A+B) - det(A) - det(B).
-
-    It pairs a matrix with its adjugate-flip; used as a cheap independent
-    cross-check on determinant bookkeeping.
-    """
-    return (a + b).det() - a.det() - b.det()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .amalgam import free_reduce, shear_decompose
 from .automorphisms import PlaneAuto
-from .linear import Mat2, PolyMat2, PolyVec, ProjPoint, det_polarization, direction_of, nil_endo
+from .linear import PolyMat2, ProjPoint, direction_of, nil_endo
 from .poly import NEG_INF, Poly1
 
 
@@ -37,28 +37,17 @@ class ShearFactor:
     k: int
 
     def to_matrix(self) -> PolyMat2:
-        field = self.delta.field
-        e = nil_endo(self.delta).scale(self.c)
-        return PolyMat2.identity(field) + PolyMat2.scalar_monomial(e, self.k)
+        return line_matrix(self.delta, Poly1.monomial(self.delta.field, self.k, self.c))
 
     def inverse_matrix(self) -> PolyMat2:
-        field = self.delta.field
-        e = nil_endo(self.delta).scale(-self.c)
-        return PolyMat2.identity(field) + PolyMat2.scalar_monomial(e, self.k)
+        return line_matrix(self.delta, Poly1.monomial(self.delta.field, self.k, -self.c))
 
 
 def line_matrix(delta: ProjPoint, h: Poly1) -> PolyMat2:
     """id + h(t) e_delta for a polynomial h vanishing at 0."""
     field = delta.field
-    e = nil_endo(delta)
-    out = PolyMat2.identity(field)
-    return PolyMat2(
-        field,
-        out.e00 + h.scale(e.e00),
-        out.e01 + h.scale(e.e01),
-        out.e10 + h.scale(e.e10),
-        out.e11 + h.scale(e.e11),
-    )
+    h_e = PolyMat2(field, *(h.scale(v) for v in nil_endo(delta).entries()))
+    return PolyMat2.identity(field) + h_e
 
 
 def _validate_group_member(g: PolyMat2) -> None:
@@ -172,16 +161,6 @@ def from_matrix(g: PolyMat2) -> tuple:
     return tuple((delta, h.shift_up(1)) for delta, h in matrix_reduced_word(g))
 
 
-def base_value_membership(g: PolyMat2, predicate) -> bool:
-    """Membership in the subgroup anchored at a constant group: determinant
-    must be the constant 1, and the value at t = 0 is tested by the caller's
-    predicate."""
-    field = g.field
-    if g.det() != Poly1.one(field):
-        raise NotInMatrixGroup("determinant %r is not 1" % (g.det(),))
-    return bool(predicate(g.at_zero()))
-
-
 # -- ping-pong degree growth ----------------------------------------------------
 
 
@@ -223,14 +202,12 @@ def pingpong_check(pairs, sample: ProjPoint) -> PingPongResult:
         if d1 == d2:
             raise ValueError("word is not reduced")
     g = matrix_recompose(field, pairs)
-    vec = PolyVec.of_scalars(field, *sample.vector())
-    out = g.act(vec)
+    u0, u1 = g.act(tuple(Poly1.constant(field, v) for v in sample.vector()))
     expected_degree = sum(h.degree() for _, h in pairs)
-    deg = out.degree()
+    deg = max(u0.degree(), u1.degree())
     if deg is NEG_INF:
         return PingPongResult(sample, -1, expected_degree, None, pairs[0][0], False)
-    top = out.top_coeff_pair()
-    end_dir = direction_of(field, top)
+    end_dir = direction_of(field, (u0.coeff(deg), u1.coeff(deg)))
     moved = deg > 0 or end_dir != sample
     return PingPongResult(sample, deg, expected_degree, end_dir, pairs[0][0], moved)
 
@@ -245,8 +222,6 @@ __all__ = [
     "matrix_recompose",
     "to_matrix",
     "from_matrix",
-    "base_value_membership",
     "PingPongResult",
     "pingpong_check",
-    "det_polarization",
 ]

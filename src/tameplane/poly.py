@@ -1,10 +1,14 @@
 """Sparse exact polynomials in one and two variables over a field object.
 
-``Poly1`` maps exponents to nonzero coefficients, ``Poly2`` maps exponent
-pairs (i, j) to nonzero coefficients (i for the first variable, j for the
-second).  Coefficients are whatever scalars the field backend produces and
-are never stored when zero.  The degree of the zero polynomial is ``NEG_INF``
-so that degree comparisons and products behave uniformly.
+Both kinds are dicts from exponent keys to nonzero coefficients: ``Poly1``
+keys are exponents, ``Poly2`` keys are exponent pairs (i, j) (i for the
+first variable, j for the second).  ``_SparsePoly`` holds every operation
+that does not look inside a key (construction, addition, scaling, powers,
+equality and hashing); each subclass fixes the key of the constant term
+and keeps its own inline multiply loop, which is the hot path.
+Coefficients are whatever scalars the field backend produces and are never
+stored when zero.  The degree of the zero polynomial is ``NEG_INF`` so that
+degree comparisons and products behave uniformly.
 
 >>> from tameplane.scalars import QQ
 >>> t = Poly1.gen(QQ)
@@ -17,23 +21,25 @@ from __future__ import annotations
 NEG_INF = float("-inf")
 
 
-class Poly1:
-    """A univariate polynomial with exact coefficients."""
+class _SparsePoly:
+    """Key-shape-independent arithmetic on a dict of nonzero coefficients."""
 
     __slots__ = ("field", "terms", "_hash")
+
+    _CONST_KEY: object  # the key of the constant term, set by each subclass
 
     def __init__(self, field, terms: dict | None = None):
         self.field = field
         clean = {}
         if terms:
-            for e, c in terms.items():
+            for k, c in terms.items():
                 if c:
-                    clean[e] = c
+                    clean[k] = c
         self.terms = clean
         self._hash = None
 
     @classmethod
-    def _make(cls, field, clean_terms: dict) -> Poly1:
+    def _make(cls, field, clean_terms: dict):
         # internal fast path: caller guarantees no zero coefficients
         p = object.__new__(cls)
         p.field = field
@@ -42,21 +48,111 @@ class Poly1:
         return p
 
     @classmethod
-    def zero(cls, field) -> Poly1:
+    def zero(cls, field):
         return cls._make(field, {})
 
     @classmethod
-    def one(cls, field) -> Poly1:
-        return cls._make(field, {0: field.one})
+    def one(cls, field):
+        return cls._make(field, {cls._CONST_KEY: field.one})
+
+    @classmethod
+    def constant(cls, field, c):
+        c = field.of(c)
+        return cls._make(field, {cls._CONST_KEY: c} if c else {})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def items(self) -> list:
+        return sorted(self.terms.items())
+
+    # -- ring operations -----------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, _SparsePoly):
+            return None  # a Poly1 never mixes with a Poly2
+        try:
+            return self.constant(self.field, other)
+        except TypeError:
+            return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in o.terms.items():
+            s = out.get(k)
+            s = c if s is None else s + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return self._make(self.field, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(self.field, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def scale(self, c):
+        c = self.field.of(c)
+        if not c:
+            return self.zero(self.field)
+        return self._make(self.field, {k: c * v for k, v in self.terms.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result = self.one(self.field)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    # -- comparisons ------------------------------------------------------
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.field == o.field and self.terms == o.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.field, tuple(sorted(self.terms.items()))))
+        return self._hash
+
+
+class Poly1(_SparsePoly):
+    """A univariate polynomial with exact coefficients."""
+
+    __slots__ = ()
+    _CONST_KEY = 0
 
     @classmethod
     def gen(cls, field) -> Poly1:
         return cls._make(field, {1: field.one})
-
-    @classmethod
-    def constant(cls, field, c) -> Poly1:
-        c = field.of(c)
-        return cls._make(field, {0: c} if c else {})
 
     @classmethod
     def monomial(cls, field, e: int, c) -> Poly1:
@@ -65,20 +161,13 @@ class Poly1:
 
     # -- basic queries -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def degree(self):
         return max(self.terms) if self.terms else NEG_INF
 
     def valuation(self):
-        """Smallest exponent with a nonzero coefficient (NEG_INF if zero...
+        """Smallest exponent with a nonzero coefficient.
 
-        actually +inf would be the lattice-correct value for zero, but no
-        caller ever takes the valuation of zero; raise instead."""
+        The zero polynomial has none, so it raises ValueError."""
         if not self.terms:
             raise ValueError("valuation of the zero polynomial")
         return min(self.terms)
@@ -97,49 +186,7 @@ class Poly1:
     def constant_value(self):
         return self.terms.get(0, self.field.zero)
 
-    def items(self) -> list:
-        return sorted(self.terms.items())
-
     # -- ring operations -----------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Poly1):
-            return other
-        try:
-            return Poly1.constant(self.field, other)
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly1._make(self.field, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1._make(self.field, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, Poly1):
@@ -160,24 +207,6 @@ class Poly1:
         return self * o
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> Poly1:
-        c = self.field.of(c)
-        if not c:
-            return Poly1.zero(self.field)
-        return Poly1._make(self.field, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> Poly1:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly1.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __divmod__(self, other: Poly1):
         if not isinstance(other, Poly1):
@@ -241,7 +270,7 @@ class Poly1:
 
         The element only needs + and * with itself and with coefficients.
         """
-        if isinstance(value, (Poly1, Poly2)):
+        if isinstance(value, _SparsePoly):
             acc = type(value).zero(self.field)
             pw = type(value).one(self.field)
         else:
@@ -293,10 +322,6 @@ class Poly1:
         """Zero out all coefficients of exponent < k."""
         return Poly1._make(self.field, {e: c for e, c in self.terms.items() if e >= k})
 
-    def truncate_from(self, k: int) -> Poly1:
-        """Keep only coefficients of exponent < k."""
-        return Poly1._make(self.field, {e: c for e, c in self.terms.items() if e < k})
-
     def derivative(self) -> Poly1:
         out = {}
         for e, c in self.terms.items():
@@ -306,22 +331,6 @@ class Poly1:
                     out[e - 1] = v
         return Poly1._make(self.field, out)
 
-    # -- comparisons ------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, Poly1):
-            return self.field == other.field and self.terms == other.terms
-        try:
-            o = Poly1.constant(self.field, other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, tuple(sorted(self.terms.items()))))
-        return self._hash
-
     def __repr__(self):
         if not self.terms:
             return "Poly1(0)"
@@ -329,41 +338,11 @@ class Poly1:
         return "Poly1(%s)" % " + ".join(bits)
 
 
-class Poly2:
+class Poly2(_SparsePoly):
     """A polynomial in two variables, exponent pairs (i, j) -> coefficient."""
 
-    __slots__ = ("field", "terms", "_hash")
-
-    def __init__(self, field, terms: dict | None = None):
-        self.field = field
-        clean = {}
-        if terms:
-            for ij, c in terms.items():
-                if c:
-                    clean[ij] = c
-        self.terms = clean
-        self._hash = None
-
-    @classmethod
-    def _make(cls, field, clean_terms: dict) -> Poly2:
-        p = object.__new__(cls)
-        p.field = field
-        p.terms = clean_terms
-        p._hash = None
-        return p
-
-    @classmethod
-    def zero(cls, field) -> Poly2:
-        return cls._make(field, {})
-
-    @classmethod
-    def one(cls, field) -> Poly2:
-        return cls._make(field, {(0, 0): field.one})
-
-    @classmethod
-    def constant(cls, field, c) -> Poly2:
-        c = field.of(c)
-        return cls._make(field, {(0, 0): c} if c else {})
+    __slots__ = ()
+    _CONST_KEY = (0, 0)
 
     @classmethod
     def x(cls, field) -> Poly2:
@@ -388,12 +367,6 @@ class Poly2:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def total_degree(self):
         return max(i + j for i, j in self.terms) if self.terms else NEG_INF
 
@@ -412,9 +385,6 @@ class Poly2:
         if d is NEG_INF:
             return self
         return Poly2._make(self.field, {ij: c for ij, c in self.terms.items() if ij[0] + ij[1] == d})
-
-    def items(self) -> list:
-        return sorted(self.terms.items())
 
     def depends_on_y(self) -> bool:
         return any(j for _, j in self.terms)
@@ -435,47 +405,6 @@ class Poly2:
 
     # -- ring operations -----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Poly2):
-            return other
-        if isinstance(other, Poly1):
-            return None
-        try:
-            return Poly2.constant(self.field, other)
-        except TypeError:
-            return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for ij, c in o.terms.items():
-            s = out.get(ij)
-            s = c if s is None else s + c
-            if s:
-                out[ij] = s
-            else:
-                out.pop(ij, None)
-        return Poly2._make(self.field, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly2._make(self.field, {ij: -c for ij, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, Poly2):
             out: dict = {}
@@ -495,24 +424,6 @@ class Poly2:
         return self * o
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> Poly2:
-        c = self.field.of(c)
-        if not c:
-            return Poly2.zero(self.field)
-        return Poly2._make(self.field, {ij: c * v for ij, v in self.terms.items()})
-
-    def __pow__(self, n: int) -> Poly2:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly2.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- substitution and calculus ---------------------------------------
 
@@ -567,22 +478,6 @@ class Poly2:
                 if v:
                     out[(i, j - 1)] = v
         return Poly2._make(self.field, out)
-
-    # -- comparisons ------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, Poly2):
-            return self.field == other.field and self.terms == other.terms
-        try:
-            o = Poly2.constant(self.field, other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, tuple(sorted(self.terms.items()))))
-        return self._hash
 
     def __repr__(self):
         if not self.terms:

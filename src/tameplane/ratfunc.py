@@ -99,9 +99,6 @@ class RationalFunction:
             out = out * self
         return out
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -152,9 +149,6 @@ class RationalFunctionField:
         if isinstance(v, (int, Fraction)) or type(v) is type(self.base.zero):
             return RationalFunction(self, Poly1.constant(self.base, self.base.of(v)), Poly1.one(self.base))
         raise TypeError("cannot coerce %r into %r" % (v, self))
-
-    def from_fraction(self, num: Poly1, den: Poly1) -> RationalFunction:
-        return RationalFunction(self, num, den)
 
     def random_element(self, rng, height: int = 4) -> RationalFunction:
         # polynomial elements of small degree keep downstream composites tame

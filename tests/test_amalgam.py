@@ -45,7 +45,7 @@ from tameplane.sampling import (
 )
 from tameplane.textio import format_auto, parse_auto
 
-from conftest import F5, QZ
+from conftest import F2, F5, QZ
 
 
 class TestInvert:
@@ -156,6 +156,23 @@ class TestNormalForm:
         for _ in range(10):
             word = vdk_factor(random_tame_auto(F5, rng))
             assert normal_form(word).recompose() == word.recompose()
+
+    @pytest.mark.parametrize("field", [QQ, F5, F2], ids=["q", "fp5", "fp2"])
+    def test_normal_forms_are_reduced(self, field):
+        rng = random.Random(41)
+        for _ in range(60):
+            word = word_of_atoms(field, random_tame_atoms(field, rng))
+            assert word.is_reduced()
+            assert normal_form(word).is_reduced()
+            factored = vdk_factor(word.recompose())
+            assert factored.is_reduced()
+            assert factored == word
+
+    def test_adjacent_affine_factors_are_not_reduced(self):
+        swap = AffineAuto(Mat2(QQ, 0, 1, 1, 0))
+        tail = ElemAuto.identity(QQ)
+        assert AmalgamWord(QQ, (swap,), tail).is_reduced()
+        assert not AmalgamWord(QQ, (swap, swap), tail).is_reduced()
 
 
 class TestWordShapes:

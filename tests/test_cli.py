@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import time
 
 import pytest
 
@@ -143,6 +144,13 @@ class TestLabSuites:
         monkeypatch.setenv("TAMEPLANE_WORK_BOUND", "10")
         code, _, err = run(capsys, "lab", "pgroup", "--p", "3", "--r", "2")
         assert code == 3 and "work bound" in err
+
+    @pytest.mark.parametrize("p,r", [("2305843009213693951", "1"), ("3", "100000000000")])
+    def test_huge_parameters_stop_at_the_work_bound(self, capsys, p, r):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "lab", "pgroup", "--p", p, "--r", r)
+        assert code == 3 and "work bound" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeterminism:

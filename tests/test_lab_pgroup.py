@@ -66,6 +66,12 @@ class TestNilpotencyIndex:
             pgroup_nilpotency_index(3, 2, work_bound=10)
         with pytest.raises(ValueError):
             nilpotency_index_by_enumeration(2, 3, work_bound=10)
+        # checked before any big power is formed
+        for p, r in ((2305843009213693951, 1), (3, 10 ** 11)):
+            with pytest.raises(ValueError, match="work bound"):
+                pgroup_nilpotency_index(p, r)
+            with pytest.raises(ValueError, match="work bound"):
+                nilpotency_index_by_enumeration(p, r)
 
 
 class TestPowerSums:
@@ -87,6 +93,12 @@ class TestPowerSums:
     def test_algebra_bound_is_enforced(self):
         with pytest.raises(ValueError):
             power_sum_identity(3, 3, algebra_bound=26)
+        # checked before any big power or group is formed
+        for p, r in ((2305843009213693951, 1), (3, 10 ** 11)):
+            with pytest.raises(ValueError, match="algebra bound"):
+                power_sum_identity(p, r)
+            with pytest.raises(ValueError, match="algebra bound"):
+                cyclic_module_is_free(p, r, (1,))
 
 
 class TestCyclicModule:

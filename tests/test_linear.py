@@ -7,10 +7,9 @@ from tameplane import (
     Mat2,
     Poly1,
     PolyMat2,
-    PolyVec,
     ProjPoint,
     QQ,
-    det_polarization,
+    line_matrix,
     nil_endo,
 )
 from tameplane.linear import direction_of
@@ -138,31 +137,11 @@ class TestPolyMat2:
         n = PolyMat2.identity(F5) + m
         assert (m * n).evaluate(s) == m.evaluate(s) * n.evaluate(s)
 
-    @given(polymat(QQ, 2), polymat(QQ, 2))
-    @settings(max_examples=40)
-    def test_det_polarization_is_symmetric_bilinear_offset(self, a, b):
-        assert det_polarization(a, b) == det_polarization(b, a)
-        assert det_polarization(a, PolyMat2.identity(QQ) - PolyMat2.identity(QQ)) \
-            == Poly1.zero(QQ)
-
     def test_scalar_monomial_and_coeff_matrix(self):
-        e = nil_endo(ProjPoint.of(QQ, 1, 1))
-        m = PolyMat2.scalar_monomial(e, 3)
+        delta = ProjPoint.of(QQ, 1, 1)
+        e = nil_endo(delta)
+        m = line_matrix(delta, Poly1.monomial(QQ, 3, 1))  # id + t^3 e
         assert m.coeff_matrix(3) == e
         assert m.coeff_matrix(2).is_zero()
         assert m.degree() == 3
-        assert (PolyMat2.identity(QQ) + m).at_zero() == Mat2.identity(QQ)
-
-
-class TestPolyVec:
-    def test_top_coeff_pair(self):
-        tt = Poly1.gen(QQ)
-        v = PolyVec(tt ** 2 + 1, tt.scale(QQ.of(3)))
-        assert v.degree() == 2
-        assert v.top_coeff_pair() == (QQ.one, QQ.zero)
-
-    def test_zero_vector_has_no_top(self):
-        v = PolyVec.of_scalars(QQ, 0, 0)
-        assert v.is_zero()
-        with pytest.raises(ValueError):
-            v.top_coeff_pair()
+        assert m.at_zero() == Mat2.identity(QQ)

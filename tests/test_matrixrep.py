@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from tameplane import (
-    Mat2,
     NotInMatrixGroup,
     PlaneAuto,
     Poly1,
@@ -24,7 +23,7 @@ from tameplane import (
     shear_recompose,
     to_matrix,
 )
-from tameplane.matrixrep import FactorizationInvariantError, base_value_membership
+from tameplane.matrixrep import FactorizationInvariantError
 from tameplane.sampling import (
     random_matrix_factors,
     random_proj_point,
@@ -170,21 +169,6 @@ class TestShearDictionary:
         for bad in ("2*x, y", "x + 1, y", "y, x"):
             with pytest.raises(ValueError):
                 to_matrix(parse_auto(QQ, bad))
-
-
-class TestBaseValueMembership:
-    def test_value_at_zero_is_what_the_predicate_sees(self):
-        scale = PolyMat2.from_scalar(Mat2(QQ, 2, 0, 0, Fraction(1, 2)))
-        g = scale * parse_polymat(QQ, "1, 0 ; t, 1")
-        assert g.det() == Poly1.one(QQ)
-        assert base_value_membership(g, lambda m: m.is_lower_triangular())
-        assert base_value_membership(g, lambda m: m.is_diagonal())
-        assert not base_value_membership(g, lambda m: m.is_identity())
-
-    def test_nonconstant_determinant_is_rejected(self):
-        with pytest.raises(NotInMatrixGroup):
-            base_value_membership(parse_polymat(QQ, "1 + t, 0 ; 0, 1"),
-                                  lambda m: True)
 
 
 class TestPingPong:
