@@ -136,11 +136,7 @@ class AmalgamWord:
 
     def recompose(self) -> PlaneAuto:
         """Multiply the word back out into a plane map."""
-        f = self.field
-        p, q = Poly2.x(f), Poly2.y(f)
-        for atom in reversed((*self.factors, self.tail)):
-            p, q = _apply_left(atom, p, q)
-        return PlaneAuto(p, q)
+        return _multiply_out(self.field, (*self.factors, self.tail))
 
     def is_reduced(self) -> bool:
         """Factors alternate in kind, each a genuine representative, and
@@ -169,23 +165,13 @@ class AmalgamWord:
         )
 
 
-def _apply_left(atom, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-    """Components of atom o (p, q), without generic substitution."""
-    if isinstance(atom, AffineAuto):
-        m, (v0, v1) = atom.m, atom.shift
-        f = atom.field
-        return (
-            p.scale(m.e00) + q.scale(m.e01) + Poly2.constant(f, v0),
-            p.scale(m.e10) + q.scale(m.e11) + Poly2.constant(f, v1),
-        )
-    f = atom.field
-    fp = atom.f.substitute(p)
-    if not isinstance(fp, Poly2):
-        fp = Poly2.constant(f, fp)
-    return (
-        p.scale(atom.z1) + Poly2.constant(f, atom.t0),
-        q.scale(atom.z2) + fp,
-    )
+def _multiply_out(field, atoms) -> PlaneAuto:
+    """The plane map atoms[0] o atoms[1] o ..., applied from the left, last
+    atom first."""
+    p, q = Poly2.x(field), Poly2.y(field)
+    for atom in reversed(atoms):
+        p, q = atom.apply(p, q)
+    return PlaneAuto(p, q)
 
 
 def normal_form(word: AmalgamWord) -> AmalgamWord:
@@ -299,11 +285,8 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
 def invert(auto: PlaneAuto) -> PlaneAuto:
     """The inverse automorphism, through the amalgam factorization."""
     word = vdk_factor(auto)
-    f = word.field
-    p, q = Poly2.x(f), Poly2.y(f)
-    for atom in (*word.factors, word.tail):
-        p, q = _apply_left(atom.inverse(), p, q)
-    return PlaneAuto(p, q)
+    atoms = (*word.factors, word.tail)
+    return _multiply_out(word.field, [atom.inverse() for atom in reversed(atoms)])
 
 
 # -- conjugation into a prescribed shape --------------------------------------

@@ -9,6 +9,11 @@ generating subgroups (invertible affine maps, and triangular maps fixing the
 first coordinate up to an affine change).  Their intersection, maps with
 lower triangular linear part, plays the role of the common subgroup in the
 amalgam machinery of :mod:`tameplane.amalgam`.
+
+Each atom acts on a pair of components through ``apply``: ``atom.apply(p, q)``
+is atom o (p, q), computed from the atom's closed form instead of by generic
+substitution.  ``to_plane`` is that action on (x, y), and every product of
+atoms is multiplied out by applying them from the left, last atom first.
 """
 
 from __future__ import annotations
@@ -126,13 +131,13 @@ class AffineAuto:
     def is_invertible(self) -> bool:
         return bool(self.m.det())
 
+    def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
+        """Components of self o (p, q)."""
+        m, (v0, v1) = self.m, self.shift
+        return p.scale(m.e00) + q.scale(m.e01) + v0, p.scale(m.e10) + q.scale(m.e11) + v1
+
     def to_plane(self) -> PlaneAuto:
-        f = self.field
-        x, y = Poly2.x(f), Poly2.y(f)
-        return PlaneAuto(
-            x.scale(self.m.e00) + y.scale(self.m.e01) + Poly2.constant(f, self.shift[0]),
-            x.scale(self.m.e10) + y.scale(self.m.e11) + Poly2.constant(f, self.shift[1]),
-        )
+        return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
 
     def compose(self, other: AffineAuto) -> AffineAuto:
         mv = self.m.act(other.shift)
@@ -188,14 +193,12 @@ class ElemAuto:
     def is_invertible(self) -> bool:
         return bool(self.z1) and bool(self.z2)
 
+    def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
+        """Components of self o (p, q): (z1 p + t0, z2 q + f(p))."""
+        return p.scale(self.z1) + self.t0, q.scale(self.z2) + self.f.substitute(p)
+
     def to_plane(self) -> PlaneAuto:
-        f = self.field
-        x, y = Poly2.x(f), Poly2.y(f)
-        fx = Poly2.from_poly1_in_x(self.f)
-        return PlaneAuto(
-            x.scale(self.z1) + Poly2.constant(f, self.t0),
-            y.scale(self.z2) + fx,
-        )
+        return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
 
     def compose(self, other: ElemAuto) -> ElemAuto:
         # x-part: z1 (z1' x + t0') + t0 ; y-part: z2 (z2' y + f'(x)) + f(z1' x + t0')

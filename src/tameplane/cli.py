@@ -240,7 +240,11 @@ def _lab_pingpong(field, args) -> Report:
 
 
 def _lab_pgroup(field, args) -> Report:
-    bound = int(os.environ.get("TAMEPLANE_WORK_BOUND", DEFAULT_WORK_BOUND))
+    text = os.environ.get("TAMEPLANE_WORK_BOUND", str(DEFAULT_WORK_BOUND))
+    try:
+        bound = int(text)
+    except ValueError:
+        raise ParseError("TAMEPLANE_WORK_BOUND must be an integer, got %r" % text, 0) from None
     report = Report()
     got = pgroup_nilpotency_index(args.p, args.r, work_bound=bound)
     report.add("nilpotency_index", args.p * args.r, got, p=args.p, r=args.r)

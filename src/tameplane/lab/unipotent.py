@@ -9,10 +9,11 @@ log/exp identities are worth checking on 3x3 and 4x4 witnesses too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from ..poly import Poly1
-from ..scalars import QQ, _ratio
+from ..scalars import QQ
 
 
 class RationalMatrix:
@@ -21,7 +22,7 @@ class RationalMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_ratio(v) for v in row) for row in rows)
+        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("square matrix required")
@@ -64,7 +65,7 @@ class RationalMatrix:
         return RationalMatrix([[-a for a in row] for row in self.entries])
 
     def scale(self, c) -> RationalMatrix:
-        c = _ratio(c)
+        c = Fraction(c)
         return RationalMatrix([[c * a for a in row] for row in self.entries])
 
     def trace(self):
@@ -114,7 +115,7 @@ class RationalMatrix:
         for k in range(1, n + 1):
             am = self * m
             ck = -am.trace() / k
-            coeffs[n - k] = _ratio(ck)
+            coeffs[n - k] = Fraction(ck)
             m = am + RationalMatrix.identity(n).scale(ck)
         return Poly1(QQ, coeffs)
 
@@ -199,7 +200,7 @@ def unipotent_log(u: RationalMatrix) -> RationalMatrix:
     power = nilpart
     m = 1
     while not power.is_zero():
-        acc = acc - power.scale(_ratio(1, m))
+        acc = acc - power.scale(Fraction(1, m))
         power = power * nilpart
         m += 1
     return acc
@@ -214,7 +215,7 @@ def matrix_exp(a: RationalMatrix) -> RationalMatrix:
     factorial = 1
     m = 1
     while not power.is_zero():
-        acc = acc + power.scale(_ratio(1, factorial))
+        acc = acc + power.scale(Fraction(1, factorial))
         m += 1
         factorial *= m
         power = power * a

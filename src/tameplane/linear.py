@@ -138,9 +138,6 @@ class Mat2(_Mat2Base):
     def is_lower_triangular(self) -> bool:
         return not self.e01
 
-    def is_diagonal(self) -> bool:
-        return not self.e01 and not self.e10
-
 
 class ProjPoint:
     """A point of the projective line in canonical coordinates.

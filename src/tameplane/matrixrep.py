@@ -147,10 +147,7 @@ def to_matrix(auto_or_pairs) -> PolyMat2:
         if not pairs:
             raise ValueError("cannot infer the field from an empty decomposition")
         field = pairs[0][0].field
-    out = PolyMat2.identity(field)
-    for delta, f in pairs:
-        out = out * line_matrix(delta, f.shift_down(1))
-    return out
+    return matrix_recompose(field, [(delta, f.shift_down(1)) for delta, f in pairs])
 
 
 def from_matrix(g: PolyMat2) -> tuple:

@@ -69,6 +69,9 @@ class _SparsePoly:
     def items(self) -> list:
         return sorted(self.terms.items())
 
+    def constant_term(self):
+        return self.terms.get(self._CONST_KEY, self.field.zero)
+
     # -- ring operations -----------------------------------------------
 
     def _coerce(self, other):
@@ -183,9 +186,6 @@ class Poly1(_SparsePoly):
     def is_constant(self) -> bool:
         return self.degree() <= 0
 
-    def constant_value(self):
-        return self.terms.get(0, self.field.zero)
-
     # -- ring operations -----------------------------------------------
 
     def __mul__(self, other):
@@ -265,31 +265,21 @@ class Poly1(_SparsePoly):
                 acc = acc * point
         return acc
 
-    def substitute(self, value):
-        """Plug any ring element (scalar, Poly1, Poly2) in for the variable.
-
-        The element only needs + and * with itself and with coefficients.
-        """
-        if isinstance(value, _SparsePoly):
-            acc = type(value).zero(self.field)
-            pw = type(value).one(self.field)
-        else:
-            acc = self.field.zero
-            pw = self.field.one
+    def substitute(self, value: _SparsePoly) -> _SparsePoly:
+        """Plug a Poly1 or a Poly2 in for the variable; the result has its kind."""
+        acc = value.zero(self.field)
+        pw = value.one(self.field)
         last_e = 0
         for e, c in self.items():
             for _ in range(e - last_e):
                 pw = pw * value
             last_e = e
-            acc = acc + pw * c
+            acc = acc + pw.scale(c)
         return acc
 
     def compose(self, other: Poly1) -> Poly1:
         """self(other(t)) as a Poly1."""
-        out = self.substitute(other)
-        if not isinstance(out, Poly1):
-            out = Poly1.constant(self.field, out)
-        return out
+        return self.substitute(other)
 
     def scale_argument(self, c) -> Poly1:
         """The polynomial t -> self(c*t)."""
@@ -322,15 +312,6 @@ class Poly1(_SparsePoly):
         """Zero out all coefficients of exponent < k."""
         return Poly1._make(self.field, {e: c for e, c in self.terms.items() if e >= k})
 
-    def derivative(self) -> Poly1:
-        out = {}
-        for e, c in self.terms.items():
-            if e:
-                v = c * e
-                if v:
-                    out[e - 1] = v
-        return Poly1._make(self.field, out)
-
     def __repr__(self):
         if not self.terms:
             return "Poly1(0)"
@@ -357,14 +338,6 @@ class Poly2(_SparsePoly):
         c = field.of(c)
         return cls._make(field, {(i, j): c} if c else {})
 
-    @classmethod
-    def from_poly1_in_x(cls, p: Poly1) -> Poly2:
-        return cls._make(p.field, {(e, 0): c for e, c in p.terms.items()})
-
-    @classmethod
-    def from_poly1_in_y(cls, p: Poly1) -> Poly2:
-        return cls._make(p.field, {(0, e): c for e, c in p.terms.items()})
-
     # -- queries -----------------------------------------------------------
 
     def total_degree(self):
@@ -372,9 +345,6 @@ class Poly2(_SparsePoly):
 
     def coeff(self, i: int, j: int):
         return self.terms.get((i, j), self.field.zero)
-
-    def constant_term(self):
-        return self.terms.get((0, 0), self.field.zero)
 
     def is_constant(self) -> bool:
         return self.total_degree() <= 0
@@ -385,23 +355,6 @@ class Poly2(_SparsePoly):
         if d is NEG_INF:
             return self
         return Poly2._make(self.field, {ij: c for ij, c in self.terms.items() if ij[0] + ij[1] == d})
-
-    def depends_on_y(self) -> bool:
-        return any(j for _, j in self.terms)
-
-    def depends_on_x(self) -> bool:
-        return any(i for i, _ in self.terms)
-
-    def poly1_in_x(self) -> Poly1:
-        """View as a Poly1 when no second-variable dependence exists."""
-        if self.depends_on_y():
-            raise ValueError("polynomial depends on the second variable")
-        return Poly1._make(self.field, {i: c for (i, _), c in self.terms.items()})
-
-    def poly1_in_y(self) -> Poly1:
-        if self.depends_on_x():
-            raise ValueError("polynomial depends on the first variable")
-        return Poly1._make(self.field, {j: c for (_, j), c in self.terms.items()})
 
     # -- ring operations -----------------------------------------------
 

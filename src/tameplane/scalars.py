@@ -1,7 +1,7 @@
 """Exact scalar backends.
 
-Two field objects live here: the rationals (a singleton wrapping gmpy2's
-mpq when available, fractions.Fraction otherwise) and prime fields F_p.
+Two field objects live here: the rationals (a singleton whose elements are
+fractions.Fraction) and prime fields F_p.
 Rational function fields K(z) are built on top of these in
 :mod:`tameplane.ratfunc`.
 
@@ -15,12 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - gmpy2 is a speedup, not a requirement
-    _ratio = Fraction
-
-_RATIO_TYPES = (int, Fraction) if _ratio is Fraction else (int, Fraction, type(_ratio(1)))
+# The rational backend's element type; perfbench/worker.py reads this name to
+# report the backend of every run.
+_ratio = Fraction
 
 
 # The first 13 primes as Miller-Rabin bases decide primality exactly below
@@ -232,7 +229,7 @@ class PrimeField:
             return v
         if isinstance(v, int):
             return self._elems[v % self.p]
-        if isinstance(v, _RATIO_TYPES):
+        if isinstance(v, Fraction):
             num, den = v.numerator, v.denominator
             return self._elems[(num % self.p) * self._inv(den % self.p) % self.p]
         raise TypeError("cannot coerce %r into %r" % (v, self))
@@ -259,7 +256,7 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals; elements are gmpy2.mpq (or Fraction without gmpy2)."""
+    """The rationals; elements are fractions.Fraction."""
 
     _instance = None
 
@@ -268,24 +265,24 @@ class RationalField:
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    zero = _ratio(0)
-    one = _ratio(1)
+    zero = Fraction(0)
+    one = Fraction(1)
     characteristic = 0
 
     def of(self, v):
-        if isinstance(v, _RATIO_TYPES):
-            return _ratio(v)
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v)
         raise TypeError("cannot coerce %r into Q" % (v,))
 
     def ratio(self, num: int, den: int):
-        return _ratio(num, den)
+        return Fraction(num, den)
 
     def random_element(self, rng, height: int = 4):
-        return _ratio(rng.randint(-height, height), rng.randint(1, height))
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
 
     def random_nonzero(self, rng, height: int = 4):
         num = rng.choice([n for n in range(-height, height + 1) if n != 0])
-        return _ratio(num, rng.randint(1, height))
+        return Fraction(num, rng.randint(1, height))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -20,11 +20,12 @@ back to an equal value; the round trip is pinned by tests.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .linear import PolyMat2
 from .poly import Poly1, Poly2
 from .ratfunc import RationalFunction, RationalFunctionField
-from .scalars import QQ, PrimeField, PrimeFieldElement, _RATIO_TYPES
+from .scalars import QQ, PrimeField, PrimeFieldElement
 
 
 class ParseError(ValueError):
@@ -88,7 +89,7 @@ def _as_constant(field, v, pos: int):
     """Reduce ``v`` to a field scalar, or complain at ``pos``."""
     if isinstance(v, (Poly1, Poly2)):
         if v.is_constant():
-            return v.constant_term() if isinstance(v, Poly2) else v.constant_value()
+            return v.constant_term()
         raise ParseError("divisor must be constant", pos)
     if isinstance(v, int):
         return field.of(v)
@@ -99,7 +100,7 @@ def _divide(field, a, b, pos: int):
     divisor = _as_constant(field, b, pos)
     if not divisor:
         raise ParseError("division by zero", pos)
-    inv = field.one / field.of(divisor) if isinstance(divisor, int) else field.one / divisor
+    inv = field.one / divisor
     if isinstance(a, (Poly1, Poly2)):
         return a.scale(inv)
     if isinstance(a, int):
@@ -219,18 +220,24 @@ def _split_top_level(tokens: list, separator: str) -> list:
     return [g + [end] for g in groups]
 
 
-def _variables_for(field, text: str, names: dict) -> dict:
-    table = dict(names)
+def _run(field, tokens: list, names: dict, kind):
+    """Evaluate one expression to a scalar, or to a ``kind`` polynomial
+    when ``kind`` is Poly1 or Poly2 (a scalar becomes a constant of it).
+
+    ``names`` holds at most one polynomial kind, and z over K(z) is a
+    scalar, so no expression can evaluate to the wrong kind.
+    """
+    variables = dict(names)
     if isinstance(field, RationalFunctionField):
-        table.setdefault("z", field.gen)
-    return table
-
-
-def _run(field, tokens: list, variables: dict):
+        variables.setdefault("z", field.gen)
     parser = _Parser(field, tokens, variables)
     value = parser.expression()
     parser.expect_end()
-    return value
+    if isinstance(value, int):
+        value = field.of(value)
+    if kind is None or isinstance(value, kind):
+        return value
+    return kind.constant(field, value)
 
 
 # ---------------------------------------------------------------------------
@@ -239,32 +246,18 @@ def _run(field, tokens: list, variables: dict):
 
 def parse_scalar(field, text: str):
     """A field element from text; over K(z) the variable z is available."""
-    value = _run(field, _tokenize(text), _variables_for(field, text, {}))
-    if isinstance(value, (Poly1, Poly2)):
-        raise ParseError("expected a scalar", 0)
-    return field.of(value) if isinstance(value, int) else value
+    return _run(field, _tokenize(text), {}, None)
 
 
 def parse_poly1(field, text: str, var: str = "t") -> Poly1:
     """A one-variable polynomial in ``var`` with coefficients in ``field``."""
-    names = {var: Poly1.gen(field)}
-    value = _run(field, _tokenize(text), _variables_for(field, text, names))
-    if isinstance(value, Poly2):
-        raise ParseError("unexpected two-variable expression", 0)
-    if isinstance(value, Poly1):
-        return value
-    return Poly1.constant(field, field.of(value))
+    return _run(field, _tokenize(text), {var: Poly1.gen(field)}, Poly1)
 
 
 def parse_poly2(field, text: str) -> Poly2:
     """A polynomial in x and y with coefficients in ``field``."""
     names = {"x": Poly2.x(field), "y": Poly2.y(field)}
-    value = _run(field, _tokenize(text), _variables_for(field, text, names))
-    if isinstance(value, Poly1):
-        raise ParseError("unexpected one-variable expression", 0)
-    if isinstance(value, Poly2):
-        return value
-    return Poly2.constant(field, field.of(value))
+    return _run(field, _tokenize(text), names, Poly2)
 
 
 def parse_auto(field, text: str):
@@ -277,16 +270,7 @@ def parse_auto(field, text: str):
         raise ParseError("expected exactly two comma-separated components",
                          tokens[-1][2])
     names = {"x": Poly2.x(field), "y": Poly2.y(field)}
-    variables = _variables_for(field, text, names)
-    components = []
-    for group in groups:
-        value = _run(field, group, variables)
-        if isinstance(value, Poly1):
-            raise ParseError("unexpected one-variable expression", 0)
-        if not isinstance(value, Poly2):
-            value = Poly2.constant(field, field.of(value))
-        components.append(value)
-    return PlaneAuto(components[0], components[1])
+    return PlaneAuto(*(_run(field, group, names, Poly2) for group in groups))
 
 
 def parse_polymat(field, text: str) -> PolyMat2:
@@ -296,21 +280,14 @@ def parse_polymat(field, text: str) -> PolyMat2:
     if len(rows) != 2:
         raise ParseError("expected two ';'-separated rows", tokens[-1][2])
     names = {"t": Poly1.gen(field)}
-    variables = _variables_for(field, text, names)
     entries = []
     for row in rows:
         cells = _split_top_level(row, ",")
         if len(cells) != 2:
             raise ParseError("expected two ','-separated entries per row",
                              row[-1][2])
-        for cell in cells:
-            value = _run(field, cell, variables)
-            if isinstance(value, Poly2):
-                raise ParseError("unexpected two-variable expression", 0)
-            if not isinstance(value, Poly1):
-                value = Poly1.constant(field, field.of(value))
-            entries.append(value)
-    return PolyMat2(field, entries[0], entries[1], entries[2], entries[3])
+        entries += [_run(field, cell, names, Poly1) for cell in cells]
+    return PolyMat2(field, *entries)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +310,7 @@ def format_scalar(field, value) -> str:
 
 def _split_sign(field, value):
     """(is_negative, absolute value); only plain rationals have a canonical sign."""
-    if isinstance(value, _RATIO_TYPES):
+    if isinstance(value, (int, Fraction)):
         return value < 0, -value if value < 0 else value
     return False, value
 

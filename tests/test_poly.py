@@ -205,14 +205,6 @@ class TestCalculus:
         assert p.partial_x() == Poly2.monomial(QQ, 2, 2, Fraction(3))
         assert p.partial_y() == Poly2.monomial(QQ, 3, 1, Fraction(2))
 
-    @given(poly1(QQ))
-    def test_derivative_drops_degree(self, p):
-        d = p.derivative()
-        if p.degree() is NEG_INF or p.degree() == 0:
-            assert d.is_zero()
-        else:
-            assert d.degree() == p.degree() - 1
-
 
 class TestEvaluation:
     @given(poly1(QQ), scalars(QQ), scalars(QQ))
@@ -232,20 +224,6 @@ class TestEvaluation:
 
 
 class TestConversions:
-    def test_single_variable_views_round_trip(self):
-        p1 = Poly1(QQ, {0: Fraction(1), 3: Fraction(-2)})
-        assert Poly2.from_poly1_in_x(p1).poly1_in_x() == p1
-        assert Poly2.from_poly1_in_y(p1).poly1_in_y() == p1
-
-    def test_poly1_view_rejects_mixed_terms(self):
-        p = Poly2(QQ, {(1, 1): Fraction(1)})
-        with pytest.raises(ValueError):
-            p.poly1_in_x()
-
-    def test_dependence_flags(self):
-        p = Poly2(QQ, {(2, 0): Fraction(1)})
-        assert p.depends_on_x() and not p.depends_on_y()
-
     def test_poly1_and_poly2_do_not_mix(self):
         # over K(z) a Poly1 over K would coerce into a constant if allowed
         tt = Poly1.gen(QQ)

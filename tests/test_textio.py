@@ -5,6 +5,9 @@ from hypothesis import given, settings
 
 from tameplane import (
     ParseError,
+    Poly1,
+    Poly2,
+    PolyMat2,
     QQ,
     field_from_spec,
     format_auto,
@@ -74,6 +77,16 @@ class TestRoundTrips:
         for _ in range(25):
             s = field.random_element(rng)
             assert parse_scalar(field, format_scalar(field, s)) == s
+        # a constant text parses to the kind each parser promises
+        three = parse_scalar(field, "3")
+        assert type(three) is type(field.one) and three == field.of(3)
+        for parse, kind in ((parse_poly1, Poly1), (parse_poly2, Poly2)):
+            c = parse(field, "3")
+            assert type(c) is kind and c == kind.constant(field, 3)
+        auto = parse_auto(field, "1, 2")
+        assert (auto.p, auto.q) == (Poly2.constant(field, 1), Poly2.constant(field, 2))
+        m = parse_polymat(field, "1, 0 ; 0, 1")
+        assert all(type(e) is Poly1 for e in m.entries()) and m == PolyMat2.identity(field)
 
 
 class TestGrammar:
