@@ -5,8 +5,15 @@ and triangular subgroups.  This module computes such a factorization by
 degree reduction, normalizes it into the unique reduced word over fixed
 coset representatives, and builds on that normal form: inversion, word
 shape classification, conjugation into a prescribed shape, escape witnesses
-from the triangular subgroup, and the finer decomposition of maps tangent
-to the identity into shears along projective directions.
+from the triangular subgroup.
+
+Maps tangent to the identity decompose more finely, into shears along
+projective directions, and that decomposition does not go through the
+amalgam word: ``shear_decompose`` peels line shears straight off the map,
+one top-degree monomial at a time.  Peeling a shear along u = (a, b) leaves
+the linear form b p - a q of the components unchanged, since the shear
+moves them along u only, so the powers of that form serve every step along
+one direction.
 
 Coset representative conventions (right factor acts first everywhere):
 
@@ -23,7 +30,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .linear import Mat2, ProjPoint, direction_of
+from .linear import Mat2, direction_of
 from .poly import Poly1, Poly2
 from .automorphisms import (
     AffineAuto,
@@ -32,7 +39,6 @@ from .automorphisms import (
     PlaneAuto,
     apply_line_shear,
     as_affine,
-    as_elementary,
 )
 
 
@@ -219,6 +225,15 @@ def word_type(word: AmalgamWord) -> WordType:
 # -- factorization ------------------------------------------------------------
 
 
+def _top_ratio(top: Poly2, target: Poly2):
+    """The nonzero scalar c with c * top == target, or None if there is none."""
+    probe = next(iter(top.terms))
+    c = target.coeff(*probe) / top.terms[probe]
+    if not c or top.scale(c) != target:
+        return None
+    return c
+
+
 def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     """Factor a tame automorphism into the reduced amalgam word.
 
@@ -244,11 +259,8 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
             p_powers.append(Poly2.one(f))
         while len(p_powers) <= k:
             p_powers.append(p_powers[-1] * p)
-        top_p = p_powers[k].leading_form()
-        top_q = q.leading_form()
-        probe = next(iter(top_p.terms))
-        c = top_q.coeff(*probe) / top_p.terms[probe]
-        if not c or top_p.scale(c) != top_q:
+        c = _top_ratio(p_powers[k].leading_form(), q.leading_form())
+        if c is None:
             return None
         applied.append(ElemAuto.shear(f, Poly1.monomial(f, k, -c)))
         return q - p_powers[k].scale(c)
@@ -433,39 +445,46 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     pairs, parameters with zero constant and linear coefficients, the
     product taken left to right:
     auto = line_shear(*pairs[0]) o line_shear(*pairs[1]) o ...
+
+    The shears are peeled off the left one monomial at a time.  If
+    F = (p, q) = s o G with s the leftmost shear, along u = (a, b) with
+    profile f, then F = G + f(l) u for the linear form l = b p - a q, and l
+    takes the same value on F and G because b a - a b = 0.  So the top form
+    of F is c top(l)^d u, read off as direction u, exponent d and scalar c,
+    and F - c l^d u is again a product of line shears, of lower degree.
+    A tangent map that is not an automorphism gets the peel stuck.
     """
     field = auto.field
     if not (auto.fixes_origin() and auto.linear_part().is_identity()):
         raise ValueError("map is not tangent to the identity at the origin")
-    word = vdk_factor(auto)
-    lin = Mat2.identity(field)
+    p, q = auto.p, auto.q
+    delta = None
     pairs: list = []
-    for fac in word.factors:
-        if isinstance(fac, AffineAuto):
-            lin = lin * fac.m
-            continue
-        u = (lin.e01, lin.e11)
-        delta = direction_of(field, u)
-        inv = lin.inverse()
-        row = (inv.e00, inv.e01)
-        if delta.at_infinity:
-            mu = u[0]
-            nu = -row[1]
-            if row[0]:
-                raise AssertionError("conjugated covector escaped the line")
-        else:
-            mu = u[1]
-            nu = row[0]
-            if row[1] != -nu * delta.a:
-                raise AssertionError("conjugated covector escaped the line")
-        pairs.append((delta, fac.f.scale_argument(nu).scale(mu)))
-    remainder = AffineAuto.identity(field)
-    for fac in word.factors:
-        if isinstance(fac, AffineAuto):
-            remainder = remainder.compose(fac)
-    remainder = remainder.compose(word.tail.to_affine())
-    if not remainder.is_identity():
-        raise AssertionError("affine residue %r after shear extraction" % (remainder,))
+    while (deg := auto.max_degree()) > 1:
+        top_p = p.leading_form() if p.total_degree() == deg else Poly2.zero(field)
+        top_q = q.leading_form() if q.total_degree() == deg else Poly2.zero(field)
+        probe = next(iter(top_p.terms or top_q.terms))
+        new_delta = direction_of(field, (top_p.coeff(*probe), top_q.coeff(*probe)))
+        if new_delta != delta:
+            # l is invariant while the peel stays on one direction
+            delta = new_delta
+            a, b = delta.vector()
+            l_powers = [Poly2.one(field), p.scale(b) - q.scale(a)]
+        d, rest = divmod(deg, l_powers[1].total_degree())
+        while len(l_powers) <= d:
+            l_powers.append(l_powers[-1] * l_powers[1])
+        c = None if rest else _top_ratio(l_powers[d].leading_form(), top_q if b else top_p)
+        if c is None:
+            raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
+        step = l_powers[d].scale(c)
+        p, q = p - step.scale(a), q - step.scale(b)
+        auto = PlaneAuto(p, q)
+        # a drop also forces d >= 2: with d = 1 the top of l would vanish
+        if auto.max_degree() >= deg:
+            raise NotAnAutomorphism("line shear peel did not lower degree %d" % deg)
+        pairs.append((delta, Poly1.monomial(field, d, c)))
+    if not auto.is_identity():
+        raise AssertionError("remainder %r after line shear peeling" % (auto,))
     return free_reduce(pairs)
 
 

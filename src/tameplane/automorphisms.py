@@ -154,9 +154,6 @@ class AffineAuto:
     def is_lower_triangular(self) -> bool:
         return self.m.is_lower_triangular()
 
-    def is_identity(self) -> bool:
-        return self.m.is_identity() and not self.shift[0] and not self.shift[1]
-
     def __eq__(self, other):
         return isinstance(other, AffineAuto) and self.m == other.m and self.shift == other.shift
 

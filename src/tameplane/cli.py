@@ -23,11 +23,12 @@ from .amalgam import (
     AmalgamWord,
     invert,
     normal_form,
+    shear_recompose,
     vdk_factor,
     word_from_json,
     word_to_json,
 )
-from .automorphisms import AffineAuto, NotAnAutomorphism, classify, compose_all
+from .automorphisms import AffineAuto, classify, compose_all
 from .lab import (
     DEFAULT_WORK_BOUND,
     Report,
@@ -37,13 +38,7 @@ from .lab import (
     relations_report,
 )
 from .lab.unipotent import RationalMatrix
-from .matrixrep import (
-    NotInMatrixGroup,
-    from_matrix,
-    pingpong_check,
-    to_matrix,
-)
-from .amalgam import shear_recompose
+from .matrixrep import from_matrix, pingpong_check, to_matrix
 from .poly import Poly1
 from .ratfunc import field_from_spec
 from .sampling import random_matrix_factors, random_proj_point
@@ -372,9 +367,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (NotAnAutomorphism, NotInMatrixGroup) as exc:
-        print("domain error: %s" % exc, file=sys.stderr)
-        return EXIT_DOMAIN_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         print("domain error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN_ERROR

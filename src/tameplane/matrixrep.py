@@ -69,11 +69,7 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
     _validate_group_member(g)
     field = g.field
     factors: list[ShearFactor] = []
-    guard = 0
     while g.degree() >= 1:
-        guard += 1
-        if guard > 10000:
-            raise FactorizationInvariantError("peeling failed to terminate")
         deg = g.degree()
         top = g.coeff_matrix(deg)
         if top.det():

@@ -281,21 +281,6 @@ class Poly1(_SparsePoly):
         """self(other(t)) as a Poly1."""
         return self.substitute(other)
 
-    def scale_argument(self, c) -> Poly1:
-        """The polynomial t -> self(c*t)."""
-        c = self.field.of(c)
-        out = {}
-        cp = self.field.one
-        for e in range(0, (self.degree() + 1) if self.terms else 0):
-            if e:
-                cp = cp * c
-            v = self.terms.get(e)
-            if v:
-                w = v * cp
-                if w:
-                    out[e] = w
-        return Poly1._make(self.field, out)
-
     def shift_down(self, k: int = 1) -> Poly1:
         """Exact division by t**k (raises if any low coefficient survives)."""
         out = {}

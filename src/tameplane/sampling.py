@@ -142,6 +142,6 @@ def random_congruence_borel(funcfield, rng: random.Random, max_deg: int = 2,
         w = small()
         m = Mat2(funcfield, funcfield.one, funcfield.zero, w, funcfield.one)
         shift = (small(), small())
-        g = AffineAuto(m, shift)
+        g = AffineAuto(m, shift).to_plane()
         if not g.is_identity():
-            return g.to_plane()
+            return g

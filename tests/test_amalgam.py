@@ -15,6 +15,7 @@ from tameplane import (
     PlaneAuto,
     Poly1,
     Poly2,
+    PrimeField,
     ProjPoint,
     QQ,
     WordType,
@@ -268,13 +269,22 @@ class TestBorelEscape:
 
 class TestShearDecompose:
     def test_round_trip(self):
+        # the reduced word is unique, so the peel must return the sampled one
         rng = random.Random(47)
-        for field in (QQ, F5):
+        for field, budget in ((QQ, 12), (F5, 12), (PrimeField(1000003), 12), (QZ, 6)):
             for _ in range(15):
-                pairs = random_shear_pairs(field, rng, degree_budget=12)
+                pairs = random_shear_pairs(field, rng, degree_budget=budget)
                 g = shear_recompose(field, pairs)
-                back = shear_decompose(g)
-                assert shear_recompose(field, back) == g
+                assert shear_decompose(g) == tuple(pairs)
+
+    @pytest.mark.parametrize("field, text", [
+        (QQ, "x, y + x^2 + y^2"),
+        (QQ, "x + y^2, y + x^2"),
+        (F5, "x + x^5, y"),
+    ])
+    def test_tangent_non_automorphisms_raise(self, field, text):
+        with pytest.raises(NotAnAutomorphism):
+            shear_decompose(parse_auto(field, text))
 
     def test_requires_tangent_to_identity(self):
         with pytest.raises(ValueError):

@@ -94,8 +94,15 @@ class TestExitCodes:
         assert code == 2 and "not a prime" in err
 
     def test_domain_error_is_3(self, capsys):
-        code, _, err = run(capsys, "invert", "x^2, y")
-        assert code == 3 and "domain error" in err
+        # the last three are tangent to the identity but not automorphisms
+        for argv in (
+            ("invert", "x^2, y"),
+            ("to-matrix", "x, y + x^2 + y^2"),
+            ("to-matrix", "x + y^2, y + x^2"),
+            ("--field", "fp:5", "to-matrix", "x + x^5, y"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 3 and "domain error" in err, argv
 
     def test_non_group_matrix_is_3(self, capsys):
         code, _, err = run(capsys, "from-matrix", "1+t, 0 ; 0, 1")
