@@ -7,6 +7,12 @@ coset representatives, and builds on that normal form: inversion, word
 shape classification, conjugation into a prescribed shape, escape witnesses
 from the triangular subgroup.
 
+The normal form is one push-down loop over the atoms of a product.  The
+triangular tail absorbs each atom in turn; while the result is not
+triangular, it merges into the last representative when the two have the
+same kind, and otherwise splits as a new representative times a
+triangular tail.
+
 Maps tangent to the identity decompose more finely, into shears along
 projective directions, and that decomposition does not go through the
 amalgam word: ``shear_decompose`` peels line shears straight off the map,
@@ -30,7 +36,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .linear import Mat2, direction_of
+from .linear import Mat2, ProjPoint
 from .poly import Poly1, Poly2
 from .automorphisms import (
     AffineAuto,
@@ -48,12 +54,6 @@ def in_borel(auto: PlaneAuto) -> bool:
     return aff is not None and aff.is_lower_triangular()
 
 
-def _to_borel_elem(g) -> ElemAuto:
-    if isinstance(g, AffineAuto):
-        return ElemAuto.from_affine(g)
-    return g
-
-
 def _split_affine(g: AffineAuto) -> tuple[AffineAuto, ElemAuto]:
     """g = rep o b with rep a coset representative and b triangular."""
     f = g.field
@@ -61,7 +61,7 @@ def _split_affine(g: AffineAuto) -> tuple[AffineAuto, ElemAuto]:
         raise ValueError("affine map already triangular")
     lam = g.m.e11 / g.m.e01
     rep = AffineAuto(Mat2(f, f.zero, f.one, f.one, lam))
-    b = rep.inverse().compose(g)
+    b = AffineAuto(Mat2(f, -lam, f.one, f.one, f.zero)).compose(g)
     if not b.is_lower_triangular():
         raise AssertionError("affine split left a non-triangular remainder")
     return rep, ElemAuto.from_affine(b)
@@ -77,52 +77,10 @@ def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
     shifted = g.f.compose(arg)
     gtilde = shifted.drop_below(2)
     rep = ElemAuto.shear(f, gtilde)
-    b = rep.inverse().compose(g)
+    b = ElemAuto.shear(f, -gtilde).compose(g)
     if b.f.degree() > 1:
         raise AssertionError("shear split left a nonlinear remainder")
     return rep, b
-
-
-class _Normalizer:
-    """Streaming push-down of atoms into (representatives..., tail)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.stack: list = []
-        self.carry = ElemAuto.identity(field)
-
-    def push(self, atom) -> None:
-        if isinstance(atom, AffineAuto):
-            if not atom.is_invertible():
-                raise NotAnAutomorphism("singular affine factor")
-            g = self.carry.to_affine().compose(atom)
-        elif isinstance(atom, ElemAuto):
-            if not atom.is_invertible():
-                raise NotAnAutomorphism("degenerate triangular factor")
-            g = self.carry.compose(atom)
-        else:
-            raise TypeError("expected an affine or triangular factor, got %r" % (atom,))
-        self.carry = ElemAuto.identity(self.field)
-        self._settle(g)
-
-    def _settle(self, g) -> None:
-        if g.is_lower_triangular():
-            self.carry = _to_borel_elem(g)
-            return
-        top = self.stack[-1] if self.stack else None
-        if top is not None and type(top) is type(g):
-            self.stack.pop()
-            self._settle(top.compose(g))
-            return
-        if isinstance(g, AffineAuto):
-            rep, b = _split_affine(g)
-        else:
-            rep, b = _split_elem(g)
-        self.stack.append(rep)
-        self.carry = b
-
-    def finish(self) -> AmalgamWord:
-        return AmalgamWord(self.field, tuple(self.stack), self.carry)
 
 
 @dataclass(frozen=True)
@@ -162,14 +120,6 @@ class AmalgamWord:
                     return False
         return self.tail.is_lower_triangular()
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AmalgamWord)
-            and self.field == other.field
-            and self.factors == other.factors
-            and self.tail == other.tail
-        )
-
 
 def _multiply_out(field, atoms) -> PlaneAuto:
     """The plane map atoms[0] o atoms[1] o ..., applied from the left, last
@@ -182,19 +132,38 @@ def _multiply_out(field, atoms) -> PlaneAuto:
 
 def normal_form(word: AmalgamWord) -> AmalgamWord:
     """Canonicalize a word; idempotent, and invariant under recomposition."""
-    nz = _Normalizer(word.field)
-    for atom in word.factors:
-        nz.push(atom)
-    nz.push(word.tail)
-    return nz.finish()
+    return word_of_atoms(word.field, (*word.factors, word.tail))
 
 
 def word_of_atoms(field, atoms) -> AmalgamWord:
-    """Normal form of an explicit product of affine and triangular maps."""
-    nz = _Normalizer(field)
+    """Normal form of an explicit product of affine and triangular maps.
+
+    Each atom is pushed down into (representatives..., tail) by one loop:
+    the tail absorbs the atom, and while that product g is not triangular
+    it is merged into the last representative if it has the same kind, or
+    else split as rep o b, with rep pushed and b the new tail.
+    """
+    reps: list = []
+    tail = ElemAuto.identity(field)
     for atom in atoms:
-        nz.push(atom)
-    return nz.finish()
+        if isinstance(atom, AffineAuto):
+            if not atom.is_invertible():
+                raise NotAnAutomorphism("singular affine factor")
+            g = tail.to_affine().compose(atom)
+        elif isinstance(atom, ElemAuto):
+            if not atom.is_invertible():
+                raise NotAnAutomorphism("degenerate triangular factor")
+            g = tail.compose(atom)
+        else:
+            raise TypeError("expected an affine or triangular factor, got %r" % (atom,))
+        while not g.is_lower_triangular():
+            if reps and type(reps[-1]) is type(g):
+                g = reps.pop().compose(g)
+            else:
+                rep, g = _split_affine(g) if isinstance(g, AffineAuto) else _split_elem(g)
+                reps.append(rep)
+        tail = ElemAuto.from_affine(g) if isinstance(g, AffineAuto) else g
+    return AmalgamWord(field, tuple(reps), tail)
 
 
 class WordType(Enum):
@@ -237,6 +206,9 @@ def _top_ratio(top: Poly2, target: Poly2):
 def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     """Factor a tame automorphism into the reduced amalgam word.
 
+    Each pass swaps or left-multiplies by (x, y - c x^k) to lower deg q,
+    and records the inverse as a factor: the swap or (x, y + c x^k).
+
     No jacobian is computed: every degree-reduction step applies an
     automorphism, so reaching an invertible affine end certifies the input.
     Any other input (a nonconstant or zero jacobian, or (x + x^p, y) in
@@ -244,7 +216,7 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     affine remainder, and both raise NotAnAutomorphism.
     """
     f = auto.field
-    applied: list = []
+    atoms: list = []
     p, q = auto.p, auto.q
     swap = AffineAuto(Mat2(f, f.zero, f.one, f.one, f.zero))
     p_powers: list[Poly2] = []
@@ -262,22 +234,18 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
         c = _top_ratio(p_powers[k].leading_form(), q.leading_form())
         if c is None:
             return None
-        applied.append(ElemAuto.shear(f, Poly1.monomial(f, k, -c)))
+        atoms.append(ElemAuto.shear(f, Poly1.monomial(f, k, c)))
         return q - p_powers[k].scale(c)
 
-    guard = 0
     while max(p.total_degree(), q.total_degree()) > 1:
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("degree reduction failed to terminate")
         if p.total_degree() > q.total_degree():
-            applied.append(swap)
+            atoms.append(swap)
             p, q = q, p
             p_powers.clear()
             continue
         new_q = reduce_once(p, q)
         if new_q is None and p.total_degree() == q.total_degree():
-            applied.append(swap)
+            atoms.append(swap)
             p, q = q, p
             p_powers.clear()
             new_q = reduce_once(p, q)
@@ -289,7 +257,6 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     ending = as_affine(PlaneAuto(p, q))
     if ending is None:
         raise NotAnAutomorphism("affine remainder is singular")
-    atoms = [w.inverse() for w in applied]
     atoms.append(ending)
     return word_of_atoms(f, atoms)
 
@@ -464,7 +431,7 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
         top_p = p.leading_form() if p.total_degree() == deg else Poly2.zero(field)
         top_q = q.leading_form() if q.total_degree() == deg else Poly2.zero(field)
         probe = next(iter(top_p.terms or top_q.terms))
-        new_delta = direction_of(field, (top_p.coeff(*probe), top_q.coeff(*probe)))
+        new_delta = ProjPoint.of(field, top_p.coeff(*probe), top_q.coeff(*probe))
         if new_delta != delta:
             # l is invariant while the peel stays on one direction
             delta = new_delta
@@ -549,30 +516,45 @@ def word_to_json(word: AmalgamWord) -> str:
 
 
 def word_from_json(text: str) -> AmalgamWord:
+    """Read a word document; every malformed document raises ParseError.
+
+    Degenerate atoms (a singular matrix, a zero scaling) are well formed
+    here and are rejected when the word is normalized.
+    """
     from .ratfunc import field_from_spec
-    from .textio import parse_poly1, parse_scalar
+    from .textio import ParseError, parse_poly1, parse_scalar
 
-    doc = json.loads(text)
-    if doc.get("format") != _FORMAT:
-        raise ValueError("not a %s document" % _FORMAT)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError("not a JSON document: %s" % exc.msg, exc.pos) from None
+    except RecursionError:
+        raise ParseError("JSON document nested too deeply") from None
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
+        raise ParseError("not a %s document" % _FORMAT)
     if doc.get("version") != _VERSION:
-        raise ValueError("unsupported version %r" % doc.get("version"))
-    field = field_from_spec(doc["field"])
+        raise ParseError("unsupported version %r" % doc.get("version"))
+    try:
+        field = field_from_spec(doc["field"])
 
-    def scal(s):
-        return parse_scalar(field, s)
+        def scal(s):
+            return parse_scalar(field, s)
 
-    def shear(rec) -> ElemAuto:
-        return ElemAuto(field, scal(rec["z1"]), scal(rec["t0"]), scal(rec["z2"]), parse_poly1(field, rec["f"], "x"))
+        def shear(rec) -> ElemAuto:
+            return ElemAuto(field, scal(rec["z1"]), scal(rec["t0"]), scal(rec["z2"]), parse_poly1(field, rec["f"], "x"))
 
-    factors: list = []
-    for rec in doc["factors"]:
-        if rec["kind"] == "affine":
-            (a, b), (c, d) = rec["matrix"]
-            sh = rec.get("shift", ["0", "0"])
-            factors.append(AffineAuto(Mat2(field, scal(a), scal(b), scal(c), scal(d)), (scal(sh[0]), scal(sh[1]))))
-        elif rec["kind"] == "shear":
-            factors.append(shear(rec))
-        else:
-            raise ValueError("unknown factor kind %r" % rec.get("kind"))
-    return AmalgamWord(field, tuple(factors), shear(doc["tail"]))
+        factors: list = []
+        for rec in doc["factors"]:
+            if rec["kind"] == "affine":
+                (a, b), (c, d) = rec["matrix"]
+                sh = rec.get("shift", ["0", "0"])
+                factors.append(AffineAuto(Mat2(field, scal(a), scal(b), scal(c), scal(d)), (scal(sh[0]), scal(sh[1]))))
+            elif rec["kind"] == "shear":
+                factors.append(shear(rec))
+            else:
+                raise ParseError("unknown factor kind %r" % rec["kind"])
+        return AmalgamWord(field, tuple(factors), shear(doc["tail"]))
+    except ParseError:
+        raise
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise ParseError("malformed %s document: %s: %s" % (_FORMAT, type(exc).__name__, exc)) from None

@@ -120,14 +120,6 @@ class AffineAuto:
     def identity(cls, field) -> AffineAuto:
         return cls(Mat2.identity(field))
 
-    @classmethod
-    def linear(cls, m: Mat2) -> AffineAuto:
-        return cls(m)
-
-    @classmethod
-    def translation(cls, field, shift) -> AffineAuto:
-        return cls(Mat2.identity(field), shift)
-
     def is_invertible(self) -> bool:
         return bool(self.m.det())
 

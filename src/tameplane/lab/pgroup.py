@@ -107,17 +107,9 @@ class PGroup:
         self.zero_u = (0,) * r
         self.zero_table = (0,) * self.q
         self._shift_perm = {
-            u: tuple(self.index[self._vadd(w, u)] for w in self.points)
+            u: tuple(self.index[self.table_add(w, u)] for w in self.points)
             for u in self.points
         }
-
-    # -- E arithmetic ----------------------------------------------------
-
-    def _vadd(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _vneg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     # -- module arithmetic -----------------------------------------------
 
@@ -148,11 +140,11 @@ class PGroup:
 
     def mul(self, g, h):
         (u, f), (v, g2) = g, h
-        return (self._vadd(u, v), self.table_add(self.shift(f, v), g2))
+        return (self.table_add(u, v), self.table_add(self.shift(f, v), g2))
 
     def inv(self, g):
         u, f = g
-        nu = self._vneg(u)
+        nu = self.table_neg(u)
         return (nu, self.table_neg(self.shift(f, nu)))
 
     def commutator(self, g, h):

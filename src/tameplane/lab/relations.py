@@ -29,7 +29,7 @@ def halving_homothety(field=QQ) -> PlaneAuto:
 
 
 def addswap_linear(field=QQ) -> PlaneAuto:
-    return AffineAuto.linear(Mat2(field, 1, 1, 1, 0)).to_plane()
+    return AffineAuto(Mat2(field, 1, 1, 1, 0)).to_plane()
 
 
 def square_shear(field=QQ) -> PlaneAuto:

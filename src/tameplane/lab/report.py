@@ -55,9 +55,6 @@ class Report:
         self.records.append(CheckRecord(check, parameters, expected, got, ok))
         return ok
 
-    def extend(self, other: Report) -> None:
-        self.records.extend(other.records)
-
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.records)

@@ -8,6 +8,7 @@ log/exp identities are worth checking on 3x3 and 4x4 witnesses too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -177,14 +178,8 @@ def quasi_unipotent_order(u: RationalMatrix):
             if not remainder.is_zero():
                 break
             chi = quotient
-            order = order * d // _gcd(order, d)
+            order = math.lcm(order, d)
     return order if chi.degree() == 0 else None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_unipotent(u: RationalMatrix) -> bool:

@@ -217,10 +217,6 @@ def nil_endo(point: ProjPoint) -> Mat2:
     return Mat2(f, lam, -(lam * lam), f.one, -lam)
 
 
-def direction_of(field, vec) -> ProjPoint:
-    return ProjPoint.of(field, vec[0], vec[1])
-
-
 class PolyMat2(_Mat2Base):
     """A 2x2 matrix with Poly1 entries (the variable is called t)."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .amalgam import free_reduce, shear_decompose
 from .automorphisms import PlaneAuto
-from .linear import PolyMat2, ProjPoint, direction_of, nil_endo
+from .linear import PolyMat2, ProjPoint, nil_endo
 from .poly import NEG_INF, Poly1
 
 
@@ -75,7 +75,7 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
         if top.det():
             raise FactorizationInvariantError("top coefficient %r is invertible" % (top,))
         col = (top.e00, top.e10) if (top.e00 or top.e10) else (top.e01, top.e11)
-        delta = direction_of(field, col)
+        delta = ProjPoint.of(field, *col)
         if not delta.contains((top.e01, top.e11)) or not delta.contains((top.e00, top.e10)):
             raise FactorizationInvariantError("top coefficient image is not one line")
         w0, w1 = delta.annihilator()
@@ -200,7 +200,7 @@ def pingpong_check(pairs, sample: ProjPoint) -> PingPongResult:
     deg = max(u0.degree(), u1.degree())
     if deg is NEG_INF:
         return PingPongResult(sample, -1, expected_degree, None, pairs[0][0], False)
-    end_dir = direction_of(field, (u0.coeff(deg), u1.coeff(deg)))
+    end_dir = ProjPoint.of(field, u0.coeff(deg), u1.coeff(deg))
     moved = deg > 0 or end_dir != sample
     return PingPongResult(sample, deg, expected_degree, end_dir, pairs[0][0], moved)
 

@@ -225,9 +225,6 @@ class Poly1(_SparsePoly):
             r = r - m * other
         return q, r
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

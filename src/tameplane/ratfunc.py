@@ -52,19 +52,22 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(self.field, -self.num, self.den)
+        # -num/den is still reduced with a monic denominator
+        out = object.__new__(RationalFunction)
+        out.field, out.num, out.den = self.field, -self.num, self.den
+        return out
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return RationalFunction(self.field, self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

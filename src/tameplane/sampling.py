@@ -15,10 +15,6 @@ from .matrixrep import ShearFactor
 from .poly import Poly1
 
 
-def random_unit(field, rng: random.Random, height: int = 8):
-    return field.random_nonzero(rng, height)
-
-
 def random_invertible_matrix(field, rng: random.Random, height: int = 8) -> Mat2:
     while True:
         m = Mat2(field,
@@ -39,8 +35,8 @@ def random_elementary(field, rng: random.Random, max_deg: int = 3,
     terms = {e: field.random_element(rng, height) for e in range(deg)}
     terms[deg] = field.random_nonzero(rng, height)
     return ElemAuto(field,
-                    random_unit(field, rng, height), field.random_element(rng, height),
-                    random_unit(field, rng, height), Poly1(field, terms))
+                    field.random_nonzero(rng, height), field.random_element(rng, height),
+                    field.random_nonzero(rng, height), Poly1(field, terms))
 
 
 def random_tame_atoms(field, rng: random.Random, max_factors: int = 6,
@@ -117,7 +113,7 @@ def random_origin_special_borel(field, rng: random.Random,
     """A nonidentity map (x, y) -> (z1 x, y/z1 + c x): lower triangular
     linear with determinant one, fixing the origin."""
     while True:
-        z1 = random_unit(field, rng, height)
+        z1 = field.random_nonzero(rng, height)
         c = field.random_element(rng, height)
         g = ElemAuto(field, z1, field.zero, field.one / z1,
                      Poly1.monomial(field, 1, c))

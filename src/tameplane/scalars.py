@@ -270,7 +270,9 @@ class RationalField:
     characteristic = 0
 
     def of(self, v):
-        if isinstance(v, (int, Fraction)):
+        if isinstance(v, Fraction):
+            return v
+        if isinstance(v, int):
             return Fraction(v)
         raise TypeError("cannot coerce %r into Q" % (v,))
 

@@ -29,10 +29,11 @@ from .scalars import QQ, PrimeField, PrimeFieldElement
 
 
 class ParseError(ValueError):
-    """Malformed input text; carries the offending position."""
+    """Malformed input text; carries the offending position, or None when
+    the fault is in a document's structure rather than at one place."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__("%s (at position %d)" % (message, position))
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else "%s (at position %d)" % (message, position))
         self.position = position
 
 
@@ -108,6 +109,11 @@ def _divide(field, a, b, pos: int):
     return a * inv
 
 
+# Parentheses and unary signs nest the parser's recursion, five frames per
+# parenthesis; this many levels stay inside the interpreter's default limit.
+_MAX_NESTING = 150
+
+
 class _Parser:
     """Recursive descent over a token slice, evaluating as it goes."""
 
@@ -116,6 +122,7 @@ class _Parser:
         self.tokens = tokens
         self.variables = variables
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -155,14 +162,21 @@ class _Parser:
                 return value
 
     def factor(self):
-        kind, op, _pos = self.peek()
+        # every parenthesis and unary sign passes through here once more
+        kind, op, pos = self.peek()
+        if self.depth > _MAX_NESTING:
+            raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, pos)
+        self.depth += 1
         if kind == "op" and op == "-":
             self.next()
-            return -self.factor()
-        if kind == "op" and op == "+":
+            value = -self.factor()
+        elif kind == "op" and op == "+":
             self.next()
-            return self.factor()
-        return self.power()
+            value = self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self):
         base = self.atom()

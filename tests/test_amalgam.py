@@ -44,7 +44,7 @@ from tameplane.sampling import (
     random_tame_atoms,
     random_tame_auto,
 )
-from tameplane.textio import format_auto, parse_auto
+from tameplane.textio import ParseError, format_auto, parse_auto
 
 from conftest import F2, F5, QZ
 
@@ -168,6 +168,19 @@ class TestNormalForm:
             factored = vdk_factor(word.recompose())
             assert factored.is_reduced()
             assert factored == word
+
+    def test_input_checks(self):
+        word = vdk_factor(parse_auto(QQ, "y + x^2, x"))
+        tail = ElemAuto.identity(QQ)
+        for bad, error in (
+            (PlaneAuto.identity(QQ), TypeError),
+            (AffineAuto(Mat2(QQ, 1, 1, 1, 1)), NotAnAutomorphism),
+            (ElemAuto(QQ, 0, 0, 1, Poly1.zero(QQ)), NotAnAutomorphism),
+        ):
+            with pytest.raises(error):
+                word_of_atoms(QQ, [*word.factors, bad, word.tail])
+            with pytest.raises(error):
+                normal_form(AmalgamWord(QQ, (*word.factors, bad), tail))
 
     def test_adjacent_affine_factors_are_not_reduced(self):
         swap = AffineAuto(Mat2(QQ, 0, 1, 1, 0))
@@ -327,13 +340,22 @@ class TestWordJson:
         assert [f["kind"] for f in doc["factors"]] == ["affine", "shear"]
 
     def test_bad_documents_are_rejected(self):
-        good = json.loads(word_to_json(vdk_factor(parse_auto(QQ, "x, y + x^2"))))
+        good = json.loads(word_to_json(vdk_factor(parse_auto(QQ, "y + x^2, x"))))
         for mutate in (
             lambda d: d.update(format="other"),
             lambda d: d.update(version=2),
             lambda d: d.pop("tail"),
+            lambda d: d["factors"][0].pop("matrix"),
+            lambda d: d["factors"][0].update(kind="other"),
+            lambda d: d["factors"][1].update(z1=1),
+            lambda d: d.update(factors=5),
+            lambda d: d.update(field=5),
+            lambda d: d.update(field="fp:6"),
         ):
             doc = json.loads(json.dumps(good))
             mutate(doc)
-            with pytest.raises((ValueError, KeyError)):
+            with pytest.raises(ParseError):
                 word_from_json(json.dumps(doc))
+        for text in ("[]", "not json", '"tameplane-word"', json.dumps(good)[:-1], "[" * 100000):
+            with pytest.raises(ParseError):
+                word_from_json(text)

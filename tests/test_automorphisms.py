@@ -114,8 +114,8 @@ class TestClassify:
                      rng.randint(0, 2), rng.randint(1, 3))
             if not m.det():
                 continue
-            g = AffineAuto.linear(m).to_plane()
-            gi = AffineAuto.linear(m.inverse()).to_plane()
+            g = AffineAuto(m).to_plane()
+            gi = AffineAuto(m.inverse()).to_plane()
             conj = compose_all(g, inner, gi)
             assert classify(conj).tangent_to_identity()
 

@@ -14,6 +14,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def word_doc(capsys, text="y+x^2, x", mutate=None) -> str:
+    """The serialized factor word of a map, optionally altered."""
+    _, out, _ = run(capsys, "--format", "jsonl", "factor", text)
+    doc = json.loads(out)["result"]
+    if mutate:
+        mutate(doc)
+    return json.dumps(doc)
+
+
 class TestExpressionCommands:
     def test_compose(self, capsys):
         code, out, _ = run(capsys, "compose", "x, y+x^2", "x, y+x^2")
@@ -83,6 +92,26 @@ class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run(capsys, "compose", "x, y+")
         assert code == 2 and "parse error" in err
+        # the factor word of y + x^2, x is (affine, shear, tail)
+        malformed_words = [
+            word_doc(capsys, mutate=lambda d: d.pop("tail")),
+            word_doc(capsys, mutate=lambda d: d["factors"][0].pop("matrix")),
+            word_doc(capsys, mutate=lambda d: d.update(field=5)),
+            word_doc(capsys, mutate=lambda d: d.update(format="other")),
+            word_doc(capsys, mutate=lambda d: d.update(version=2)),
+            "[]",
+            "not json",
+        ]
+        deep = "(" * 300 + "x" + ")" * 300
+        for argv in (
+            *(("nf", "--json", doc) for doc in malformed_words),
+            ("compose", deep + ", y"),
+            ("compose", "-" * 1000 + "x, y"),
+            ("from-matrix", "1, " + deep.replace("x", "t") + " ; 0, 1"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "parse error" in err, argv
+            assert "Traceback" not in err
 
     def test_bad_field_is_2(self, capsys):
         code, _, err = run(capsys, "--field", "fp:6", "classify", "x, y")
@@ -94,12 +123,13 @@ class TestExitCodes:
         assert code == 2 and "not a prime" in err
 
     def test_domain_error_is_3(self, capsys):
-        # the last three are tangent to the identity but not automorphisms
+        # to-matrix inputs are tangent to the identity but not automorphisms
         for argv in (
             ("invert", "x^2, y"),
             ("to-matrix", "x, y + x^2 + y^2"),
             ("to-matrix", "x + y^2, y + x^2"),
             ("--field", "fp:5", "to-matrix", "x + x^5, y"),
+            ("nf", "--json", word_doc(capsys, mutate=lambda d: d["tail"].update(z1="0"))),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 3 and "domain error" in err, argv

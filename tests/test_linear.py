@@ -12,7 +12,6 @@ from tameplane import (
     line_matrix,
     nil_endo,
 )
-from tameplane.linear import direction_of
 
 from conftest import F5, nonzero_scalars, poly1, scalars
 
@@ -108,7 +107,7 @@ class TestNilEndo:
     def test_image_lies_on_the_line(self, pt, a, b):
         out = nil_endo(pt).act((a, b))
         if out != (F5.zero, F5.zero):
-            assert direction_of(F5, out) == pt
+            assert ProjPoint.of(F5, *out) == pt
 
 
 class TestPolyMat2:

@@ -56,6 +56,9 @@ class TestFieldLaws:
             assert a * field.one == a
             assert a - a == field.zero
             assert a + (-a) == field.zero
+            assert a - b == a + (-b)
+            if field is QZ:
+                assert (-a).den == a.den
 
     @given(st.data())
     def test_multiplicative_inverses(self, data):

@@ -117,6 +117,17 @@ class TestGrammar:
             parse_poly1(QQ, "t ^ t")
         assert info.value.position == 4
 
+    def test_nesting_is_capped_at_the_offending_token(self):
+        assert parse_poly1(QQ, "(" * 150 + "t" + ")" * 150) == parse_poly1(QQ, "t")
+        assert parse_poly1(QQ, "-" * 150 + "t") == parse_poly1(QQ, "t")
+        for text in ("(" * 300 + "t" + ")" * 300, "-" * 1000 + "t", "+" * 151 + "t"):
+            with pytest.raises(ParseError) as info:
+                parse_poly1(QQ, text)
+            assert info.value.position == 151
+        with pytest.raises(ParseError) as info:
+            parse_auto(QQ, "x, 1 + " + "(" * 200 + "y" + ")" * 200)
+        assert info.value.position == 7 + 151
+
     def test_auto_needs_exactly_two_components(self):
         for bad in ("x", "x, y, x", ""):
             with pytest.raises(ParseError):
