@@ -239,7 +239,7 @@ def _lab_pgroup(field, args) -> Report:
     try:
         bound = int(text)
     except ValueError:
-        raise ParseError("TAMEPLANE_WORK_BOUND must be an integer, got %r" % text, 0) from None
+        raise ParseError("TAMEPLANE_WORK_BOUND must be an integer, got %r" % text) from None
     report = Report()
     got = pgroup_nilpotency_index(args.p, args.r, work_bound=bound)
     report.add("nilpotency_index", args.p * args.r, got, p=args.p, r=args.r)

@@ -20,10 +20,11 @@ class RationalFunction:
     def __init__(self, field: RationalFunctionField, num: Poly1, den: Poly1):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = num.gcd(den)
-        if not g.is_zero() and g.degree() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        if den.degree() > 0:  # a nonzero constant is prime to every num
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
         lc = den.leading_coeff()
         if lc != field.base.one:
             inv = field.base.one / lc

@@ -10,6 +10,8 @@ from tameplane.poly import Poly1, Poly2
 
 F5 = PrimeField(5)
 F2 = PrimeField(2)
+F1000003 = PrimeField(1000003)
+F_M61 = PrimeField(2 ** 61 - 1)
 QZ = RationalFunctionField(QQ)
 FIELDS = (QQ, F5, QZ)
 
@@ -38,16 +40,12 @@ def rationals(max_num: int = 30, max_den: int = 12):
     ).map(QQ.of)
 
 
-def mod5():
-    return st.integers(0, 4).map(F5.of)
-
-
 def scalars(field):
-    """Strategy for elements of one of the shared fields."""
+    """Strategy for elements of one of the shared fields or any F_p."""
     if field is QQ:
         return rationals()
-    if field is F5:
-        return mod5()
+    if isinstance(field, PrimeField):
+        return st.integers(0, field.p - 1).map(field.of)
     if field is QZ:
         # ratio of small integer polynomials with nonzero denominator
         num = poly1(QQ, max_deg=2)

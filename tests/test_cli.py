@@ -187,6 +187,7 @@ class TestLabSuites:
         monkeypatch.setenv("TAMEPLANE_WORK_BOUND", value)
         code, _, err = run(capsys, "lab", "pgroup", "--p", "2", "--r", "1")
         assert code == 2 and "TAMEPLANE_WORK_BOUND" in err
+        assert "(at position" not in err
 
     @pytest.mark.parametrize("p,r", [("2305843009213693951", "1"), ("3", "100000000000")])
     def test_huge_parameters_stop_at_the_work_bound(self, capsys, p, r):

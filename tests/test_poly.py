@@ -1,10 +1,12 @@
 """Sparse polynomial arithmetic in one and two variables.
 
 Ring laws are property tests; a handful of derived operations are pinned
-against an independent sympy oracle with frozen inputs.
+against an independent sympy oracle with frozen inputs.  The packed
+multiply is checked against the dict loop, which is its reference.
 """
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,20 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from tameplane import NEG_INF, Poly1, Poly2, QQ
+from tameplane import poly
 
-from conftest import F5, QZ, poly1, poly2, scalars
+from conftest import F1000003, F5, F_M61, QZ, nonzero_scalars, poly1, poly2, scalars
+
+PACKED_FIELDS = (QQ, F5, F1000003, F_M61)
+
+
+def dense_poly2(field):
+    """Ten nonzero terms, on the exponents of total degree <= 3.  c * c has
+    100 term pairs, past both packed-multiply crossovers; a product with a
+    polynomial of two terms passes the one over Q, of five the one over F_p."""
+    keys = [(i, d - i) for d in range(4) for i in range(d + 1)]
+    return st.lists(nonzero_scalars(field), min_size=10, max_size=10).map(
+        lambda cs: Poly2(field, dict(zip(keys, cs))))
 
 
 x, y, t = sympy.symbols("x y t")
@@ -71,20 +85,109 @@ class TestDegrees:
 class TestRingLaws:
     @given(st.data())
     def test_commutative_ring_axioms(self, data):
-        for field in (QQ, F5):
+        for field in PACKED_FIELDS:
             a = data.draw(poly2(field))
             b = data.draw(poly2(field))
-            c = data.draw(poly2(field))
+            c = data.draw(dense_poly2(field))
             assert a + b == b + a
             assert a * b == b * a
+            assert a * c == c * a
             assert (a + b) * c == a * c + b * c
             assert a * (b * c) == (a * b) * c
+            assert c * (c * a) == (c * c) * a
             assert a - a == Poly2.zero(field)
             assert a * Poly2.one(field) == a
+            assert c * Poly2.one(field) == c
 
     @given(poly1(QQ), scalars(QQ))
     def test_scale_matches_constant_multiplication(self, p, c):
         assert p.scale(c) == p * Poly1.constant(QQ, c)
+
+
+def _coeff(field, rng, big):
+    # negative and, over Q, large numerators and denominators
+    if field is QQ:
+        h = 10 ** 30 if big else 9
+        return Fraction(rng.randint(-h, h) or 1, rng.randint(1, h))
+    return field.of(rng.randrange(-field.p + 1, field.p) or 1)
+
+
+def _dense(cls, field, rng, n, big=False):
+    """n terms: exponents 0..n-1, or the first n exponent pairs by degree."""
+    keys = range(n) if cls is Poly1 else [(i, d - i) for d in range(n) for i in range(d + 1)][:n]
+    return cls(field, {k: _coeff(field, rng, big) for k in keys})
+
+
+def _telescope(cls, field, n):
+    """x - 1 and a sum of at least n monomials whose product cancels in every
+    inner slot: (t - 1)(1 + ... + t^(n-1)) = t^n - 1, and in two variables
+    (x - 1)(1 + ... + x^(m-1))(1 + y) = (x^m - 1)(1 + y)."""
+    if cls is Poly1:
+        return (Poly1(field, {1: field.one, 0: -field.one}),
+                Poly1(field, {i: field.one for i in range(n)}))
+    return (Poly2(field, {(1, 0): field.one, (0, 0): -field.one}),
+            Poly2(field, {(i, j): field.one for i in range((n + 1) // 2) for j in (0, 1)}))
+
+
+class TestPackedMultiply:
+    """The packed path and the dict loop give equal terms, called directly,
+    on both sides of each crossover; ``*`` agrees with both."""
+
+    @pytest.mark.parametrize("cls", (Poly1, Poly2), ids=("poly1", "poly2"))
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    def test_packed_equals_dict_loop(self, field, cls):
+        rng = random.Random(20260)
+        cross = poly._PACK_MIN_PAIRS[type(field)]
+        k = int(cross ** 0.5)
+        shapes = [(1, cross - 1), (1, cross), (k - 1, k), (k, k), (k, k + 1), (2, cross // 2 + 1),
+                  (0, 5), (5, 0), (0, 0)]
+        cases = []
+        for big in (False, True):
+            for na, nb in shapes:
+                cases.append((_dense(cls, field, rng, na, big), _dense(cls, field, rng, nb, big)))
+            # a constant operand, and a product that cancels in some slots
+            c = cls.constant(field, _coeff(field, rng, big))
+            cases.append((c, _dense(cls, field, rng, cross, big)))
+            a, b = _telescope(cls, field, cross)
+            cases.append((a.scale(_coeff(field, rng, big)), b))
+        for a, b in cases:
+            want = a._mul_dict(b)
+            assert a._mul_packed(b) == want
+            assert b._mul_packed(a) == want
+            assert (a * b).terms == want
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    def test_cancellation_mod_p_and_over_q(self, field):
+        # (x + y)(x - y) has no xy term in any field; over F_5 the xy
+        # coefficient 5 of (x + y)(x + 4y) reduces to zero too
+        x, y = Poly2.x(field), Poly2.y(field)
+        for a, b in (((x + y) ** 4, (x - y) ** 4), ((x + y) ** 4, (x + 4 * y) ** 4)):
+            want = a._mul_dict(b)
+            assert a._mul_packed(b) == want
+            assert (a * b).terms == want
+        assert ((x + y) ** 4 * (x - y) ** 4).coeff(7, 1) == field.zero
+
+    def test_sparse_products_stay_on_the_dict_loop(self):
+        # exponents near 10^9 would need a billion slots; the packed path
+        # declines and * still answers at once
+        rng = random.Random(5)
+        for field in PACKED_FIELDS:
+            n = poly._PACK_MIN_PAIRS[type(field)]
+            a = Poly1(field, {10 ** 9 * e: _coeff(field, rng, False) for e in range(n)})
+            b = _dense(Poly1, field, rng, 2)
+            assert a._mul_packed(b) is None
+            assert (a * b).terms == a._mul_dict(b)
+
+    def test_function_field_coefficients_use_the_dict_loop(self, monkeypatch):
+        packed = Poly1._mul_packed
+
+        def only_over_the_base(self, other):
+            assert self.field is not QZ
+            return packed(self, other)
+
+        monkeypatch.setattr(Poly1, "_mul_packed", only_over_the_base)
+        a = Poly1(QZ, {e: QZ.gen + e for e in range(6)})
+        assert (a * a).terms == a._mul_dict(a)
 
 
 class TestOracleAgreement:
