@@ -222,10 +222,11 @@ class _SparsePoly:
         c = self.field.of(c)
         if not c:
             return self.zero(self.field)
-        one = self.field.one
-        if c == one:
-            return self  # polynomials are immutable
-        if c == -one:
+        # comparing with an int is cheap for Fraction and F_p elements, unlike
+        # c == field.one, and polynomials are immutable, so self can be shared
+        if c == 1:
+            return self
+        if c == -1:
             return -self
         return self._make(self.field, {k: c * v for k, v in self.terms.items()})
 
