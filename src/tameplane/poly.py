@@ -42,9 +42,11 @@ NEG_INF = float("-inf")
 # to 16 pairs over Q, and from 36 to 64 over F_p, gave the least multiply
 # time.  Fields not listed (K(z)) always use the dict loop.
 _PACK_MIN_PAIRS = {RationalField: 16, PrimeField: 49}
-# The packed product has one slot per exponent up to the top one; past this
-# many slots per term pair (sparse operands, large exponents) the empty slots
-# cost more than the pairs, and memory would grow with the exponents.
+# The packed product has one slot per exponent up to the top one, so its
+# memory grows with the exponents, which parsed input leaves unbounded: past
+# this many slots per term pair (sparse operands, large exponents) the dict
+# loop runs.  No perfbench product has more than 2, and the value 4 is not
+# timed against the dict loop.
 _PACK_MAX_SLOTS_PER_PAIR = 4
 
 
@@ -64,14 +66,23 @@ def _pack(values: dict, size: int) -> int:
     return n if neg is None else n - int.from_bytes(neg, "little")
 
 
-def _kronecker_mul(field, a: dict, b: dict) -> dict | None:
-    """The product of two int-keyed term dicts over Q or F_p, by one big-int
-    multiply; None when the product would have too many empty slots."""
+def _kronecker_mul(field, a: dict, b: dict, w: int = 0) -> dict | None:
+    """The product of two term dicts over Q or F_p, by one big-int multiply,
+    keyed by slot; None when the product would have too many empty slots.
+    Keys are ints (the slots), or with w > 0 pairs (i, j) in slot i*w + j."""
     if not a or not b:
         return {}
-    top = max(a) + max(b) + 1
+    if w:
+        # j < w, so the top slot of each operand is its largest pair
+        (ia, ja), (ib, jb) = max(a), max(b)
+        top = (ia + ib) * w + ja + jb + 1
+    else:
+        top = max(a) + max(b) + 1
     if top > _PACK_MAX_SLOTS_PER_PAIR * len(a) * len(b):
         return None
+    if w:
+        a = {i * w + j: c for (i, j), c in a.items()}
+        b = {i * w + j: c for (i, j), c in b.items()}
     if type(field) is PrimeField:
         ia = {k: c.value for k, c in a.items()}
         ib = {k: c.value for k, c in b.items()}
@@ -461,8 +472,7 @@ class Poly2(_SparsePoly):
     def _mul_packed(self, other: Poly2) -> dict | None:
         a, b = self.terms, other.terms
         w = max((j for _, j in a), default=0) + max((j for _, j in b), default=0) + 1
-        out = _kronecker_mul(self.field, {i * w + j: c for (i, j), c in a.items()},
-                             {i * w + j: c for (i, j), c in b.items()})
+        out = _kronecker_mul(self.field, a, b, w)
         return None if out is None else {divmod(k, w): c for k, c in out.items()}
 
     # -- substitution and calculus ---------------------------------------

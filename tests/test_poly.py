@@ -88,16 +88,19 @@ class TestRingLaws:
         for field in PACKED_FIELDS:
             a = data.draw(poly2(field))
             b = data.draw(poly2(field))
-            c = data.draw(dense_poly2(field))
+            c = data.draw(poly2(field))
+            # dense enough that products with it cross the packed crossovers
+            d = data.draw(dense_poly2(field))
             assert a + b == b + a
             assert a * b == b * a
-            assert a * c == c * a
             assert (a + b) * c == a * c + b * c
             assert a * (b * c) == (a * b) * c
-            assert c * (c * a) == (c * c) * a
             assert a - a == Poly2.zero(field)
             assert a * Poly2.one(field) == a
-            assert c * Poly2.one(field) == c
+            assert a * d == d * a
+            assert (a + b) * d == a * d + b * d
+            assert d * (d * a) == (d * d) * a
+            assert d * Poly2.one(field) == d
 
     @given(poly1(QQ), scalars(QQ))
     def test_scale_matches_constant_multiplication(self, p, c):
@@ -175,6 +178,12 @@ class TestPackedMultiply:
             n = poly._PACK_MIN_PAIRS[type(field)]
             a = Poly1(field, {10 ** 9 * e: _coeff(field, rng, False) for e in range(n)})
             b = _dense(Poly1, field, rng, 2)
+            assert a._mul_packed(b) is None
+            assert (a * b).terms == a._mul_dict(b)
+            # (x - y) times an anti-diagonal: 98 term pairs, 2,451 slots
+            x, y = Poly2.x(field), Poly2.y(field)
+            a = x - y
+            b = Poly2(field, {(i, 48 - i): _coeff(field, rng, False) for i in range(49)})
             assert a._mul_packed(b) is None
             assert (a * b).terms == a._mul_dict(b)
 
