@@ -425,11 +425,12 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     if not (auto.fixes_origin() and auto.linear_part().is_identity()):
         raise ValueError("map is not tangent to the identity at the origin")
     p, q = auto.p, auto.q
+    dp, dq = p.total_degree(), q.total_degree()
     delta = None
     pairs: list = []
-    while (deg := auto.max_degree()) > 1:
-        top_p = p.leading_form() if p.total_degree() == deg else Poly2.zero(field)
-        top_q = q.leading_form() if q.total_degree() == deg else Poly2.zero(field)
+    while (deg := max(dp, dq)) > 1:
+        top_p = p.form(deg) if dp == deg else Poly2.zero(field)
+        top_q = q.form(deg) if dq == deg else Poly2.zero(field)
         probe = next(iter(top_p.terms or top_q.terms))
         new_delta = ProjPoint.of(field, top_p.coeff(*probe), top_q.coeff(*probe))
         if new_delta != delta:
@@ -437,19 +438,22 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
             delta = new_delta
             a, b = delta.vector()
             l_powers = [Poly2.one(field), p.scale(b) - q.scale(a)]
-        d, rest = divmod(deg, l_powers[1].total_degree())
+            l_deg = l_powers[1].total_degree()
+        d, rest = divmod(deg, l_deg)
         while len(l_powers) <= d:
             l_powers.append(l_powers[-1] * l_powers[1])
-        c = None if rest else _top_ratio(l_powers[d].leading_form(), top_q if b else top_p)
+        # top(l^d) = top(l)^d has degree d * l_deg = deg when rest is 0
+        c = None if rest else _top_ratio(l_powers[d].form(deg), top_q if b else top_p)
         if c is None:
             raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
         step = l_powers[d].scale(c)
         p, q = p - step.scale(a), q - step.scale(b)
-        auto = PlaneAuto(p, q)
+        dp, dq = p.total_degree(), q.total_degree()
         # a drop also forces d >= 2: with d = 1 the top of l would vanish
-        if auto.max_degree() >= deg:
+        if max(dp, dq) >= deg:
             raise NotAnAutomorphism("line shear peel did not lower degree %d" % deg)
         pairs.append((delta, Poly1.monomial(field, d, c)))
+    auto = PlaneAuto(p, q)
     if not auto.is_identity():
         raise AssertionError("remainder %r after line shear peeling" % (auto,))
     return free_reduce(pairs)

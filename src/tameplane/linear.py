@@ -178,10 +178,6 @@ class ProjPoint:
     def vector(self):
         return (self.a, self.b)
 
-    def annihilator(self):
-        """A row (w0, w1) with w . (a, b) = 0, normalized as (b, -a)."""
-        return (self.b, -self.a)
-
     def contains(self, vec) -> bool:
         v0, v1 = vec
         return not (self.b * v0 - self.a * v1)
@@ -201,20 +197,27 @@ class ProjPoint:
         return "ProjPoint(%r : %r)" % (self.a, self.b)
 
 
-def nil_endo(point: ProjPoint) -> Mat2:
-    """The canonical square-zero endomorphism with image the given line.
+def nil_factors(point: ProjPoint):
+    """The column v spanning the line and the row w killing it, with
+    e_delta = v w^T, as pairs of scalars.
 
-    Finite points (lam : 1) get v w^T for v = (lam, 1), w = (1, -lam), i.e.
-    rows ((lam, -lam^2), (1, -lam)).  The point at infinity gets
-    rows ((0, 1), (0, 0)): the opposite sign of w = (0, -1), chosen so that
-    upper triangular shears carry the + sign.  Any nonzero multiple works;
+    Finite points (lam : 1) get v = (lam, 1), w = (1, -lam).  The point at
+    infinity gets v = (1, 0), w = (0, 1), the sign chosen so that upper
+    triangular shears carry the + sign.  Any nonzero multiple of w works;
     all modules share this one.
     """
     f = point.field
     if point.at_infinity:
-        return Mat2(f, f.zero, f.one, f.zero, f.zero)
-    lam = point.a
-    return Mat2(f, lam, -(lam * lam), f.one, -lam)
+        return (f.one, f.zero), (f.zero, f.one)
+    return (point.a, f.one), (f.one, -point.a)
+
+
+def nil_endo(point: ProjPoint) -> Mat2:
+    """The canonical square-zero endomorphism v w^T (``nil_factors``) with
+    image the given line: rows ((lam, -lam^2), (1, -lam)) at (lam : 1),
+    rows ((0, 1), (0, 0)) at infinity."""
+    (v0, v1), (w0, w1) = nil_factors(point)
+    return Mat2(point.field, v0 * w0, v0 * w1, v1 * w0, v1 * w1)
 
 
 class PolyMat2(_Mat2Base):

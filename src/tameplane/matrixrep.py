@@ -8,6 +8,11 @@ group of determinant-one polynomial matrices with value id at t = 0.  This
 module computes that correspondence in both directions, factors such
 matrices into one-line shear factors, and runs the ping-pong degree growth
 argument underlying faithfulness.
+
+With e_delta = v w^T (``nil_factors``), a factor id + h e_delta changes a
+vector u by the rank-one update h (w . u) v, so peeling, recomposing and
+ping-pong apply factors column by column, row by row or to one vector with
+two Poly1 products each, never as a full 2x2 polynomial-matrix product.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 from .amalgam import free_reduce, shear_decompose
 from .automorphisms import PlaneAuto
-from .linear import PolyMat2, ProjPoint, nil_endo
+from .linear import Mat2, PolyMat2, ProjPoint, nil_endo, nil_factors
 from .poly import NEG_INF, Poly1
 
 
@@ -50,6 +55,29 @@ def line_matrix(delta: ProjPoint, h: Poly1) -> PolyMat2:
     return PolyMat2.identity(field) + h_e
 
 
+def _rank_one(v, w, h: Poly1, u):
+    """u + h (w . u) v: the vector (id + h v w^T) u for scalar pairs v, w."""
+    s = h * (u[0].scale(w[0]) + u[1].scale(w[1]))
+    return u[0] + s.scale(v[0]), u[1] + s.scale(v[1])
+
+
+def _shear_left(delta: ProjPoint, h: Poly1, g: PolyMat2) -> PolyMat2:
+    """line_matrix(delta, h) * g, one rank-one update per column of g."""
+    v, w = nil_factors(delta)
+    e00, e10 = _rank_one(v, w, h, (g.e00, g.e10))
+    e01, e11 = _rank_one(v, w, h, (g.e01, g.e11))
+    return PolyMat2(g.field, e00, e01, e10, e11)
+
+
+def _shear_right(g: PolyMat2, delta: ProjPoint, h: Poly1) -> PolyMat2:
+    """g * line_matrix(delta, h), one rank-one update per row of g:
+    a row r becomes r + h (r . v) w^T."""
+    v, w = nil_factors(delta)
+    e00, e01 = _rank_one(w, v, h, (g.e00, g.e01))
+    e10, e11 = _rank_one(w, v, h, (g.e10, g.e11))
+    return PolyMat2(g.field, e00, e01, e10, e11)
+
+
 def _validate_group_member(g: PolyMat2) -> None:
     field = g.field
     if g.det() != Poly1.one(field):
@@ -64,13 +92,13 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
     Each step removes the top degree: the top coefficient matrix lies in a
     single line's image, the step size is the gap down to the last
     coefficient outside that line, and the scalar matches exactly; any
-    mismatch raises FactorizationInvariantError.
+    mismatch raises FactorizationInvariantError.  Each step's inverse
+    factor is applied to g as a rank-one update of its two columns.
     """
     _validate_group_member(g)
     field = g.field
     factors: list[ShearFactor] = []
-    while g.degree() >= 1:
-        deg = g.degree()
+    while (deg := g.degree()) >= 1:
         top = g.coeff_matrix(deg)
         if top.det():
             raise FactorizationInvariantError("top coefficient %r is invertible" % (top,))
@@ -78,16 +106,18 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
         delta = ProjPoint.of(field, *col)
         if not delta.contains((top.e01, top.e11)) or not delta.contains((top.e00, top.e10)):
             raise FactorizationInvariantError("top coefficient image is not one line")
-        w0, w1 = delta.annihilator()
+        (v0, v1), (w0, w1) = nil_factors(delta)
         n = None
         for k in range(deg - 1, -1, -1):
-            a = g.coeff_matrix(k)
-            if (w0 * a.e00 + w1 * a.e10) or (w0 * a.e01 + w1 * a.e11):
+            r0 = w0 * g.e00.coeff(k) + w1 * g.e10.coeff(k)
+            r1 = w0 * g.e01.coeff(k) + w1 * g.e11.coeff(k)
+            if r0 or r1:
                 n = k
                 break
         if n is None:
             raise FactorizationInvariantError("no anchor coefficient below degree %d" % deg)
-        b = nil_endo(delta) * g.coeff_matrix(n)
+        # e_delta times the anchor coefficient is v (w^T a) = v (r0, r1)
+        b = Mat2(field, v0 * r0, v0 * r1, v1 * r0, v1 * r1)
         c = None
         for be, te in zip(
             (b.e00, b.e01, b.e10, b.e11), (top.e00, top.e01, top.e10, top.e11)
@@ -100,7 +130,7 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
         if b.scale(c) != top:
             raise FactorizationInvariantError("top coefficient is not a multiple of the anchor")
         step = ShearFactor(delta, c, deg - n)
-        g = step.inverse_matrix() * g
+        g = _shear_left(delta, Poly1.monomial(field, deg - n, -c), g)
         if g.degree() >= deg:
             raise FactorizationInvariantError("degree did not drop at degree %d" % deg)
         factors.append(step)
@@ -120,9 +150,11 @@ def matrix_reduced_word(g: PolyMat2) -> tuple:
 
 
 def matrix_recompose(field, pairs) -> PolyMat2:
+    """The product of id + h e_delta over the (delta, h) pairs, left to
+    right; each factor multiplies on the right as a rank-one row update."""
     out = PolyMat2.identity(field)
     for delta, h in pairs:
-        out = out * line_matrix(delta, h)
+        out = _shear_right(out, delta, h)
     return out
 
 
@@ -181,6 +213,10 @@ def pingpong_check(pairs, sample: ProjPoint) -> PingPongResult:
     """Apply the product of (direction, parameter) factors to a constant
     vector along ``sample`` and verify the degree-growth prediction.
 
+    The vector is pushed through the factors one at a time, last pair
+    first, each as the rank-one update u + h (w . u) v; the product matrix
+    is never formed, and the result equals matrix_recompose(...).act(u).
+
     Precondition: pairs is reduced (adjacent directions distinct, parameters
     nonzero with zero constant term) and sample differs from the last
     factor's direction, which acts first.
@@ -194,8 +230,10 @@ def pingpong_check(pairs, sample: ProjPoint) -> PingPongResult:
     for (d1, _), (d2, _) in zip(pairs, pairs[1:]):
         if d1 == d2:
             raise ValueError("word is not reduced")
-    g = matrix_recompose(field, pairs)
-    u0, u1 = g.act(tuple(Poly1.constant(field, v) for v in sample.vector()))
+    u = tuple(Poly1.constant(field, c) for c in sample.vector())
+    for delta, h in reversed(pairs):
+        u = _rank_one(*nil_factors(delta), h, u)
+    u0, u1 = u
     expected_degree = sum(h.degree() for _, h in pairs)
     deg = max(u0.degree(), u1.degree())
     if deg is NEG_INF:

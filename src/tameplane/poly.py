@@ -449,9 +449,10 @@ class Poly2(_SparsePoly):
 
     def leading_form(self) -> Poly2:
         """The top homogeneous component."""
-        d = self.total_degree()
-        if d is NEG_INF:
-            return self
+        return self.form(self.total_degree())
+
+    def form(self, d) -> Poly2:
+        """The homogeneous component of total degree d."""
         return Poly2._make(self.field, {ij: c for ij, c in self.terms.items() if ij[0] + ij[1] == d})
 
     # -- ring operations -----------------------------------------------

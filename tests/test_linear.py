@@ -12,8 +12,9 @@ from tameplane import (
     line_matrix,
     nil_endo,
 )
+from tameplane.linear import nil_factors
 
-from conftest import F5, nonzero_scalars, poly1, scalars
+from conftest import F5, F1000003, QZ, nonzero_scalars, poly1, scalars
 
 
 def mat2(field):
@@ -79,7 +80,7 @@ class TestProjPoint:
 
     @given(proj_points(QQ))
     def test_annihilator_kills_the_vector(self, pt):
-        w0, w1 = pt.annihilator()
+        _, (w0, w1) = nil_factors(pt)
         a, b = pt.vector()
         assert not (w0 * a + w1 * b)
         assert pt.contains(pt.vector())
@@ -95,6 +96,22 @@ class TestNilEndo:
         assert nil_endo(ProjPoint.infinity(QQ)) == Mat2(QQ, 0, 1, 0, 0)
         assert nil_endo(ProjPoint.of(QQ, 0, 1)) == Mat2(QQ, 0, 0, 1, 0)
         assert nil_endo(ProjPoint.of(QQ, 2, 1)) == Mat2(QQ, 2, -4, 1, -2)
+
+    def test_frozen_factors(self):
+        one, zero, lam = QQ.one, QQ.zero, QQ.of(2)
+        assert nil_factors(ProjPoint.infinity(QQ)) == ((one, zero), (zero, one))
+        assert nil_factors(ProjPoint.of(QQ, 0, 1)) == ((zero, one), (one, zero))
+        assert nil_factors(ProjPoint.of(QQ, 2, 1)) == ((lam, one), (one, -lam))
+
+    @pytest.mark.parametrize("field", (QQ, F5, F1000003, QZ), ids=("q", "fp5", "fp1000003", "qz"))
+    def test_is_the_outer_product_of_its_factors(self, field):
+        points = [ProjPoint.infinity(field), ProjPoint.of(field, 0, 1),
+                  ProjPoint.of(field, 3, 1), ProjPoint.of(field, -7, 2)]
+        for pt in points:
+            (v0, v1), (w0, w1) = nil_factors(pt)
+            assert nil_endo(pt) == Mat2(field, v0 * w0, v0 * w1, v1 * w0, v1 * w1)
+            assert pt.contains((v0, v1))
+            assert not (w0 * v0 + w1 * v1)
 
     @given(proj_points(QQ))
     def test_square_zero_traceless(self, pt):

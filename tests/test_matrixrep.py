@@ -23,7 +23,13 @@ from tameplane import (
     shear_recompose,
     to_matrix,
 )
-from tameplane.matrixrep import FactorizationInvariantError
+from tameplane.matrixrep import (
+    FactorizationInvariantError,
+    PingPongResult,
+    _shear_left,
+    _shear_right,
+)
+from tameplane.poly import NEG_INF
 from tameplane.sampling import (
     random_matrix_factors,
     random_proj_point,
@@ -31,7 +37,10 @@ from tameplane.sampling import (
 )
 from tameplane.textio import format_polymat, parse_auto, parse_polymat
 
-from conftest import F5
+from conftest import F5, F1000003, QZ
+
+KERNEL_FIELDS = (QQ, F5, F1000003, QZ)
+KERNEL_IDS = ("q", "fp5", "fp1000003", "qz")
 
 
 def product_of(field, factors):
@@ -131,6 +140,93 @@ class TestLineMatrix:
         diff = m - PolyMat2.identity(QQ)
         col = (diff.e00.coeff(2), diff.e10.coeff(2))
         assert delta.contains(col)
+
+
+def random_poly1(field, rng, max_deg=4, low=0):
+    """Zero one time in five, otherwise up to max_deg + 1 random terms."""
+    if rng.random() < 0.2:
+        return Poly1.zero(field)
+    return Poly1(field, {e: field.random_element(rng) for e in range(low, max_deg + 1)
+                         if rng.random() < 0.6})
+
+
+def kernel_cases(field, rng):
+    """(delta, h, g) triples: infinity, (0 : 1) and random directions,
+    monomial and multi-term h, g with zero entries and random g."""
+    tt = Poly1.gen(field)
+    directions = [ProjPoint.infinity(field), ProjPoint.of(field, 0, 1)]
+    directions += [random_proj_point(field, rng) for _ in range(3)]
+    params = [Poly1.monomial(field, rng.randint(1, 4), field.random_nonzero(rng)),
+              tt + tt ** 3 - tt.scale(field.random_nonzero(rng)) ** 2,
+              random_poly1(field, rng, low=1)]
+    zero, one = Poly1.zero(field), Poly1.one(field)
+    mats = [PolyMat2.identity(field), PolyMat2(field, zero, zero, zero, zero),
+            PolyMat2(field, zero, tt, one, zero),
+            PolyMat2(field, random_poly1(field, rng), zero, zero, random_poly1(field, rng))]
+    mats += [PolyMat2(field, *(random_poly1(field, rng) for _ in range(4))) for _ in range(4)]
+    for delta in directions:
+        for h in params:
+            for g in mats:
+                yield delta, h, g
+
+
+def pingpong_via_matrix(pairs, sample):
+    """The ping-pong result read off the product matrix acting on sample."""
+    field = sample.field
+    g = PolyMat2.identity(field)
+    for delta, h in pairs:
+        g = g * line_matrix(delta, h)
+    assert matrix_recompose(field, pairs) == g
+    u0, u1 = g.act(tuple(Poly1.constant(field, v) for v in sample.vector()))
+    expected_degree = sum(h.degree() for _, h in pairs)
+    deg = max(u0.degree(), u1.degree())
+    if deg is NEG_INF:
+        return PingPongResult(sample, -1, expected_degree, None, pairs[0][0], False)
+    end_dir = ProjPoint.of(field, u0.coeff(deg), u1.coeff(deg))
+    moved = deg > 0 or end_dir != sample
+    return PingPongResult(sample, deg, expected_degree, end_dir, pairs[0][0], moved)
+
+
+class TestRankOneKernel:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_left_update_is_the_left_product(self, field):
+        rng = random.Random(101)
+        for delta, h, g in kernel_cases(field, rng):
+            assert _shear_left(delta, h, g) == line_matrix(delta, h) * g
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_right_update_is_the_right_product(self, field):
+        rng = random.Random(103)
+        for delta, h, g in kernel_cases(field, rng):
+            assert _shear_right(g, delta, h) == g * line_matrix(delta, h)
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_recompose_is_the_product_of_line_matrices(self, field):
+        rng = random.Random(107)
+        for _ in range(15):
+            pairs = [(f.delta, Poly1.monomial(field, f.k, f.c))
+                     for f in random_matrix_factors(field, rng, max_factors=4)]
+            pairs.append((random_proj_point(field, rng), random_poly1(field, rng, low=1)))
+            want = PolyMat2.identity(field)
+            for delta, h in pairs:
+                want = want * line_matrix(delta, h)
+            assert matrix_recompose(field, pairs) == want
+
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_pingpong_matches_the_product_matrix(self, field):
+        rng = random.Random(109)
+        for _ in range(25):
+            factors = random_matrix_factors(field, rng, max_factors=4)
+            pairs = [(f.delta, Poly1.monomial(field, f.k, f.c)) for f in factors]
+            if rng.random() < 0.5:
+                # a multi-term parameter on the first-acting factor
+                pairs[-1] = (pairs[-1][0], pairs[-1][1] + random_poly1(field, rng, low=1))
+                if pairs[-1][1].is_zero():
+                    continue
+            sample = random_proj_point(field, rng)
+            while sample == pairs[-1][0]:
+                sample = random_proj_point(field, rng)
+            assert pingpong_check(pairs, sample) == pingpong_via_matrix(pairs, sample)
 
 
 class TestShearDictionary:
