@@ -11,8 +11,8 @@ argument underlying faithfulness.
 
 With e_delta = v w^T (``nil_factors``), a factor id + h e_delta changes a
 vector u by the rank-one update h (w . u) v, so peeling, recomposing and
-ping-pong apply factors column by column, row by row or to one vector with
-two Poly1 products each, never as a full 2x2 polynomial-matrix product.
+ping-pong apply factors column by column, row by row or to one vector, one
+Poly1 product per vector, never as a full 2x2 polynomial-matrix product.
 """
 
 from __future__ import annotations
