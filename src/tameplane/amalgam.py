@@ -74,7 +74,7 @@ def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
         raise ValueError("shear already triangular")
     iz1 = f.one / g.z1
     arg = Poly1(f, {1: iz1, 0: -g.t0 * iz1})
-    shifted = g.f.compose(arg)
+    shifted = g.f.substitute(arg)
     gtilde = shifted.drop_below(2)
     rep = ElemAuto.shear(f, gtilde)
     b = ElemAuto.shear(f, -gtilde).compose(g)
@@ -483,6 +483,9 @@ def word_to_json(word: AmalgamWord) -> str:
     def scalar(s) -> str:
         return format_scalar(word.field, s)
 
+    def shear(g: ElemAuto) -> dict:
+        return {"z1": scalar(g.z1), "t0": scalar(g.t0), "z2": scalar(g.z2), "f": format_poly1(g.f, "x")}
+
     recs = []
     for g in word.factors:
         if isinstance(g, AffineAuto):
@@ -494,27 +497,13 @@ def word_to_json(word: AmalgamWord) -> str:
                 }
             )
         else:
-            recs.append(
-                {
-                    "kind": "shear",
-                    "z1": scalar(g.z1),
-                    "t0": scalar(g.t0),
-                    "z2": scalar(g.z2),
-                    "f": format_poly1(g.f, "x"),
-                }
-            )
-    tail = word.tail
+            recs.append({"kind": "shear", **shear(g)})
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
         "field": field_spec(word.field),
         "factors": recs,
-        "tail": {
-            "z1": scalar(tail.z1),
-            "t0": scalar(tail.t0),
-            "z2": scalar(tail.z2),
-            "f": format_poly1(tail.f, "x"),
-        },
+        "tail": shear(word.tail),
     }
     return json.dumps(doc, indent=2)
 

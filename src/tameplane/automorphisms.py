@@ -197,7 +197,7 @@ class ElemAuto:
             self.z1 * other.z1,
             self.z1 * other.t0 + self.t0,
             self.z2 * other.z2,
-            other.f.scale(self.z2) + self.f.compose(arg),
+            other.f.scale(self.z2) + self.f.substitute(arg),
         )
 
     def inverse(self) -> ElemAuto:
@@ -206,7 +206,7 @@ class ElemAuto:
         iz1 = self.field.one / self.z1
         iz2 = self.field.one / self.z2
         arg = Poly1(self.field, {1: iz1, 0: -self.t0 * iz1})
-        return ElemAuto(self.field, iz1, -self.t0 * iz1, iz2, -self.f.compose(arg).scale(iz2))
+        return ElemAuto(self.field, iz1, -self.t0 * iz1, iz2, -self.f.substitute(arg).scale(iz2))
 
     def is_lower_triangular(self) -> bool:
         """True when the map is affine, i.e. lies in the common subgroup."""

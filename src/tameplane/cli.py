@@ -39,7 +39,6 @@ from .lab import (
 )
 from .lab.unipotent import RationalMatrix
 from .matrixrep import from_matrix, pingpong_check, to_matrix
-from .poly import Poly1
 from .ratfunc import field_from_spec
 from .sampling import random_matrix_factors, random_proj_point
 from .textio import (
@@ -205,10 +204,6 @@ def _print_report(args, report: Report) -> int:
     return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
 
 
-def _factor_pairs(field, factors) -> list:
-    return [(f.delta, Poly1(field, {f.k: f.c})) for f in factors]
-
-
 def _lab_pingpong(field, args) -> Report:
     rng = random.Random(args.seed)
     report = Report()
@@ -218,13 +213,13 @@ def _lab_pingpong(field, args) -> Report:
         sample = random_proj_point(field, rng)
         while sample == factors[0].delta:
             sample = random_proj_point(field, rng)
-        if not pingpong_check(_factor_pairs(field, factors), sample).ok:
+        if not pingpong_check([f.pair() for f in factors], sample).ok:
             single_failures += 1
     report.add("single_factor_lands_on_line", 0, single_failures, trials=args.trials)
     word_failures = 0
     for _ in range(args.words):
         factors = random_matrix_factors(field, rng, max_factors=4, deg_cap=3)
-        pairs = _factor_pairs(field, factors)
+        pairs = [f.pair() for f in factors]
         sample = random_proj_point(field, rng)
         while sample == pairs[-1][0]:
             sample = random_proj_point(field, rng)

@@ -12,8 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _check_base(p: int) -> None:
+    if p < 2:
+        raise ValueError("base p must be at least 2, got %d" % p)
+
+
 def digits(n: int, p: int, width: int = 0) -> list:
     """Little-endian base-p digits, zero-padded to ``width``."""
+    _check_base(p)
     if n < 0:
         raise ValueError("nonnegative integer required")
     out = []
@@ -49,6 +55,7 @@ def digit_lemma_scan(p: int, n_max: int) -> list:
     Also cross-checks the rotation formula on every congruent pair: when
     n = m * p^a (mod p^N - 1), the digit vector of n must be the a-step
     rotation of the digit vector of m."""
+    _check_base(p)
     violations = []
     for N in range(1, n_max + 1):
         modulus = p ** N - 1

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ..poly import Poly1
-from ..scalars import QQ
+from ..scalars import QQ, power
 
 
 class RationalMatrix:
@@ -75,14 +75,7 @@ class RationalMatrix:
     def __pow__(self, k: int) -> RationalMatrix:
         if k < 0:
             return self.inverse() ** (-k)
-        out = RationalMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(RationalMatrix.identity(self.n), self, k)
 
     def inverse(self) -> RationalMatrix:
         """Gauss-Jordan; raises ValueError on singular input."""

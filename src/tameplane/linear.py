@@ -5,14 +5,15 @@ K[t]) share ``_Mat2Base``, which holds every operation that only adds and
 multiplies entries: products, sums, determinant, action on a pair,
 equality.  Each subclass keeps what depends on its entry ring.
 
-The square-zero endomorphism attached to a projective point is the bridge
-between plane automorphisms that shear along a line and matrices over K[t];
-its normalization is fixed here once and shared by every consumer.
+The square-zero endomorphism e_delta = v w^T attached to a projective point
+bridges plane maps that shear along a line and matrices over K[t]; its
+factors v, w are fixed once here (``nil_factors``) and shared by every user.
 """
 
 from __future__ import annotations
 
 from .poly import Poly1
+from .scalars import power
 
 
 class _Mat2Base:
@@ -123,14 +124,7 @@ class Mat2(_Mat2Base):
     def __pow__(self, n: int) -> Mat2:
         if n < 0:
             return self.inverse() ** (-n)
-        out = Mat2.identity(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(Mat2.identity(self.field), self, n)
 
     def is_zero(self) -> bool:
         return not (self.e00 or self.e01 or self.e10 or self.e11)
@@ -210,14 +204,6 @@ def nil_factors(point: ProjPoint):
     if point.at_infinity:
         return (f.one, f.zero), (f.zero, f.one)
     return (point.a, f.one), (f.one, -point.a)
-
-
-def nil_endo(point: ProjPoint) -> Mat2:
-    """The canonical square-zero endomorphism v w^T (``nil_factors``) with
-    image the given line: rows ((lam, -lam^2), (1, -lam)) at (lam : 1),
-    rows ((0, 1), (0, 0)) at infinity."""
-    (v0, v1), (w0, w1) = nil_factors(point)
-    return Mat2(point.field, v0 * w0, v0 * w1, v1 * w0, v1 * w1)
 
 
 class PolyMat2(_Mat2Base):

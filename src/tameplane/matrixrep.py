@@ -10,9 +10,9 @@ matrices into one-line shear factors, and runs the ping-pong degree growth
 argument underlying faithfulness.
 
 With e_delta = v w^T (``nil_factors``), a factor id + h e_delta changes a
-vector u by the rank-one update h (w . u) v, so peeling, recomposing and
-ping-pong apply factors column by column, row by row or to one vector, one
-Poly1 product per vector, never as a full 2x2 polynomial-matrix product.
+vector u by the rank-one update h (w . u) v, so peeling and recomposing
+apply factors column by column and ping-pong to one vector, one Poly1
+product per vector, never as a full 2x2 polynomial-matrix product.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 from .amalgam import free_reduce, shear_decompose
 from .automorphisms import PlaneAuto
-from .linear import Mat2, PolyMat2, ProjPoint, nil_endo, nil_factors
+from .linear import Mat2, PolyMat2, ProjPoint, nil_factors
 from .poly import NEG_INF, Poly1
+from .textio import format_poly1
 
 
 class NotInMatrixGroup(ValueError):
@@ -41,18 +42,20 @@ class ShearFactor:
     c: object
     k: int
 
-    def to_matrix(self) -> PolyMat2:
-        return line_matrix(self.delta, Poly1.monomial(self.delta.field, self.k, self.c))
+    def pair(self) -> tuple:
+        """The (direction, parameter) pair (delta, c t^k) of this factor."""
+        return self.delta, Poly1.monomial(self.delta.field, self.k, self.c)
 
-    def inverse_matrix(self) -> PolyMat2:
-        return line_matrix(self.delta, Poly1.monomial(self.delta.field, self.k, -self.c))
+    def to_matrix(self) -> PolyMat2:
+        return line_matrix(*self.pair())
 
 
 def line_matrix(delta: ProjPoint, h: Poly1) -> PolyMat2:
     """id + h(t) e_delta for a polynomial h vanishing at 0."""
-    field = delta.field
-    h_e = PolyMat2(field, *(h.scale(v) for v in nil_endo(delta).entries()))
-    return PolyMat2.identity(field) + h_e
+    (v0, v1), (w0, w1) = nil_factors(delta)
+    one = Poly1.one(delta.field)
+    return PolyMat2(delta.field, one + h.scale(v0 * w0), h.scale(v0 * w1),
+                    h.scale(v1 * w0), one + h.scale(v1 * w1))
 
 
 def _rank_one(v, w, h: Poly1, u):
@@ -69,19 +72,10 @@ def _shear_left(delta: ProjPoint, h: Poly1, g: PolyMat2) -> PolyMat2:
     return PolyMat2(g.field, e00, e01, e10, e11)
 
 
-def _shear_right(g: PolyMat2, delta: ProjPoint, h: Poly1) -> PolyMat2:
-    """g * line_matrix(delta, h), one rank-one update per row of g:
-    a row r becomes r + h (r . v) w^T."""
-    v, w = nil_factors(delta)
-    e00, e01 = _rank_one(w, v, h, (g.e00, g.e01))
-    e10, e11 = _rank_one(w, v, h, (g.e10, g.e11))
-    return PolyMat2(g.field, e00, e01, e10, e11)
-
-
 def _validate_group_member(g: PolyMat2) -> None:
     field = g.field
     if g.det() != Poly1.one(field):
-        raise NotInMatrixGroup("determinant %r is not 1" % (g.det(),))
+        raise NotInMatrixGroup("determinant %s is not 1" % format_poly1(g.det()))
     if not g.at_zero().is_identity():
         raise NotInMatrixGroup("value at t = 0 is not the identity")
 
@@ -118,13 +112,7 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
             raise FactorizationInvariantError("no anchor coefficient below degree %d" % deg)
         # e_delta times the anchor coefficient is v (w^T a) = v (r0, r1)
         b = Mat2(field, v0 * r0, v0 * r1, v1 * r0, v1 * r1)
-        c = None
-        for be, te in zip(
-            (b.e00, b.e01, b.e10, b.e11), (top.e00, top.e01, top.e10, top.e11)
-        ):
-            if be:
-                c = te / be
-                break
+        c = next((te / be for be, te in zip(b.entries(), top.entries()) if be), None)
         if not c:
             raise FactorizationInvariantError("anchor produced a zero scalar")
         if b.scale(c) != top:
@@ -142,19 +130,16 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
 def matrix_reduced_word(g: PolyMat2) -> tuple:
     """The reduced word of g: (direction, parameter) pairs with parameters
     vanishing at 0, adjacent directions distinct, product left to right."""
-    merged: list = []
-    for fac in matrix_factor(g):
-        h = Poly1.monomial(fac.delta.field, fac.k, fac.c)
-        merged.append((fac.delta, h))
-    return free_reduce(merged)
+    return free_reduce([fac.pair() for fac in matrix_factor(g)])
 
 
 def matrix_recompose(field, pairs) -> PolyMat2:
     """The product of id + h e_delta over the (delta, h) pairs, left to
-    right; each factor multiplies on the right as a rank-one row update."""
+    right, built from the last pair back: each factor multiplies on the
+    left as a rank-one column update."""
     out = PolyMat2.identity(field)
-    for delta, h in pairs:
-        out = _shear_right(out, delta, h)
+    for delta, h in reversed(tuple(pairs)):
+        out = _shear_left(delta, h, out)
     return out
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import PrimeField, RationalField
+from .scalars import PrimeField, RationalField, power
 
 NEG_INF = float("-inf")
 
@@ -244,14 +244,7 @@ class _SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self.one(self.field), self, n)
 
     # -- comparisons ------------------------------------------------------
 
@@ -364,19 +357,8 @@ class Poly1(_SparsePoly):
     # -- substitution and calculus ---------------------------------------
 
     def evaluate(self, point):
-        """Horner evaluation at a scalar of the coefficient field."""
-        acc = self.field.zero
-        prev = None
-        for e in sorted(self.terms, reverse=True):
-            if prev is not None:
-                for _ in range(prev - e):
-                    acc = acc * point
-            acc = acc + self.terms[e]
-            prev = e
-        if prev is not None:
-            for _ in range(prev):
-                acc = acc * point
-        return acc
+        """The sum of c * point**e over the terms, at a scalar of the field."""
+        return sum((c * point ** e for e, c in self.terms.items()), self.field.zero)
 
     def substitute(self, value: _SparsePoly) -> _SparsePoly:
         """Plug a Poly1 or a Poly2 in for the variable; the result has its kind."""
@@ -389,10 +371,6 @@ class Poly1(_SparsePoly):
             last_e = e
             acc = acc + pw.scale(c)
         return acc
-
-    def compose(self, other: Poly1) -> Poly1:
-        """self(other(t)) as a Poly1."""
-        return self.substitute(other)
 
     def shift_down(self, k: int = 1) -> Poly1:
         """Exact division by t**k (raises if any low coefficient survives)."""
@@ -497,20 +475,10 @@ class Poly2(_SparsePoly):
         return out
 
     def evaluate(self, a, b):
+        """The sum of c * a**i * b**j over the terms."""
         a = self.field.of(a)
         b = self.field.of(b)
-        acc = self.field.zero
-        pa: dict[int, object] = {0: self.field.one}
-        pb: dict[int, object] = {0: self.field.one}
-
-        def power(table, base, n):
-            if n not in table:
-                table[n] = power(table, base, n - 1) * base
-            return table[n]
-
-        for (i, j), c in self.terms.items():
-            acc = acc + c * power(pa, a, i) * power(pb, b, j)
-        return acc
+        return sum((c * a ** i * b ** j for (i, j), c in self.terms.items()), self.field.zero)
 
     def partial_x(self) -> Poly2:
         out = {}

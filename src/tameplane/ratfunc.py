@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly1
-from .scalars import QQ, PrimeField
+from .scalars import QQ, PrimeField, power
 
 
 class RationalFunction:
@@ -98,10 +98,7 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self.field.one, self, n)
 
     def __bool__(self):
         return not self.num.is_zero()

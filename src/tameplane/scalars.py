@@ -9,6 +9,9 @@ Every field object exposes the same small protocol used throughout the
 package: ``zero``, ``one``, ``of``, ``characteristic``, ``random_element``.
 Scalars themselves are immutable, hashable, support ``+ - * / **`` and are
 falsy exactly when zero.
+
+``power`` is the one exponentiation-by-squaring loop; polynomials and the
+matrix types raise to powers through it.
 """
 
 from __future__ import annotations
@@ -58,6 +61,19 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(one, x, n: int):
+    """x**n for n >= 0 by repeated squaring from ``one``, for any associative
+    ``*``; each caller handles its own negative exponents."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 class _LazyTable(dict):

@@ -138,6 +138,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "from-matrix", "1+t, 0 ; 0, 1")
         assert code == 3
 
+    def test_non_group_matrix_message_prints_the_determinant_as_text(self, capsys):
+        code, out, err = run(capsys, "from-matrix", "1, t ; t, 1")
+        assert (code, out) == (3, "")
+        assert err == "domain error: determinant 1 - t^2 is not 1\n"
+
+    @pytest.mark.parametrize("p", ["-3", "0", "1"])
+    def test_digits_base_below_two_is_3(self, capsys, p):
+        code, out, err = run(capsys, "lab", "digits", "--p", p, "--N", "2")
+        assert (code, out) == (3, "")
+        assert "domain error" in err and "Traceback" not in err
+
     def test_failing_lab_suite_is_1(self, capsys):
         code, out, _ = run(capsys, "lab", "pgroup", "--p", "2", "--r", "2")
         assert code == 1 and "FAIL" in out

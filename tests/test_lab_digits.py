@@ -56,3 +56,13 @@ class TestScan:
     def test_violation_record_shape(self):
         v = DigitViolation(2, 3, 1, 3, 5, "conclusion")
         assert v.p == 2 and v.reason == "conclusion"
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1])
+def test_bases_below_two_are_rejected(p):
+    # with p = 1 the digit loop never ends, and for p < 2 the scan has no
+    # meaning: it would pass vacuously or report spurious counterexamples
+    with pytest.raises(ValueError):
+        digits(5, p)
+    with pytest.raises(ValueError):
+        digit_lemma_scan(p, 2)

@@ -10,7 +10,6 @@ from tameplane import (
     ProjPoint,
     QQ,
     line_matrix,
-    nil_endo,
 )
 from tameplane.linear import nil_factors
 
@@ -25,6 +24,11 @@ def mat2(field):
 def polymat(field, max_deg=3):
     return st.builds(lambda a, b, c, d: PolyMat2(field, a, b, c, d),
                      *(poly1(field, max_deg) for _ in range(4)))
+
+
+def nil_endo(point):
+    """e_delta, read off as the t coefficient of line_matrix(delta, t)."""
+    return line_matrix(point, Poly1.gen(point.field)).coeff_matrix(1)
 
 
 def proj_points(field):

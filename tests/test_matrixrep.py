@@ -27,7 +27,6 @@ from tameplane.matrixrep import (
     FactorizationInvariantError,
     PingPongResult,
     _shear_left,
-    _shear_right,
 )
 from tameplane.poly import NEG_INF
 from tameplane.sampling import (
@@ -93,7 +92,7 @@ class TestMatrixFactor:
                 # replay the peeling and watch the degree drop
                 work, degrees = g, [g.degree()]
                 for fac in factors:
-                    work = fac.inverse_matrix() * work
+                    work = ShearFactor(fac.delta, -fac.c, fac.k).to_matrix() * work
                     degrees.append(work.degree())
                 assert work.is_identity()
                 assert all(a > b for a, b in zip(degrees[:-1], degrees[1:])
@@ -122,6 +121,18 @@ class TestMatrixFactor:
         assert word[0][0] == delta
         tt = Poly1.gen(QQ)
         assert word[0][1] == tt.scale(QQ.of(2)) - tt ** 3
+
+
+class TestShearFactorPair:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+    def test_pair_round_trips(self, field):
+        rng = random.Random(113)
+        for fac in random_matrix_factors(field, rng, max_factors=6):
+            delta, h = fac.pair()
+            assert h == Poly1.monomial(field, fac.k, fac.c)
+            assert ShearFactor(delta, h.leading_coeff(), h.degree()) == fac
+            assert line_matrix(delta, h) == fac.to_matrix()
+            assert matrix_reduced_word(fac.to_matrix()) == (fac.pair(),)
 
 
 class TestLineMatrix:
@@ -196,9 +207,13 @@ class TestRankOneKernel:
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_right_update_is_the_right_product(self, field):
+        # matrix_recompose folds left updates from the last pair back, so
+        # appending a pair must multiply the product on the right
         rng = random.Random(103)
-        for delta, h, g in kernel_cases(field, rng):
-            assert _shear_right(g, delta, h) == g * line_matrix(delta, h)
+        for delta, h in dict.fromkeys((d, h) for d, h, _ in kernel_cases(field, rng)):
+            pairs = [f.pair() for f in random_matrix_factors(field, rng, max_factors=3)]
+            assert matrix_recompose(field, pairs + [(delta, h)]) \
+                == matrix_recompose(field, pairs) * line_matrix(delta, h)
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_pingpong_matches_the_product_matrix(self, field):

@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from tameplane import NEG_INF, Poly1, Poly2, QQ
+from tameplane import NEG_INF, Poly1, Poly2, QQ, parse_auto
 from tameplane import poly
 
 from conftest import F1000003, F5, F_M61, QZ, nonzero_scalars, poly1, poly2, scalars
@@ -219,7 +219,7 @@ class TestOracleAgreement:
         a = sympy.sympify(a_text)
         inner = t ** 2 - 3 * t
         expected = from_sympy1(sympy.expand(a.subs(t, inner)))
-        assert from_sympy1(a).compose(from_sympy1(inner)) == expected
+        assert from_sympy1(a).substitute(from_sympy1(inner)) == expected
 
     def test_divmod_against_sympy(self):
         a = from_sympy1(sympy.sympify("t**5 - 2*t**3 + t - 4"))
@@ -325,6 +325,14 @@ class TestEvaluation:
         s = QQ.of(Fraction(2, 3))
         assert (p * q).evaluate(s) == p.evaluate(s) * q.evaluate(s)
         assert (p + q).evaluate(s) == p.evaluate(s) + q.evaluate(s)
+
+    def test_high_exponents_evaluate_without_recursion(self):
+        # deep enough to overflow the stack if a power recursed per exponent
+        assert Poly2.monomial(QQ, 1500, 0, 1).evaluate(1, 1) == 1
+        assert Poly2.monomial(F5, 3, 1500, 2).evaluate(2, 3) == F5.of(2 * 8 * pow(3, 1500, 5))
+        assert Poly1.monomial(QQ, 1500, Fraction(3)).evaluate(QQ.of(-1)) == 3
+        auto = parse_auto(QQ, "x + y^1200, y")
+        assert auto.evaluate((QQ.of(1), QQ.of(-1))) == (2, -1)
 
     @given(poly2(F5))
     def test_poly2_evaluate_matches_term_sum(self, p):

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tameplane import PrimeField, QQ, RationalFunctionField, field_from_spec
-from tameplane.scalars import _is_prime
+from tameplane import Mat2, Poly1, Poly2, PrimeField, QQ, RationalFunctionField, field_from_spec
+from tameplane.lab.unipotent import RationalMatrix
+from tameplane.scalars import _is_prime, power
 from tameplane.textio import field_spec
 
 from conftest import F5, QZ, nonzero_scalars, scalars
@@ -178,3 +179,45 @@ class TestLargePrimeField:
         if a:
             assert a * (F.one / a) == F.one
             assert a ** -1 is a.inverse()
+
+
+class TestPower:
+    """scalars.power against repeated multiplication on every type that
+    raises to powers through it."""
+
+    @staticmethod
+    def repeated(one, x, n):
+        out = one
+        for _ in range(n):
+            out = out * x
+        return out
+
+    def cases(self):
+        tt = Poly1.gen(QQ)
+        t5 = Poly1.gen(F5)
+        xy = Poly2.x(QQ) - Poly2.y(QQ).scale(QQ.of(Fraction(1, 2))) + 1
+        z = QZ.gen
+        # (one, x, inverse of x or None)
+        yield Poly1.one(QQ), tt.scale(QQ.of(3)) - 1, None
+        yield Poly1.one(F5), t5 + 2, None
+        yield Poly2.one(QQ), xy, None
+        m = Mat2(QQ, 2, 1, 1, 1)
+        yield Mat2.identity(QQ), m, m.inverse()
+        f5 = Mat2(F5, 1, 3, 0, 2)
+        yield Mat2.identity(F5), f5, f5.inverse()
+        r = RationalMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+        yield RationalMatrix.identity(3), r, r.inverse()
+        q = (z + 1) / (z * z - 2)
+        yield QZ.one, q, q.inverse()
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_agrees_with_repeated_multiplication(self, n):
+        for one, x, inv in self.cases():
+            want = self.repeated(one, x, n)
+            assert power(one, x, n) == want
+            assert x ** n == want
+            if inv is None:
+                with pytest.raises(ValueError):
+                    x ** -max(n, 1)
+            else:
+                assert x ** -n == self.repeated(one, inv, n)
