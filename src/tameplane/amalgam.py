@@ -16,10 +16,14 @@ triangular tail.
 Maps tangent to the identity decompose more finely, into shears along
 projective directions, and that decomposition does not go through the
 amalgam word: ``shear_decompose`` peels line shears straight off the map,
-one top-degree monomial at a time.  Peeling a shear along u = (a, b) leaves
-the linear form b p - a q of the components unchanged, since the shear
-moves them along u only, so the powers of that form serve every step along
-one direction.
+one top-degree monomial at a time.
+
+Both factorizations share one peel step (``_peel``): take c l^d u off the
+pair (p, q), along a direction u = (a, b), where l = b p - a q.  The peel
+leaves l unchanged, since it moves the pair along u only, so the powers of
+l serve every step along one direction.  ``vdk_factor`` is the peel along
+(0 : 1), where l = p, with a swap of the components whenever deg p > deg q
+or the tied degrees leave q unpeelable.
 
 Coset representative conventions (right factor acts first everywhere):
 
@@ -194,20 +198,33 @@ def word_type(word: AmalgamWord) -> WordType:
 # -- factorization ------------------------------------------------------------
 
 
-def _top_ratio(top: Poly2, target: Poly2):
-    """The nonzero scalar c with c * top == target, or None if there is none."""
+def _peel(powers: list, deg: int, target: Poly2):
+    """The exponent d and nonzero scalar c with c * top(l^d) == target, for
+    l = powers[1] and target a form of degree deg, or None if there are none.
+
+    powers caches l^0, l^1, ... and is extended in place up to l^d.
+    """
+    dl = powers[1].total_degree()
+    if dl < 1 or deg % dl:
+        return None
+    d = deg // dl
+    while len(powers) <= d:
+        powers.append(powers[-1] * powers[1])
+    # top(l^d) = top(l)^d has degree d * dl = deg
+    top = powers[d].form(deg)
     probe = next(iter(top.terms))
     c = target.coeff(*probe) / top.terms[probe]
     if not c or top.scale(c) != target:
         return None
-    return c
+    return d, c
 
 
 def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     """Factor a tame automorphism into the reduced amalgam word.
 
     Each pass swaps or left-multiplies by (x, y - c x^k) to lower deg q,
-    and records the inverse as a factor: the swap or (x, y + c x^k).
+    and records the inverse as a factor: the swap or (x, y + c x^k).  That
+    multiply is the line-shear peel along (0 : 1), with l = p.
 
     No jacobian is computed: every degree-reduction step applies an
     automorphism, so reaching an invertible affine end certifies the input.
@@ -219,41 +236,21 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     atoms: list = []
     p, q = auto.p, auto.q
     swap = AffineAuto(Mat2(f, f.zero, f.one, f.one, f.zero))
-    p_powers: list[Poly2] = []
-
-    def reduce_once(p: Poly2, q: Poly2):
-        # try to cancel the top form of q with a multiple of a power of p
-        dp, dq = p.total_degree(), q.total_degree()
-        if dp < 1 or dq % dp:
-            return None
-        k = dq // dp
-        if not p_powers:
-            p_powers.append(Poly2.one(f))
-        while len(p_powers) <= k:
-            p_powers.append(p_powers[-1] * p)
-        c = _top_ratio(p_powers[k].leading_form(), q.leading_form())
-        if c is None:
-            return None
+    powers = [Poly2.one(f), p]
+    dp, dq = p.total_degree(), q.total_degree()
+    while max(dp, dq) > 1:
+        peel = None if dp > dq else _peel(powers, dq, q.form(dq))
+        if peel is None and dp >= dq:
+            atoms.append(swap)
+            p, q, dp, dq = q, p, dq, dp
+            powers = [Poly2.one(f), p]
+            peel = _peel(powers, dq, q.form(dq))
+        if peel is None:
+            raise NotAnAutomorphism("degree reduction stuck at degrees (%s, %s)" % (dp, dq))
+        k, c = peel
         atoms.append(ElemAuto.shear(f, Poly1.monomial(f, k, c)))
-        return q - p_powers[k].scale(c)
-
-    while max(p.total_degree(), q.total_degree()) > 1:
-        if p.total_degree() > q.total_degree():
-            atoms.append(swap)
-            p, q = q, p
-            p_powers.clear()
-            continue
-        new_q = reduce_once(p, q)
-        if new_q is None and p.total_degree() == q.total_degree():
-            atoms.append(swap)
-            p, q = q, p
-            p_powers.clear()
-            new_q = reduce_once(p, q)
-        if new_q is None:
-            raise NotAnAutomorphism(
-                "degree reduction stuck at degrees (%s, %s)" % (p.total_degree(), q.total_degree())
-            )
-        q = new_q
+        q = q - powers[k].scale(c)
+        dq = q.total_degree()
     ending = as_affine(PlaneAuto(p, q))
     if ending is None:
         raise NotAnAutomorphism("affine remainder is singular")
@@ -437,16 +434,12 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
             # l is invariant while the peel stays on one direction
             delta = new_delta
             a, b = delta.vector()
-            l_powers = [Poly2.one(field), p.scale(b) - q.scale(a)]
-            l_deg = l_powers[1].total_degree()
-        d, rest = divmod(deg, l_deg)
-        while len(l_powers) <= d:
-            l_powers.append(l_powers[-1] * l_powers[1])
-        # top(l^d) = top(l)^d has degree d * l_deg = deg when rest is 0
-        c = None if rest else _top_ratio(l_powers[d].form(deg), top_q if b else top_p)
-        if c is None:
+            powers = [Poly2.one(field), p.scale(b) - q.scale(a)]
+        peel = _peel(powers, deg, top_q if b else top_p)
+        if peel is None:
             raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
-        step = l_powers[d].scale(c)
+        d, c = peel
+        step = powers[d].scale(c)
         p, q = p - step.scale(a), q - step.scale(b)
         dp, dq = p.total_degree(), q.total_degree()
         # a drop also forces d >= 2: with d = 1 the top of l would vanish

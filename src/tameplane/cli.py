@@ -132,12 +132,9 @@ def _word_lines(word: AmalgamWord) -> list:
 
 def _emit_word(args, command: str, word: AmalgamWord) -> None:
     if args.format == "jsonl":
-        doc = {"command": command, "field": args.field,
-               "result": json.loads(word_to_json(word))}
-        print(json.dumps(doc, sort_keys=True))
+        _emit(args, command, json.loads(word_to_json(word)))
     else:
-        for line in _word_lines(word):
-            print(line)
+        _emit(args, command, "\n".join(_word_lines(word)))
 
 
 def _cmd_factor(field, args) -> int:
@@ -207,25 +204,19 @@ def _print_report(args, report: Report) -> int:
 def _lab_pingpong(field, args) -> Report:
     rng = random.Random(args.seed)
     report = Report()
-    single_failures = 0
-    for _ in range(args.trials):
-        factors = random_matrix_factors(field, rng, max_factors=1, deg_cap=3)
-        sample = random_proj_point(field, rng)
-        while sample == factors[0].delta:
+    for check, max_factors, size in (("single_factor_lands_on_line", 1, "trials"),
+                                     ("reduced_words_move_samples", 4, "words")):
+        count = getattr(args, size)
+        failures = 0
+        for _ in range(count):
+            factors = random_matrix_factors(field, rng, max_factors=max_factors, deg_cap=3)
+            pairs = [f.pair() for f in factors]
             sample = random_proj_point(field, rng)
-        if not pingpong_check([f.pair() for f in factors], sample).ok:
-            single_failures += 1
-    report.add("single_factor_lands_on_line", 0, single_failures, trials=args.trials)
-    word_failures = 0
-    for _ in range(args.words):
-        factors = random_matrix_factors(field, rng, max_factors=4, deg_cap=3)
-        pairs = [f.pair() for f in factors]
-        sample = random_proj_point(field, rng)
-        while sample == pairs[-1][0]:
-            sample = random_proj_point(field, rng)
-        if not pingpong_check(pairs, sample).ok:
-            word_failures += 1
-    report.add("reduced_words_move_samples", 0, word_failures, words=args.words)
+            while sample == pairs[-1][0]:
+                sample = random_proj_point(field, rng)
+            if not pingpong_check(pairs, sample).ok:
+                failures += 1
+        report.add(check, 0, failures, **{size: count})
     return report
 
 
@@ -269,14 +260,19 @@ def _lab_logscale(field, args) -> Report:
 
 
 def _cmd_lab(field, args) -> int:
+    # each suite with the sizes it reads; a size below 1 would pass vacuously
     suites = {
-        "pingpong": _lab_pingpong,
-        "relations": _lab_relations,
-        "pgroup": _lab_pgroup,
-        "digits": _lab_digits,
-        "logscale": _lab_logscale,
+        "pingpong": (_lab_pingpong, ("trials", "words")),
+        "relations": (_lab_relations, ("trials",)),
+        "pgroup": (_lab_pgroup, ()),
+        "digits": (_lab_digits, ("N",)),
+        "logscale": (_lab_logscale, ("trials",)),
     }
-    return _print_report(args, suites[args.suite](field, args))
+    suite, sizes = suites[args.suite]
+    for size in sizes:
+        if getattr(args, size) < 1:
+            raise ValueError("--%s must be at least 1, got %d" % (size, getattr(args, size)))
+    return _print_report(args, suite(field, args))
 
 
 def _lab_relations(field, args) -> Report:

@@ -425,10 +425,6 @@ class Poly2(_SparsePoly):
     def is_constant(self) -> bool:
         return self.total_degree() <= 0
 
-    def leading_form(self) -> Poly2:
-        """The top homogeneous component."""
-        return self.form(self.total_degree())
-
     def form(self, d) -> Poly2:
         """The homogeneous component of total degree d."""
         return Poly2._make(self.field, {ij: c for ij, c in self.terms.items() if ij[0] + ij[1] == d})

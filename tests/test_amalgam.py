@@ -132,6 +132,18 @@ class TestVdkFactor:
                 fn(bad)
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("x + y^2, y + x^2", "degree reduction stuck at degrees (2, 2)"),
+        # a constant component has degree below 1, so nothing peels along it
+        ("1, y^2", "degree reduction stuck at degrees (0, 2)"),
+        ("x + y, x + y", "affine remainder is singular"),
+    ])
+    def test_refusals_name_where_reduction_stopped(self, text, message):
+        with pytest.raises(NotAnAutomorphism) as info:
+            vdk_factor(parse_auto(QQ, text))
+        assert str(info.value) == message
+
+
 class TestNormalForm:
     def test_idempotent(self):
         rng = random.Random(29)
@@ -298,6 +310,15 @@ class TestShearDecompose:
     def test_tangent_non_automorphisms_raise(self, field, text):
         with pytest.raises(NotAnAutomorphism):
             shear_decompose(parse_auto(field, text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("x + x^2, y", "line shear peel stuck at degree 2"),
+        ("x + x^2*y, y", "line shear peel stuck at degree 3"),
+    ])
+    def test_stuck_peel_names_its_degree(self, text, message):
+        with pytest.raises(NotAnAutomorphism) as info:
+            shear_decompose(parse_auto(QQ, text))
+        assert str(info.value) == message
 
     def test_requires_tangent_to_identity(self):
         with pytest.raises(ValueError):

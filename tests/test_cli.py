@@ -149,6 +149,28 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "domain error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("factor", "x + y^2, y + x^2"), "degree reduction stuck at degrees (2, 2)"),
+        (("factor", "1, y^2"), "degree reduction stuck at degrees (0, 2)"),
+        (("factor", "x + y, x + y"), "affine remainder is singular"),
+        (("to-matrix", "x + x^2, y"), "line shear peel stuck at degree 2"),
+        (("to-matrix", "x + x^2*y, y"), "line shear peel stuck at degree 3"),
+    ])
+    def test_refused_maps_print_where_the_peel_stopped(self, capsys, argv, message):
+        assert run(capsys, *argv) == (3, "", "domain error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("digits", "--p", "2", "--N", "0"), "--N must be at least 1, got 0"),
+        (("digits", "--p", "2", "--N", "-3"), "--N must be at least 1, got -3"),
+        (("pingpong", "--trials", "-2", "--words", "0"), "--trials must be at least 1, got -2"),
+        (("pingpong", "--words", "0"), "--words must be at least 1, got 0"),
+        (("logscale", "--trials", "-1"), "--trials must be at least 1, got -1"),
+        (("relations", "--trials", "0"), "--trials must be at least 1, got 0"),
+    ])
+    def test_lab_sizes_below_one_are_3(self, capsys, argv, message):
+        # a suite with nothing to check would otherwise pass vacuously
+        assert run(capsys, "lab", *argv) == (3, "", "domain error: %s\n" % message)
+
     def test_failing_lab_suite_is_1(self, capsys):
         code, out, _ = run(capsys, "lab", "pgroup", "--p", "2", "--r", "2")
         assert code == 1 and "FAIL" in out

@@ -358,8 +358,8 @@ class TestConversions:
     def test_leading_form_is_homogeneous_of_top_degree(self, p):
         if p.is_zero():
             return
-        lead = p.leading_form()
         d = p.total_degree()
+        lead = p.form(d)
         assert all(i + j == d for i, j in lead.terms)
         rest = p - lead
         assert rest.is_zero() or rest.total_degree() < d
