@@ -11,7 +11,10 @@ of M, found by small linear algebra mod p rather than by enumerating
 group elements.  (That every term is such a product follows from the
 commutator formulas: commutators with module elements constrain only u,
 commutators with E-elements constrain only f, and the W's are
-translation invariant by induction.)  Enumeration survives only as a
+translation invariant by induction.)  W_i is kept as the kernel of an
+rref constraint matrix C_i: C_0 is the identity, C_i is the rref of the
+rows of C_(i-1)(sigma_e - 1) over the generators e of E, and T_i is the
+set of u with C_(i-1)(sigma_u - 1) = 0.  Enumeration survives only as a
 cross-check oracle for tiny cases.
 """
 
@@ -33,7 +36,6 @@ DEFAULT_ALGEBRA_BOUND = 27
 def _rref(rows: list, p: int) -> list:
     """Reduced row echelon form; returns the nonzero rows."""
     rows = [list(r) for r in rows]
-    out = []
     ncols = len(rows[0]) if rows else 0
     lead = 0
     for col in range(ncols):
@@ -50,41 +52,7 @@ def _rref(rows: list, p: int) -> list:
         lead += 1
         if lead == len(rows):
             break
-    for row in rows[:lead]:
-        out.append(tuple(row))
-    return out
-
-
-def _reduce_against(basis: list, vec, p: int):
-    """Remainder of vec after elimination by rref basis rows."""
-    vec = list(vec)
-    for row in basis:
-        col = next(i for i, v in enumerate(row) if v)
-        if vec[col] % p:
-            c = vec[col]
-            vec = [(a - c * b) % p for a, b in zip(vec, row)]
-    return tuple(v % p for v in vec)
-
-
-def _in_span(basis: list, vec, p: int) -> bool:
-    return not any(_reduce_against(basis, vec, p))
-
-
-def _kernel(rows: list, ncols: int, p: int) -> list:
-    """Basis of {v : A v = 0} for A given by rows of length ncols."""
-    basis = _rref(rows, p)
-    pivots = []
-    for row in basis:
-        pivots.append(next(i for i, v in enumerate(row) if v))
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(basis, pivots):
-            v[pc] = (-row[fc]) % p
-        out.append(tuple(v))
-    return out
+    return [tuple(row) for row in rows[:lead]]
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +166,29 @@ def pgroup_nilpotency_index(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND
     _check_bound(p, r, work_bound, "work", order=True)
     group = PGroup(p, r)
     q = group.q
-    gens_e = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
-    basis_tables = [group.basis_table(w) for w in group.points]
 
-    w_basis: list = []      # rref rows spanning the current module part
-    t_set = {group.zero_u}  # the current E part
+    def times_shift_minus_one(rows, u):
+        # rows of C (sigma_u - 1), as row . shift(f, u) = shift(row, -u) . f
+        neg_u = group.table_neg(u)
+        return [group.table_add(group.shift(row, neg_u), group.table_neg(row))
+                for row in rows]
+
+    gens_e = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
+    constraints = [group.basis_table(w) for w in group.points]  # W = ker C
+    t_size = 1
     index = 0
     while True:
         index += 1
-        # next module part: tables whose generator-shift differences land
-        # in the current one
-        constraint_rows = []
-        for v in gens_e:
-            per_basis = []
-            for bt in basis_tables:
-                diff = tuple((a - b) % p for a, b in zip(group.shift(bt, v), bt))
-                per_basis.append(_reduce_against(w_basis, diff, p))
-            for coord in range(q):
-                constraint_rows.append([per_basis[col][coord] for col in range(q)])
-        new_w = _rref(_kernel(constraint_rows, q, p), p)
-        # next E part: u whose shift differences land in the current module part
-        new_t = set()
-        for u in group.points:
-            ok = all(
-                _in_span(w_basis,
-                         tuple((a - b) % p for a, b in zip(group.shift(bt, u), bt)),
-                         p)
-                for bt in basis_tables)
-            if ok:
-                new_t.add(u)
-        if len(new_t) == len(t_set) and len(new_w) == len(w_basis):
+        # next module part: f whose generator-shift differences land in ker C
+        new_constraints = _rref(
+            [row for v in gens_e for row in times_shift_minus_one(constraints, v)], p)
+        # next E part: u whose shift differences all land in ker C
+        new_t_size = sum(1 for u in group.points
+                         if not any(any(row) for row in times_shift_minus_one(constraints, u)))
+        if new_t_size == t_size and len(new_constraints) == len(constraints):
             raise RuntimeError("central series stalled; the group is not nilpotent")
-        t_set, w_basis = new_t, new_w
-        if len(t_set) == q and len(w_basis) == q:
+        t_size, constraints = new_t_size, new_constraints
+        if t_size == q and not constraints:
             return index
 
 
@@ -300,12 +258,8 @@ def cyclic_module_is_free(p: int, r: int, table,
     for u in group.points:
         total = group.table_add(total, group.shift(f, u))
     criterion = any(total)
-    # columns of the multiplication-by-f matrix are the translates of f
-    translate_cols = [group.shift(f, w) for w in group.points]
-    rows = [[translate_cols[col][coord] for col in range(group.q)]
-            for coord in range(group.q)]
-    annihilator = _kernel(rows, group.q, p)
-    free = not annihilator
+    # g -> g f is invertible exactly when the translates of f are independent
+    free = len(_rref([group.shift(f, w) for w in group.points], p)) == group.q
     if criterion and not free:
         raise RuntimeError(
             "translate-sum criterion held but the annihilator is nontrivial")

@@ -36,6 +36,7 @@ from tameplane import (
     word_to_json,
     word_type,
 )
+from tameplane.amalgam import _affine_candidates
 from tameplane.ratfunc import RationalFunctionField
 from tameplane.sampling import (
     random_congruence_borel,
@@ -219,6 +220,30 @@ class TestWordShapes:
             assert word_type(out) is target
             expected = compose_all(gamma, word.recompose(), invert(gamma))
             assert out.recompose() == expected
+
+    @pytest.mark.parametrize("field", [QQ, F5, F2], ids=["Q", "F5", "F2"])
+    def test_affine_conjugators_reshape_shear_ended_words(self, field):
+        one, zero = field.one, field.zero
+        flip = AffineAuto(Mat2(field, zero, one, one, zero))
+        shear = ElemAuto.shear(field, Poly1.monomial(field, 2, one))
+        cubic = ElemAuto.shear(field, Poly1.monomial(field, 3, one))
+        shapes = {
+            WordType.SHEAR_SHEAR: [shear, flip, cubic],
+            WordType.AFFINE_SHEAR: [flip, shear],
+            WordType.SHEAR_AFFINE: [cubic, flip],
+        }
+        for shape, atoms in shapes.items():
+            word = word_of_atoms(field, atoms)
+            assert word_type(word) is shape
+            gamma, out = conjugate_to_corner(word, WordType.AFFINE_AFFINE)
+            assert word_type(out) is WordType.AFFINE_AFFINE
+            g = word.recompose()
+            assert out.recompose() == gamma.compose(g).compose(invert(gamma))
+
+    def test_affine_candidates_skip_triangular_rows(self):
+        # over F_2 the row (1, two, 1, 1) has e01 = two = 0, so it is skipped
+        assert len(list(_affine_candidates(F5))) == 5
+        assert len(list(_affine_candidates(F2))) == 4
 
     def test_conjugate_to_corner_moves_tail_only_words(self):
         word = vdk_factor(parse_auto(QQ, "2*x, y + 3*x"))

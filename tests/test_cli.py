@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from tameplane import QQ, cli, to_matrix, vdk_factor
 from tameplane.cli import main
+from tameplane.textio import parse_auto
 
 
 def run(capsys, *argv):
@@ -170,6 +172,28 @@ class TestExitCodes:
     def test_lab_sizes_below_one_are_3(self, capsys, argv, message):
         # a suite with nothing to check would otherwise pass vacuously
         assert run(capsys, "lab", *argv) == (3, "", "domain error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv, name, fake, message", [
+        (("invert", "y + x^2, x"), "invert", lambda auto: auto,
+         "composite is not the identity"),
+        (("factor", "y + x^2, x"), "vdk_factor",
+         lambda auto: vdk_factor(parse_auto(QQ, "y, x")),
+         "word does not recompose to the input"),
+        (("nf", "y + x^2, x"), "normal_form",
+         lambda word: vdk_factor(parse_auto(QQ, "y, x")),
+         "normal form changed the element"),
+        (("to-matrix", "x, y + x^2"), "from_matrix", lambda matrix: [],
+         "matrix does not round trip"),
+        (("from-matrix", "1, t ; t, 1 + t^2"), "to_matrix",
+         lambda pairs: to_matrix(pairs[1:]),
+         "word does not rebuild the matrix"),
+    ])
+    def test_failed_verification_is_1(self, capsys, monkeypatch, argv, name, fake, message):
+        # a wrong result from the library must be caught by --verify
+        monkeypatch.setattr(cli, name, fake)
+        command, *rest = argv
+        assert run(capsys, command, "--verify", *rest) == (
+            1, "", "verification failed: %s\n" % message)
 
     def test_failing_lab_suite_is_1(self, capsys):
         code, out, _ = run(capsys, "lab", "pgroup", "--p", "2", "--r", "2")

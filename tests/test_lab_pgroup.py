@@ -1,5 +1,7 @@
 """Nilpotency of shift-and-add groups on functions over (Z/p)^r."""
 
+from itertools import product
+
 import pytest
 
 from tameplane.lab.pgroup import (
@@ -46,11 +48,13 @@ class TestPGroup:
 class TestNilpotencyIndex:
     # Structurally computed central series heights for the wreath-like
     # groups (Z/p)^r acting on functions (Z/p)^r -> Z/p.
-    KNOWN = {(2, 1): 2, (2, 2): 3, (2, 3): 4, (3, 1): 3, (3, 2): 5}
+    KNOWN = {(2, 1): 2, (2, 2): 3, (2, 3): 4, (3, 1): 3, (3, 2): 5,
+             (5, 1): 5, (7, 1): 7, (2, 4): 5, (3, 3): 7, (5, 2): 9}
 
     @pytest.mark.parametrize("p,r", sorted(KNOWN))
     def test_structural_values(self, p, r):
-        assert pgroup_nilpotency_index(p, r) == self.KNOWN[(p, r)]
+        # the larger cases exceed the default work bound on group order
+        assert pgroup_nilpotency_index(p, r, work_bound=10 ** 40) == self.KNOWN[(p, r)]
 
     @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1)])
     def test_enumeration_agrees(self, p, r):
@@ -122,3 +126,19 @@ class TestCyclicModule:
             free = cyclic_module_is_free(3, 1, table)
             criterion = sum(table) % 3 != 0
             assert free == criterion
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1)])
+    def test_agrees_with_annihilator_search_on_every_table(self, p, r):
+        G = PGroup(p, r)
+
+        def times(g, f):
+            # g f = sum over w of g[w] shift(f, w)
+            out = G.zero_table
+            for w, c in zip(G.points, g):
+                out = G.table_add(out, tuple(c * v for v in G.shift(f, w)))
+            return out
+
+        tables = list(product(range(p), repeat=G.q))
+        for f in tables:
+            annihilated = any(times(g, f) == G.zero_table for g in tables if any(g))
+            assert cyclic_module_is_free(p, r, f) == (not annihilated), f

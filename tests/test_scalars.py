@@ -1,5 +1,6 @@
 """Field axioms and interning for the scalar backends."""
 
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from tameplane import Mat2, Poly1, Poly2, PrimeField, QQ, RationalFunctionField, field_from_spec
 from tameplane.lab.unipotent import RationalMatrix
+from tameplane.ratfunc import RationalFunction
 from tameplane.scalars import _is_prime, power
 from tameplane.textio import field_spec
 
@@ -81,6 +83,48 @@ class TestFieldLaws:
 def test_division_by_zero_raises(field):
     with pytest.raises(ZeroDivisionError):
         field.one / field.zero
+
+
+def _reflected(op):
+    return lambda a, b: op(b, a)
+
+
+INT_OPERATIONS = {
+    "+": operator.add,
+    "radd": _reflected(operator.add),
+    "-": operator.sub,
+    "rsub": _reflected(operator.sub),
+    "*": operator.mul,
+    "rmul": _reflected(operator.mul),
+    "/": operator.truediv,
+    "rdiv": _reflected(operator.truediv),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_OPERATIONS))
+@pytest.mark.parametrize("a, b", [(2, 3), (4, 1), (3, 7), (1, -2)])
+def test_prime_field_elements_coerce_plain_ints(name, a, b):
+    op = INT_OPERATIONS[name]
+    got = op(F5.of(a), b)
+    # the same operation on residues, with division by the inverse mod 5
+    if name == "/":
+        want = a * pow(b, -1, 5)
+    elif name == "rdiv":
+        want = b * pow(a, -1, 5)
+    else:
+        want = op(a, b)
+    assert type(got) is type(F5.one) and got == F5.of(want)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_mixed_prime_fields_raise(op):
+    with pytest.raises(ValueError, match="mixed prime fields"):
+        op(F5.of(2), PrimeField(7).of(3))
+
+
+def test_rational_function_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RationalFunction(QZ, Poly1.one(QQ), Poly1.zero(QQ))
 
 
 def test_fermat_little_theorem_mod5():
