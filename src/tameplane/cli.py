@@ -14,6 +14,7 @@ bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -283,7 +284,14 @@ def _lab_relations(field, args) -> Report:
 # argument plumbing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged (each call fills a fresh
+    namespace), so one parser serves every ``main`` call in a process.  It
+    holds no handler: ``main`` looks up ``_cmd_<command>`` by name on each
+    call, as ``_cmd_lab`` does for the suites."""
     parser = argparse.ArgumentParser(
         prog="tameplane",
         description="Exact plane polynomial automorphism calculator.")
@@ -295,42 +303,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="compose two or more maps, right acts first")
     p.add_argument("auto", nargs="+")
-    p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("invert", help="exact inverse of a tame map")
     p.add_argument("auto")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=_cmd_invert)
 
     p = sub.add_parser("jacobian", help="jacobian determinant polynomial")
     p.add_argument("auto")
-    p.set_defaults(handler=_cmd_jacobian)
 
     p = sub.add_parser("classify", help="subgroup membership flags")
     p.add_argument("auto")
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("factor", help="factor into affine and shear atoms")
     p.add_argument("auto")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=_cmd_factor)
 
     p = sub.add_parser("nf", help="normal form of a factored word")
     p.add_argument("input")
     p.add_argument("--json", action="store_true",
                    help="input is a serialized word (or - for stdin)")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("to-matrix", help="matrix model of an origin-tangent map")
     p.add_argument("auto")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=_cmd_to_matrix)
 
     p = sub.add_parser("from-matrix", help="plane map of a degree-filtered matrix")
     p.add_argument("matrix")
     p.add_argument("--verify", action="store_true")
-    p.set_defaults(handler=_cmd_from_matrix)
 
     p = sub.add_parser("lab", help="run a verification suite")
     p.add_argument("suite", choices=("pingpong", "relations", "pgroup",
@@ -340,21 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--words", type=int, default=50)
-    p.set_defaults(handler=_cmd_lab)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         field = field_from_spec(args.field)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE_ERROR
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(field, args)
+        return handler(field, args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE_ERROR

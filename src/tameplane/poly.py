@@ -318,21 +318,36 @@ class Poly1(_SparsePoly):
         return _kronecker_mul(self.field, self.terms, other.terms)
 
     def __divmod__(self, other: Poly1):
+        """(q, r) with self = q*other + r and deg r < deg other, by long
+        division (von zur Gathen & Gerhard, *Modern Computer Algebra*, Alg.
+        2.5) in place on one dict, the remainder: each step pops the top
+        term, stores top / lc(other) in q and subtracts that multiple of
+        other's lower terms, dropping any that cancel to zero."""
         if not isinstance(other, Poly1):
             other = Poly1.constant(self.field, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly1.zero(self.field)
-        r = self
         d = other.degree()
-        lc = other.leading_coeff()
-        while r.terms and r.degree() >= d:
-            shift = r.degree() - d
-            c = r.leading_coeff() / lc
-            m = Poly1._make(self.field, {shift: c})
-            q = q + m
-            r = r - m * other
-        return q, r
+        lc = other.terms[d]
+        lower = [(e, b) for e, b in other.terms.items() if e != d]
+        q = {}
+        r = dict(self.terms)
+        while r:
+            top = max(r)
+            if top < d:
+                break
+            c = r.pop(top) / lc
+            shift = top - d
+            q[shift] = c
+            for e, b in lower:
+                k = e + shift
+                s = r.get(k)
+                s = -(c * b) if s is None else s - c * b
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+        return Poly1._make(self.field, q), Poly1._make(self.field, r)
 
     def __mod__(self, other):
         return divmod(self, other)[1]

@@ -2,6 +2,13 @@
 
 Elements are reduced fractions of ``Poly1`` values in the variable z with a
 monic denominator, so equality and hashing are structural.
+
+Building an element from any num/den runs a Euclidean gcd in K[z] (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 3).  These results are
+reduced by construction and skip it: negation (-num/den keeps the factors);
+add, sub and mul of two polynomial elements (a monic constant denominator is
+exactly 1, so the result is a polynomial over 1); and ``inverse()`` (den/num
+is coprime too, so only num is scaled to be monic), which division uses.
 """
 
 from __future__ import annotations
@@ -25,14 +32,22 @@ class RationalFunction:
             if g.degree() > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
+        self._set_monic(field, num, den)
+
+    @classmethod
+    def _coprime(cls, field, num: Poly1, den: Poly1) -> RationalFunction:
+        """num/den from a coprime pair with den nonzero: no gcd runs."""
+        out = object.__new__(cls)
+        out._set_monic(field, num, den)
+        return out
+
+    def _set_monic(self, field, num: Poly1, den: Poly1) -> None:
         lc = den.leading_coeff()
         if lc != field.base.one:
             inv = field.base.one / lc
             num = num.scale(inv)
             den = den.scale(inv)
-        self.field = field
-        self.num = num
-        self.den = den
+        self.field, self.num, self.den = field, num, den
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -44,24 +59,29 @@ class RationalFunction:
         except TypeError:
             return None
 
+    def _both_polynomials(self, o) -> bool:
+        # a monic denominator of degree 0 is exactly 1
+        return self.den.degree() == 0 and o.den.degree() == 0
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._both_polynomials(o):
+            return RationalFunction._coprime(self.field, self.num + o.num, self.den)
         return RationalFunction(self.field, self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        # -num/den is still reduced with a monic denominator
-        out = object.__new__(RationalFunction)
-        out.field, out.num, out.den = self.field, -self.num, self.den
-        return out
+        return RationalFunction._coprime(self.field, -self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._both_polynomials(o):
+            return RationalFunction._coprime(self.field, self.num - o.num, self.den)
         return RationalFunction(self.field, self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
@@ -74,6 +94,8 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self._both_polynomials(o):
+            return RationalFunction._coprime(self.field, self.num * o.num, self.den)
         return RationalFunction(self.field, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -93,7 +115,7 @@ class RationalFunction:
     def inverse(self) -> RationalFunction:
         if self.num.is_zero():
             raise ZeroDivisionError("inverting the zero rational function")
-        return RationalFunction(self.field, self.den, self.num)
+        return RationalFunction._coprime(self.field, self.den, self.num)
 
     def __pow__(self, n: int):
         if n < 0:

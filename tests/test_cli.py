@@ -254,6 +254,43 @@ class TestLabSuites:
         assert time.perf_counter() - start < 1.0
 
 
+class TestSharedParser:
+    """One parser serves every main call in a process."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ("--format", "jsonl", "factor", "--verify", "y + x^2, x"),
+        ("--field", "fp:5", "nf", "--verify", "y + x^2, x"),
+        ("--seed", "3", "lab", "pingpong", "--trials", "4", "--words", "2"),
+    ])
+    def test_repeated_calls_print_identical_bytes(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run(capsys, *argv) == first
+
+    @pytest.mark.parametrize("bad", [
+        ("frobnicate", "x, y"),
+        ("--format", "xml", "invert", "y+x^2, x"),
+        ("--seed", "7", "--field", "fp:5", "lab", "digits", "--N", "two"),
+    ])
+    def test_argparse_failure_leaves_the_parser_usable(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(list(bad))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        # no option of the failed call carries over into the next one
+        assert run(capsys, "invert", "y+x^2, x") == (0, "y, x - y^2\n", "")
+        assert run(capsys, "lab", "pingpong", "--trials", "4", "--words", "2") == run(
+            capsys, "--seed", "0", "--field", "q", "lab", "pingpong", "--trials", "4", "--words", "2")
+
+    def test_handlers_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        cli.build_parser()
+        monkeypatch.setattr(cli, "_cmd_jacobian", lambda field, args: cli.EXIT_CHECK_FAILED)
+        assert run(capsys, "jacobian", "x, y") == (1, "", "")
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, capsys):
         a = run(capsys, "--seed", "5", "lab", "pingpong",

@@ -271,6 +271,53 @@ class TestDivision:
         with pytest.raises(ValueError):
             (tt ** 2 + 1).exact_div(tt)
 
+    @staticmethod
+    def textbook_divmod(a, b):
+        """Long division on dense coefficient lists, one column at a time."""
+        zero = a.field.zero
+        n, m = max(a.degree(), -1), b.degree()
+        rem = [a.coeff(e) for e in range(n + 1)]
+        quo = [zero] * max(n - m + 1, 0)
+        for k in range(n - m, -1, -1):
+            c = rem[k + m] / b.coeff(m)
+            quo[k] = c
+            for j in range(m + 1):
+                rem[k + j] = rem[k + j] - c * b.coeff(j)
+        return Poly1(a.field, dict(enumerate(quo))), Poly1(a.field, dict(enumerate(rem[:m])))
+
+    def check_division(self, a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.is_zero() or r.degree() < b.degree()
+        assert all(q.terms.values()) and all(r.terms.values())
+        want_q, want_r = self.textbook_divmod(a, b)
+        assert q.terms == want_q.terms and r.terms == want_r.terms
+        assert (a % b).terms == r.terms
+
+    @pytest.mark.parametrize("field", (QQ, F5, F1000003), ids=("rationals", "mod5", "mod1000003"))
+    @given(data=st.data())
+    def test_divmod_matches_textbook_long_division(self, field, data):
+        a = data.draw(poly1(field, max_deg=9))
+        # sparse divisors: exponent gaps and constants both come up
+        b = data.draw(st.dictionaries(st.integers(0, 6), nonzero_scalars(field),
+                                      min_size=1, max_size=4).map(lambda d: Poly1(field, d)))
+        self.check_division(a, b)
+
+    @pytest.mark.parametrize("field", (QQ, F5, F1000003), ids=("rationals", "mod5", "mod1000003"))
+    def test_divmod_edge_cases(self, field):
+        tt = Poly1.gen(field)
+        a = tt ** 7 + 3 * tt ** 4 - tt + 2
+        for dividend, divisor in (
+            (Poly1.zero(field), tt ** 2 + 1),     # zero dividend
+            (a, Poly1.constant(field, 3)),        # constant divisor
+            (a, tt ** 5 - 2),                     # gap between the divisor's terms
+            (a, tt ** 3),                         # a monomial divisor
+            (tt + 1, tt ** 4 + tt),               # divisor of higher degree
+        ):
+            self.check_division(dividend, divisor)
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, Poly1.zero(field))
+
     @given(poly1(QQ, max_deg=3), poly1(QQ, max_deg=3))
     def test_gcd_divides_both(self, a, b):
         g = a.gcd(b)

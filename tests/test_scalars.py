@@ -14,7 +14,7 @@ from tameplane.ratfunc import RationalFunction
 from tameplane.scalars import _is_prime, power
 from tameplane.textio import field_spec
 
-from conftest import F5, QZ, nonzero_scalars, scalars
+from conftest import F5, QZ, nonzero_scalars, poly1, scalars
 
 
 @pytest.mark.parametrize("spec", ["q", "fp:5", "q-of-z", "fp:7-of-z"])
@@ -78,6 +78,52 @@ class TestFieldLaws:
             for n in range(5):
                 assert a ** n == acc
                 acc = acc * a
+
+
+F5Z = RationalFunctionField(F5)
+
+
+def function_field_elements(field):
+    """Zero, nonzero constants, polynomial elements and true fractions of K(z)."""
+    base = field.base
+    num = poly1(base, max_deg=3)
+    den = poly1(base, max_deg=2).filter(bool)
+    return st.one_of(
+        st.just(field.zero),
+        nonzero_scalars(base).map(field.of),
+        num.map(field.of),
+        st.builds(lambda n, d: RationalFunction(field, n, d), num, den),
+    )
+
+
+# each K(z) operation and num, den of its result by the textbook formula,
+# before any reduction
+TEXTBOOK = {
+    "+": (operator.add, lambda a, b: (a.num * b.den + b.num * a.den, a.den * b.den)),
+    "-": (operator.sub, lambda a, b: (a.num * b.den - b.num * a.den, a.den * b.den)),
+    "*": (operator.mul, lambda a, b: (a.num * b.num, a.den * b.den)),
+    "/": (operator.truediv, lambda a, b: (a.num * b.den, a.den * b.num)),
+    "neg": (lambda a, b: -a, lambda a, b: (-a.num, a.den)),
+    "inverse": (lambda a, b: a.inverse(), lambda a, b: (a.den, a.num)),
+}
+
+
+@pytest.mark.parametrize("field", (QZ, F5Z), ids=("q-of-z", "fp:5-of-z"))
+@given(data=st.data())
+def test_function_field_results_are_reduced(field, data):
+    # add, sub and mul of polynomial elements, negation and inverse skip the
+    # gcd; each must equal the element built from the unreduced formula
+    a = data.draw(function_field_elements(field))
+    b = data.draw(function_field_elements(field))
+    one = Poly1.one(field.base)
+    for name, (op, formula) in TEXTBOOK.items():
+        if (name == "/" and not b) or (name == "inverse" and not a):
+            continue
+        got = op(a, b)
+        want = RationalFunction(field, *formula(a, b))
+        assert got == want and hash(got) == hash(want), name
+        assert got.den.leading_coeff() == field.base.one, name
+        assert got.num.gcd(got.den) == one, name
 
 
 def test_division_by_zero_raises(field):
