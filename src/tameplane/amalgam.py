@@ -120,7 +120,7 @@ class AmalgamWord:
             else:
                 if not (g.z1 == self.field.one and g.z2 == self.field.one) or g.t0:
                     return False
-                if g.f.is_zero() or g.f.degree() <= 1 or (g.f.terms and g.f.valuation() < 2):
+                if g.f.is_zero() or g.f.degree() <= 1 or (g.f and g.f.valuation() < 2):
                     return False
         return self.tail.is_lower_triangular()
 
@@ -212,8 +212,8 @@ def _peel(powers: list, deg: int, target: Poly2):
         powers.append(powers[-1] * powers[1])
     # top(l^d) = top(l)^d has degree d * dl = deg
     top = powers[d].form(deg)
-    probe = next(iter(top.terms))
-    c = target.coeff(*probe) / top.terms[probe]
+    probe = next(iter(top.keys()))
+    c = target.coeff(*probe) / top.coeff(*probe)
     if not c or top.scale(c) != target:
         return None
     return d, c
@@ -428,7 +428,7 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     while (deg := max(dp, dq)) > 1:
         top_p = p.form(deg) if dp == deg else Poly2.zero(field)
         top_q = q.form(deg) if dq == deg else Poly2.zero(field)
-        probe = next(iter(top_p.terms or top_q.terms))
+        probe = next(iter((top_p or top_q).keys()))
         new_delta = ProjPoint.of(field, top_p.coeff(*probe), top_q.coeff(*probe))
         if new_delta != delta:
             # l is invariant while the peel stays on one direction

@@ -274,7 +274,7 @@ def as_elementary(auto: PlaneAuto) -> ElemAuto | None:
     if not z2:
         return None
     shear_terms = {}
-    for (i, j), c in q.terms.items():
+    for (i, j), c in q.items():
         if j == 0:
             shear_terms[i] = c
         elif (i, j) != (0, 1):

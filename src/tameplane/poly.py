@@ -1,26 +1,39 @@
 """Sparse exact polynomials in one and two variables over a field object.
 
-Both kinds are dicts from exponent keys to nonzero coefficients: ``Poly1``
-keys are exponents, ``Poly2`` keys are exponent pairs (i, j) (i for the
-first variable, j for the second).  ``_SparsePoly`` holds every operation
-that does not look inside a key (construction, addition, scaling, powers,
-equality and hashing) and the multiply, which takes one of two paths:
+Storage.  A polynomial is a dict ``_num`` from exponent keys to nonzero
+numerators over one denominator ``_den``.  ``Poly1`` keys are exponents,
+``Poly2`` keys are exponent pairs (i, j) (i for the first variable, j for
+the second).  Over Q the numerators are ints and ``_den`` is a positive int
+with gcd(_den, *numerators) = 1, the canonical form of FLINT's
+``fmpq_poly``; over F_p they are int residues in [1, p) and ``_den`` is 1;
+over K(z) they are field elements and ``_den`` is 1.  The form is
+canonical, so equality and hashing compare (_num, _den) structurally.
+
+Hooks.  Each field object has three, and they are all the kernels here
+know of the field: ``lift(c)`` gives an element as (num, den);
+``normalize(nums, den)`` drops zero numerators, then divides out the
+gcd of den and the content (Q) or reduces mod p (F_p); ``ratio(num, den)``
+turns a pair back into an element.  Every operation works on the raw
+numerators (ints over Q and F_p) and normalizes once per result.  The read
+API is element-valued: ``coeff``, ``items``, ``leading_coeff``,
+``constant_term`` and the read-only ``terms`` dict.
+
+Multiply.  ``_SparsePoly.__mul__`` takes one of two paths:
 
 * the dict loop (``_mul_dict``, one per subclass because it adds keys)
   multiplies every pair of terms;
-* the packed path (``_mul_packed``) is Kronecker substitution: each operand
-  becomes one Python int with one fixed-width slot per exponent (slot
-  ``i*W + j`` for ``Poly2``, with ``W`` one more than the sum of the y
-  degrees), so a single big-int product, which CPython does by Karatsuba,
-  does all the coefficient work.  Over Q a slot holds an integer numerator
-  over the operand's lcm denominator, over F_p the residue.
+* the packed path (``_kronecker_mul``) is Kronecker substitution: each
+  operand becomes one Python int with one fixed-width slot per exponent,
+  shifted down by its lowest slot, so a single big-int product, which
+  CPython does by Karatsuba, does all the coefficient work.  ``Poly2`` slot
+  (i, j) is ``(i+j)*W + j``, with ``W`` one more than the sum of the y
+  degrees, so homogeneous and anti-diagonal operands fill their slots.
 
 The packed path runs over Q and F_p once the number of term pairs reaches
 ``_PACK_MIN_PAIRS`` for the field and the product has few enough empty
 slots.  Smaller products and coefficients in K(z) stay on the dict loop.
-Coefficients are whatever scalars the field backend produces and are never
-stored when zero.  The degree of the zero polynomial is ``NEG_INF`` so that
-degree comparisons and products behave uniformly.
+The degree of the zero polynomial is ``NEG_INF`` so that degree
+comparisons and products behave uniformly.
 
 >>> from tameplane.scalars import QQ
 >>> t = Poly1.gen(QQ)
@@ -36,115 +49,134 @@ from .scalars import PrimeField, RationalField, power
 
 NEG_INF = float("-inf")
 
-# Term pairs (len(a.terms) * len(b.terms)) from which products use the packed
-# multiply, per field type.  Timed on a 2-core x86-64 host with CPython 3.11
-# over the products the four perfbench workloads make: any crossover from 12
-# to 16 pairs over Q, and from 36 to 64 over F_p, gave the least multiply
-# time.  Fields not listed (K(z)) always use the dict loop.
-_PACK_MIN_PAIRS = {RationalField: 16, PrimeField: 49}
-# The packed product has one slot per exponent up to the top one, so its
-# memory grows with the exponents, which parsed input leaves unbounded: past
-# this many slots per term pair (sparse operands, large exponents) the dict
-# loop runs.  No perfbench product has more than 2, and the value 4 is not
-# timed against the dict loop.
+# Term pairs (len(a) * len(b)) from which products use the packed multiply,
+# per field type.  Fields not listed (K(z)) always use the dict loop.  Timed
+# on a 2-core x86-64 host with CPython 3.11.7, both paths with their
+# normalize, best of 3, over the 5,552 products of at least 4 term pairs
+# that one seed-1 block of each perfbench workload makes (2,894 over Q,
+# 2,658 over F_p): the int dict loop was as fast or faster in every bucket
+# below 400 pairs, and total multiply time was least from a crossover of
+# 256 pairs over Q (0.0286 s, against 0.0453 s at the old 16) and of 400
+# over F_p (0.0226 s, against 0.0290 s at the old 49).  On dense Poly2
+# squares the packed path first wins at 400 pairs in both fields.
+_PACK_MIN_PAIRS = {RationalField: 400, PrimeField: 400}
+# The packed product has one slot per exponent from the lowest to the top
+# one, so its memory grows with the exponents, which parsed input leaves
+# unbounded: past this many slots per term pair (sparse operands, large
+# exponents) the dict loop runs.  No perfbench product has more than 2, and
+# the value 4 is not timed against the dict loop.
 _PACK_MAX_SLOTS_PER_PAIR = 4
 
 
-def _pack(values: dict, size: int) -> int:
-    """sum(v * 256**(size*k)) for slot k -> int v, each |v| < 256**size."""
-    top = (max(values) + 1) * size
+def _pack(values: dict, low: int, size: int) -> int:
+    """sum(v * 256**(size*(k-low))) for slot k -> int v, each |v| < 256**size."""
+    top = (max(values) - low + 1) * size
     pos = bytearray(top)
     neg = None
     for k, v in values.items():
+        s = (k - low) * size
         if v >= 0:
-            pos[k * size:(k + 1) * size] = v.to_bytes(size, "little")
+            pos[s:s + size] = v.to_bytes(size, "little")
         else:
             if neg is None:
                 neg = bytearray(top)
-            neg[k * size:(k + 1) * size] = (-v).to_bytes(size, "little")
+            neg[s:s + size] = (-v).to_bytes(size, "little")
     n = int.from_bytes(pos, "little")
     return n if neg is None else n - int.from_bytes(neg, "little")
 
 
-def _kronecker_mul(field, a: dict, b: dict, w: int = 0) -> dict | None:
-    """The product of two term dicts over Q or F_p, by one big-int multiply,
-    keyed by slot; None when the product would have too many empty slots.
-    Keys are ints (the slots), or with w > 0 pairs (i, j) in slot i*w + j."""
+def _kronecker_mul(a: dict, b: dict) -> dict | None:
+    """The product of two dicts slot -> int by one big-int multiply, as
+    slot -> int without zeros; None when the product would have too many
+    empty slots."""
     if not a or not b:
         return {}
-    if w:
-        # j < w, so the top slot of each operand is its largest pair
-        (ia, ja), (ib, jb) = max(a), max(b)
-        top = (ia + ib) * w + ja + jb + 1
-    else:
-        top = max(a) + max(b) + 1
+    la, lb = min(a), min(b)
+    top = max(a) - la + max(b) - lb + 1
     if top > _PACK_MAX_SLOTS_PER_PAIR * len(a) * len(b):
         return None
-    if w:
-        a = {i * w + j: c for (i, j), c in a.items()}
-        b = {i * w + j: c for (i, j), c in b.items()}
-    if type(field) is PrimeField:
-        ia = {k: c.value for k, c in a.items()}
-        ib = {k: c.value for k, c in b.items()}
-    else:
-        da = math.lcm(*[c.denominator for c in a.values()])
-        db = math.lcm(*[c.denominator for c in b.values()])
-        ia = {k: c.numerator * (da // c.denominator) for k, c in a.items()}
-        ib = {k: c.numerator * (db // c.denominator) for k, c in b.items()}
     # a slot of the product sums at most min(len(a), len(b)) products, so
     # this bound plus a sign bit and a bias bit never overflows a slot
-    bound = min(len(a), len(b)) * max(map(abs, ia.values())) * max(map(abs, ib.values()))
+    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
     size = (bound.bit_length() + 9) // 8
     half = 1 << (8 * size - 1)
     # adding half to every slot makes every digit nonnegative, so one
     # to_bytes splits the product into its slots without carries
     bias = bytes(size - 1) + b"\x80"
-    digits = (_pack(ia, size) * _pack(ib, size)
+    digits = (_pack(a, la, size) * _pack(b, lb, size)
               + int.from_bytes(bias * top, "little")).to_bytes(top * size, "little")
     out = {}
-    slots = enumerate(range(0, top * size, size))
-    if type(field) is PrimeField:
-        p, elems = field.p, field._elems
-        for k, s in slots:
-            chunk = digits[s:s + size]
-            if chunk != bias:
-                v = (int.from_bytes(chunk, "little") - half) % p
-                if v:
-                    out[k] = elems[v]
-    else:
-        ratio, den = field.ratio, da * db
-        for k, s in slots:
-            chunk = digits[s:s + size]
-            if chunk != bias:
-                out[k] = ratio(int.from_bytes(chunk, "little") - half, den)
+    for k, s in enumerate(range(0, top * size, size), la + lb):
+        chunk = digits[s:s + size]
+        if chunk != bias:
+            out[k] = int.from_bytes(chunk, "little") - half
     return out
 
 
 class _SparsePoly:
-    """Key-shape-independent arithmetic on a dict of nonzero coefficients."""
+    """Key-shape-independent arithmetic on numerators over one denominator."""
 
-    __slots__ = ("field", "terms", "_hash")
+    __slots__ = ("field", "_num", "_den", "_hash")
 
     _CONST_KEY: object  # the key of the constant term, set by each subclass
 
     def __init__(self, field, terms: dict | None = None):
+        """The polynomial with coefficients ``terms`` (key -> scalar)."""
+        lift, of = field.lift, field.of
+        pairs = [(k, lift(of(c))) for k, c in terms.items()] if terms else []
+        den = math.lcm(*[d for _, (_, d) in pairs])
+        nums = {k: n if d == den else n * (den // d) for k, (n, d) in pairs}
         self.field = field
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                if c:
-                    clean[k] = c
-        self.terms = clean
+        self._num, self._den = field.normalize(nums, den)
         self._hash = None
 
     @classmethod
-    def _make(cls, field, clean_terms: dict):
-        # internal fast path: caller guarantees no zero coefficients
+    def _make(cls, field, nums: dict, den: int = 1):
+        # internal fast path: caller guarantees the canonical form
         p = object.__new__(cls)
         p.field = field
-        p.terms = clean_terms
+        p._num = nums
+        p._den = den
         p._hash = None
         return p
+
+    @classmethod
+    def _normalized(cls, field, nums: dict, den: int):
+        """nums / den brought to the canonical form by the field's hook."""
+        p = object.__new__(cls)
+        p.field = field
+        p._num, p._den = field.normalize(nums, den)
+        p._hash = None
+        return p
+
+    @classmethod
+    def _lincomb(cls, field, pairs, den: int):
+        """The sum of c * p over (raw numerator c, polynomial p), over den.
+
+        The running denominator grows to the lcm of the p's, rescaling the
+        sum only when a p brings a new factor; one normalize at the end."""
+        out: dict = {}
+        lcm = 1
+        for c, p in pairs:
+            pd = p._den
+            if lcm % pd:
+                m = pd // math.gcd(lcm, pd)
+                out = {k: v * m for k, v in out.items()}
+                lcm *= m
+            if pd != lcm:
+                c = c * (lcm // pd)
+            for k, v in p._num.items():
+                s = out.get(k)
+                out[k] = v * c if s is None else s + v * c
+        return cls._normalized(field, out, lcm * den)
+
+    @classmethod
+    def _monomial(cls, field, key, c):
+        c = field.of(c)
+        if not c:
+            return cls._make(field, {})
+        n, d = field.lift(c)
+        return cls._make(field, {key: n}, d)
 
     @classmethod
     def zero(cls, field):
@@ -152,30 +184,46 @@ class _SparsePoly:
 
     @classmethod
     def one(cls, field):
-        return cls._make(field, {cls._CONST_KEY: field.one})
+        return cls._monomial(field, cls._CONST_KEY, field.one)
 
     @classmethod
     def constant(cls, field, c):
-        c = field.of(c)
-        return cls._make(field, {cls._CONST_KEY: c} if c else {})
+        return cls._monomial(field, cls._CONST_KEY, c)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
+
+    @property
+    def terms(self) -> dict:
+        """A new dict key -> coefficient, the coefficients field elements."""
+        ratio, den = self.field.ratio, self._den
+        return {k: ratio(n, den) for k, n in self._num.items()}
+
+    def keys(self):
+        """The keys of the nonzero terms, in no particular order."""
+        return self._num.keys()
 
     def items(self) -> list:
-        return sorted(self.terms.items())
+        ratio, den = self.field.ratio, self._den
+        return [(k, ratio(n, den)) for k, n in sorted(self._num.items())]
+
+    def _coeff_at(self, key):
+        n = self._num.get(key)
+        return self.field.zero if n is None else self.field.ratio(n, self._den)
 
     def constant_term(self):
-        return self.terms.get(self._CONST_KEY, self.field.zero)
+        return self._coeff_at(self._CONST_KEY)
 
     # -- ring operations -----------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, type(self)):
+        if type(other) is type(self) and other.field is self.field:
             return other
+        if isinstance(other, type(self)):
+            return other if other.field == self.field else None
         if isinstance(other, _SparsePoly):
             return None  # a Poly1 never mixes with a Poly2
         try:
@@ -183,49 +231,64 @@ class _SparsePoly:
         except TypeError:
             return None
 
+    def _add(self, o, sub: bool):
+        """self + o, or self - o when sub, on numerators over the lcm."""
+        a, b = self._num, o._num
+        if not b:
+            return self
+        da, db = self._den, o._den
+        if da == db:
+            out = dict(a)
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            out = {k: v * ma for k, v in a.items()}
+            b = {k: v * mb for k, v in b.items()}
+            da *= ma
+        if sub:
+            for k, v in b.items():
+                s = out.get(k)
+                out[k] = -v if s is None else s - v
+        else:
+            for k, v in b.items():
+                s = out.get(k)
+                out[k] = v if s is None else s + v
+        return self._normalized(self.field, out, da)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in o.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return self._make(self.field, out)
+        return self._add(o, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self.field, {k: -c for k, c in self.terms.items()})
+        return self._normalized(self.field, {k: -v for k, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._add(o, True)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._add(self, True)
 
     def __mul__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not type(self) or other.field is not self.field:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        terms = None
-        if (other.field is self.field and len(self.terms) * len(other.terms)
-                >= _PACK_MIN_PAIRS.get(type(self.field), math.inf)):
-            terms = self._mul_packed(other)
-        if terms is None:
-            terms = self._mul_dict(other)
-        return self._make(self.field, terms)
+        nums = None
+        if len(self._num) * len(other._num) >= _PACK_MIN_PAIRS.get(type(self.field), math.inf):
+            nums = self._mul_packed(other)
+        if nums is None:
+            nums = self._mul_dict(other)
+        return self._normalized(self.field, nums, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -233,13 +296,15 @@ class _SparsePoly:
         c = self.field.of(c)
         if not c:
             return self.zero(self.field)
-        # comparing with an int is cheap for Fraction and F_p elements, unlike
-        # c == field.one, and polynomials are immutable, so self can be shared
-        if c == 1:
+        # polynomials are immutable, so self can be shared; n == d is c == 1
+        # and n == -d is c == -1 (never over F_p, whose n is a residue)
+        n, d = self.field.lift(c)
+        if n == d:
             return self
-        if c == -1:
+        if n == -d:
             return -self
-        return self._make(self.field, {k: c * v for k, v in self.terms.items()})
+        return self._normalized(self.field, {k: v * n for k, v in self._num.items()},
+                                self._den * d)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -252,11 +317,11 @@ class _SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field == o.field and self.terms == o.terms
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.field, tuple(sorted(self.terms.items()))))
+            self._hash = hash((self.field, self._den, tuple(sorted(self._num.items()))))
         return self._hash
 
 
@@ -268,33 +333,30 @@ class Poly1(_SparsePoly):
 
     @classmethod
     def gen(cls, field) -> Poly1:
-        return cls._make(field, {1: field.one})
+        return cls._monomial(field, 1, field.one)
 
     @classmethod
     def monomial(cls, field, e: int, c) -> Poly1:
-        c = field.of(c)
-        return cls._make(field, {e: c} if c else {})
+        return cls._monomial(field, e, c)
 
     # -- basic queries -------------------------------------------------
 
     def degree(self):
-        return max(self.terms) if self.terms else NEG_INF
+        return max(self._num) if self._num else NEG_INF
 
     def valuation(self):
         """Smallest exponent with a nonzero coefficient.
 
         The zero polynomial has none, so it raises ValueError."""
-        if not self.terms:
+        if not self._num:
             raise ValueError("valuation of the zero polynomial")
-        return min(self.terms)
+        return min(self._num)
 
     def coeff(self, e: int):
-        return self.terms.get(e, self.field.zero)
+        return self._coeff_at(e)
 
     def leading_coeff(self):
-        if not self.terms:
-            return self.field.zero
-        return self.terms[max(self.terms)]
+        return self._coeff_at(max(self._num)) if self._num else self.field.zero
 
     def is_constant(self) -> bool:
         return self.degree() <= 0
@@ -303,69 +365,83 @@ class Poly1(_SparsePoly):
 
     def _mul_dict(self, other: Poly1) -> dict:
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        b = other._num.items()
+        for e1, c1 in self._num.items():
+            for e2, c2 in b:
                 e = e1 + e2
                 s = out.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
         return out
 
     def _mul_packed(self, other: Poly1) -> dict | None:
-        return _kronecker_mul(self.field, self.terms, other.terms)
+        return _kronecker_mul(self._num, other._num)
 
     def __divmod__(self, other: Poly1):
-        """(q, r) with self = q*other + r and deg r < deg other, by long
-        division (von zur Gathen & Gerhard, *Modern Computer Algebra*, Alg.
-        2.5) in place on one dict, the remainder: each step pops the top
-        term, stores top / lc(other) in q and subtracts that multiple of
-        other's lower terms, dropping any that cancel to zero."""
+        """(q, r) with self = q*other + r and deg r < deg other, by
+        pseudo-division on numerators (von zur Gathen & Gerhard, *Modern
+        Computer Algebra*, ch. 6) in place on one dict, the remainder.
+
+        The divisor is made monic first, m = M/D with top numerator D (1
+        unless over Q).  Each step pops the top numerator c of the
+        remainder, multiplies the rest by D and subtracts c t^s times M's
+        lower terms.  After T steps D^T A = Q M + R for self = A/a, so
+        q = Q / (D^(T-1) a lc(other)) and r = R / (D^T a)."""
         if not isinstance(other, Poly1):
             other = Poly1.constant(self.field, other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        field = self.field
         d = other.degree()
-        lc = other.terms[d]
-        lower = [(e, b) for e, b in other.terms.items() if e != d]
-        q = {}
-        r = dict(self.terms)
+        inv = field.one / other.leading_coeff()
+        m = other.scale(inv)
+        big = m._den  # the top numerator of the monic divisor; 1 unless over Q
+        lower = [(e, b) for e, b in m._num.items() if e != d]
+        steps = []
+        r = dict(self._num)
         while r:
             top = max(r)
             if top < d:
                 break
-            c = r.pop(top) / lc
+            # one numerator through the hook: mod p, so F_p values stay small
+            c = field.normalize({top: r.pop(top)}, 1)[0].get(top)
+            if c is None:
+                continue
+            if big != 1:
+                for k in r:
+                    r[k] *= big
             shift = top - d
-            q[shift] = c
+            steps.append((shift, c))
             for e, b in lower:
                 k = e + shift
                 s = r.get(k)
-                s = -(c * b) if s is None else s - c * b
-                if s:
-                    r[k] = s
-                else:
-                    del r[k]
-        return Poly1._make(self.field, q), Poly1._make(self.field, r)
+                r[k] = -(c * b) if s is None else s - c * b
+        den = self._den * big ** len(steps)
+        if not steps:
+            q = Poly1.zero(field)
+        else:
+            if big != 1:
+                steps = [(s, c * big ** t) for t, (s, c) in enumerate(reversed(steps))]
+            n, dn = field.lift(inv)
+            q = Poly1._normalized(field, {s: c * n for s, c in steps}, den // big * dn)
+        return q, Poly1._normalized(field, r, den)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def exact_div(self, other: Poly1) -> Poly1:
         q, r = divmod(self, other)
-        if r.terms:
+        if r._num:
             raise ValueError("inexact polynomial division")
         return q
 
     def monic(self) -> Poly1:
-        if not self.terms:
+        if not self._num:
             return self
         return self.scale(self.field.one / self.leading_coeff())
 
     def gcd(self, other: Poly1) -> Poly1:
         a, b = self, other
-        while b.terms:
+        while b._num:
             a, b = b, a % b
         return a.monic()
 
@@ -373,38 +449,41 @@ class Poly1(_SparsePoly):
 
     def evaluate(self, point):
         """The sum of c * point**e over the terms, at a scalar of the field."""
-        return sum((c * point ** e for e, c in self.terms.items()), self.field.zero)
+        total = sum((c * point ** e for e, c in self._num.items()), self.field.zero)
+        return total if self._den == 1 else total / self._den
 
     def substitute(self, value: _SparsePoly) -> _SparsePoly:
         """Plug a Poly1 or a Poly2 in for the variable; the result has its kind."""
-        acc = value.zero(self.field)
-        pw = value.one(self.field)
-        last_e = 0
-        for e, c in self.items():
-            for _ in range(e - last_e):
-                pw = pw * value
-            last_e = e
-            acc = acc + pw.scale(c)
-        return acc
+
+        def scaled_powers():
+            pw = value.one(self.field)
+            last_e = 0
+            for e, c in sorted(self._num.items()):
+                if e and not last_e:
+                    pw, last_e = value, 1
+                for _ in range(e - last_e):
+                    pw = pw * value
+                last_e = e
+                yield c, pw
+
+        return value._lincomb(self.field, scaled_powers(), self._den)
 
     def shift_down(self, k: int = 1) -> Poly1:
         """Exact division by t**k (raises if any low coefficient survives)."""
-        out = {}
-        for e, c in self.terms.items():
-            if e < k:
-                raise ValueError("polynomial not divisible by t^%d" % k)
-            out[e - k] = c
-        return Poly1._make(self.field, out)
+        if self._num and min(self._num) < k:
+            raise ValueError("polynomial not divisible by t^%d" % k)
+        return Poly1._make(self.field, {e - k: c for e, c in self._num.items()}, self._den)
 
     def shift_up(self, k: int = 1) -> Poly1:
-        return Poly1._make(self.field, {e + k: c for e, c in self.terms.items()})
+        return Poly1._make(self.field, {e + k: c for e, c in self._num.items()}, self._den)
 
     def drop_below(self, k: int) -> Poly1:
         """Zero out all coefficients of exponent < k."""
-        return Poly1._make(self.field, {e: c for e, c in self.terms.items() if e >= k})
+        return Poly1._normalized(self.field, {e: c for e, c in self._num.items() if e >= k},
+                                 self._den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "Poly1(0)"
         bits = ["%r*t^%d" % (c, e) for e, c in self.items()]
         return "Poly1(%s)" % " + ".join(bits)
@@ -418,52 +497,56 @@ class Poly2(_SparsePoly):
 
     @classmethod
     def x(cls, field) -> Poly2:
-        return cls._make(field, {(1, 0): field.one})
+        return cls._monomial(field, (1, 0), field.one)
 
     @classmethod
     def y(cls, field) -> Poly2:
-        return cls._make(field, {(0, 1): field.one})
+        return cls._monomial(field, (0, 1), field.one)
 
     @classmethod
     def monomial(cls, field, i: int, j: int, c) -> Poly2:
-        c = field.of(c)
-        return cls._make(field, {(i, j): c} if c else {})
+        return cls._monomial(field, (i, j), c)
 
     # -- queries -----------------------------------------------------------
 
     def total_degree(self):
-        return max(i + j for i, j in self.terms) if self.terms else NEG_INF
+        return max(i + j for i, j in self._num) if self._num else NEG_INF
 
     def coeff(self, i: int, j: int):
-        return self.terms.get((i, j), self.field.zero)
+        return self._coeff_at((i, j))
 
     def is_constant(self) -> bool:
         return self.total_degree() <= 0
 
     def form(self, d) -> Poly2:
         """The homogeneous component of total degree d."""
-        return Poly2._make(self.field, {ij: c for ij, c in self.terms.items() if ij[0] + ij[1] == d})
+        return Poly2._normalized(
+            self.field, {ij: c for ij, c in self._num.items() if ij[0] + ij[1] == d}, self._den)
 
     # -- ring operations -----------------------------------------------
 
     def _mul_dict(self, other: Poly2) -> dict:
         out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        b = other._num.items()
+        for (i1, j1), c1 in self._num.items():
+            for (i2, j2), c2 in b:
                 ij = (i1 + i2, j1 + j2)
                 s = out.get(ij)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    out[ij] = s
-                else:
-                    out.pop(ij, None)
+                out[ij] = c1 * c2 if s is None else s + c1 * c2
         return out
 
     def _mul_packed(self, other: Poly2) -> dict | None:
-        a, b = self.terms, other.terms
+        a, b = self._num, other._num
         w = max((j for _, j in a), default=0) + max((j for _, j in b), default=0) + 1
-        out = _kronecker_mul(self.field, a, b, w)
-        return None if out is None else {divmod(k, w): c for k, c in out.items()}
+        out = _kronecker_mul({(i + j) * w + j: c for (i, j), c in a.items()},
+                             {(i + j) * w + j: c for (i, j), c in b.items()})
+        if out is None:
+            return None
+        terms = {}
+        for k, c in out.items():
+            d, j = divmod(k, w)
+            terms[(d - j, j)] = c
+        return terms
 
     # -- substitution and calculus ---------------------------------------
 
@@ -472,45 +555,34 @@ class Poly2(_SparsePoly):
 
         Powers of u and v are cached because compositions reuse them heavily.
         """
-        if not self.terms:
+        if not self._num:
             return Poly2.zero(self.field)
         pu: list[Poly2] = [Poly2.one(self.field)]
         pv: list[Poly2] = [Poly2.one(self.field)]
-        for _ in range(max(i for i, _ in self.terms)):
+        for _ in range(max(i for i, _ in self._num)):
             pu.append(pu[-1] * u)
-        for _ in range(max(j for _, j in self.terms)):
+        for _ in range(max(j for _, j in self._num)):
             pv.append(pv[-1] * v)
-        out = Poly2.zero(self.field)
-        for (i, j), c in self.items():
-            out = out + (pu[i] * pv[j]).scale(c)
-        return out
+        return Poly2._lincomb(self.field, ((c, pu[i] * pv[j] if i and j else pu[i] if i else pv[j])
+                                           for (i, j), c in self._num.items()), self._den)
 
     def evaluate(self, a, b):
         """The sum of c * a**i * b**j over the terms."""
         a = self.field.of(a)
         b = self.field.of(b)
-        return sum((c * a ** i * b ** j for (i, j), c in self.terms.items()), self.field.zero)
+        total = sum((c * a ** i * b ** j for (i, j), c in self._num.items()), self.field.zero)
+        return total if self._den == 1 else total / self._den
 
     def partial_x(self) -> Poly2:
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i:
-                v = c * i
-                if v:
-                    out[(i - 1, j)] = v
-        return Poly2._make(self.field, out)
+        return Poly2._normalized(
+            self.field, {(i - 1, j): c * i for (i, j), c in self._num.items() if i}, self._den)
 
     def partial_y(self) -> Poly2:
-        out = {}
-        for (i, j), c in self.terms.items():
-            if j:
-                v = c * j
-                if v:
-                    out[(i, j - 1)] = v
-        return Poly2._make(self.field, out)
+        return Poly2._normalized(
+            self.field, {(i, j - 1): c * j for (i, j), c in self._num.items() if j}, self._den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return "Poly2(0)"
         bits = ["%r*x^%d*y^%d" % (c, i, j) for (i, j), c in self.items()]
         return "Poly2(%s)" % " + ".join(bits)

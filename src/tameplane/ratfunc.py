@@ -173,6 +173,15 @@ class RationalFunctionField:
             return RationalFunction(self, Poly1.constant(self.base, self.base.of(v)), Poly1.one(self.base))
         raise TypeError("cannot coerce %r into %r" % (v, self))
 
+    def lift(self, c: RationalFunction) -> tuple:
+        return c, 1
+
+    def normalize(self, nums: dict, den: int) -> tuple:
+        return {k: v for k, v in nums.items() if v}, 1
+
+    def ratio(self, num: RationalFunction, den: int) -> RationalFunction:
+        return num
+
     def random_element(self, rng, height: int = 4) -> RationalFunction:
         # polynomial elements of small degree keep downstream composites tame
         deg = rng.randrange(0, 3)

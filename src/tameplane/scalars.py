@@ -10,6 +10,13 @@ package: ``zero``, ``one``, ``of``, ``characteristic``, ``random_element``.
 Scalars themselves are immutable, hashable, support ``+ - * / **`` and are
 falsy exactly when zero.
 
+Polynomials (:mod:`tameplane.poly`) store integer numerators over one
+denominator and reach the field only through three hooks: ``lift(c)`` is an
+element as (num, den), ``normalize(nums, den)`` brings a dict of numerators
+over den to the canonical form (over Q no zeros, den > 0 and
+gcd(den, *nums) = 1; over F_p residues in [1, p) over 1), and
+``ratio(num, den)`` is the element num/den.
+
 ``power`` is the one exponentiation-by-squaring loop; polynomials and the
 matrix types raise to powers through it.
 """
@@ -17,6 +24,7 @@ matrix types raise to powers through it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 # The rational backend's element type; perfbench/worker.py reads this name to
 # report the backend of every run.
@@ -250,6 +258,18 @@ class PrimeField:
             return self._elems[(num % self.p) * self._inv(den % self.p) % self.p]
         raise TypeError("cannot coerce %r into %r" % (v, self))
 
+    def lift(self, c: PrimeFieldElement) -> tuple:
+        return c.value, 1
+
+    def normalize(self, nums: dict, den: int) -> tuple:
+        # den is 1: every F_p polynomial is over 1
+        p = self.p
+        return {k: r for k, v in nums.items() if (r := v % p)}, 1
+
+    def ratio(self, num: int, den: int) -> PrimeFieldElement:
+        # num is a stored residue and den is 1
+        return self._elems[num]
+
     def elements(self):
         """Every element, in residue order 0, 1, ..., p - 1."""
         return (self._elems[v] for v in range(self.p))
@@ -292,8 +312,21 @@ class RationalField:
             return Fraction(v)
         raise TypeError("cannot coerce %r into Q" % (v,))
 
+    def lift(self, c: Fraction) -> tuple:
+        return c.numerator, c.denominator
+
+    def normalize(self, nums: dict, den: int) -> tuple:
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        return nums, den
+
     def ratio(self, num: int, den: int):
-        return Fraction(num, den)
+        return Fraction(num, den) if den != 1 else Fraction(num)
 
     def random_element(self, rng, height: int = 4):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))

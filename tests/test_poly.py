@@ -22,11 +22,10 @@ PACKED_FIELDS = (QQ, F5, F1000003, F_M61)
 
 
 def dense_poly2(field):
-    """Ten nonzero terms, on the exponents of total degree <= 3.  c * c has
-    100 term pairs, past both packed-multiply crossovers; a product with a
-    polynomial of two terms passes the one over Q, of five the one over F_p."""
-    keys = [(i, d - i) for d in range(4) for i in range(d + 1)]
-    return st.lists(nonzero_scalars(field), min_size=10, max_size=10).map(
+    """21 nonzero terms, on the exponents of total degree <= 5.  c * c has
+    441 term pairs, past both packed-multiply crossovers."""
+    keys = [(i, d - i) for d in range(6) for i in range(d + 1)]
+    return st.lists(nonzero_scalars(field), min_size=21, max_size=21).map(
         lambda cs: Poly2(field, dict(zip(keys, cs))))
 
 
@@ -89,7 +88,7 @@ class TestRingLaws:
             a = data.draw(poly2(field))
             b = data.draw(poly2(field))
             c = data.draw(poly2(field))
-            # dense enough that products with it cross the packed crossovers
+            # dense enough that d * d and d * (d * a) cross the packed crossovers
             d = data.draw(dense_poly2(field))
             assert a + b == b + a
             assert a * b == b * a
@@ -132,6 +131,12 @@ def _telescope(cls, field, n):
             Poly2(field, {(i, j): field.one for i in range((n + 1) // 2) for j in (0, 1)}))
 
 
+def _product(a, b, nums):
+    """The element view of raw product numerators of a and b, which are over
+    the product of their denominators."""
+    return type(a)._normalized(a.field, nums, a._den * b._den).terms
+
+
 class TestPackedMultiply:
     """The packed path and the dict loop give equal terms, called directly,
     on both sides of each crossover; ``*`` agrees with both."""
@@ -154,9 +159,9 @@ class TestPackedMultiply:
             a, b = _telescope(cls, field, cross)
             cases.append((a.scale(_coeff(field, rng, big)), b))
         for a, b in cases:
-            want = a._mul_dict(b)
-            assert a._mul_packed(b) == want
-            assert b._mul_packed(a) == want
+            want = _product(a, b, a._mul_dict(b))
+            assert _product(a, b, a._mul_packed(b)) == want
+            assert _product(b, a, b._mul_packed(a)) == want
             assert (a * b).terms == want
 
     @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
@@ -165,8 +170,8 @@ class TestPackedMultiply:
         # coefficient 5 of (x + y)(x + 4y) reduces to zero too
         x, y = Poly2.x(field), Poly2.y(field)
         for a, b in (((x + y) ** 4, (x - y) ** 4), ((x + y) ** 4, (x + 4 * y) ** 4)):
-            want = a._mul_dict(b)
-            assert a._mul_packed(b) == want
+            want = _product(a, b, a._mul_dict(b))
+            assert _product(a, b, a._mul_packed(b)) == want
             assert (a * b).terms == want
         assert ((x + y) ** 4 * (x - y) ** 4).coeff(7, 1) == field.zero
 
@@ -179,13 +184,47 @@ class TestPackedMultiply:
             a = Poly1(field, {10 ** 9 * e: _coeff(field, rng, False) for e in range(n)})
             b = _dense(Poly1, field, rng, 2)
             assert a._mul_packed(b) is None
-            assert (a * b).terms == a._mul_dict(b)
-            # (x - y) times an anti-diagonal: 98 term pairs, 2,451 slots
-            x, y = Poly2.x(field), Poly2.y(field)
-            a = x - y
-            b = Poly2(field, {(i, 48 - i): _coeff(field, rng, False) for i in range(49)})
+            assert (a * b).terms == _product(a, b, a._mul_dict(b))
+            a = Poly2(field, {(10 ** 9 * e, e): _coeff(field, rng, False) for e in range(n)})
+            b = _dense(Poly2, field, rng, 2)
             assert a._mul_packed(b) is None
-            assert (a * b).terms == a._mul_dict(b)
+            assert (a * b).terms == _product(a, b, a._mul_dict(b))
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    def test_homogeneous_products_stay_packed(self, field):
+        # (x - y) times an anti-diagonal: 98 term pairs; slot (i, j) at
+        # (i+j)*W + j, shifted down by the lowest slot, leaves 50 slots
+        rng = random.Random(7)
+        x, y = Poly2.x(field), Poly2.y(field)
+        a = x - y
+        b = Poly2(field, {(i, 48 - i): _coeff(field, rng, False) for i in range(49)})
+        packed = a._mul_packed(b)
+        assert packed is not None and max(i + j for i, j in packed) == 49
+        want = _product(a, b, a._mul_dict(b))
+        assert _product(a, b, packed) == want
+        assert (a * b).terms == want
+
+    @pytest.mark.parametrize("field", PACKED_FIELDS, ids=repr)
+    def test_long_anti_diagonal_products_take_the_packed_path(self, field, monkeypatch):
+        # the same shape with 400 term pairs, past the crossover: * packs it
+        # into 201 slots, where the layout i*W + j would need 40,401
+        calls = []
+        kronecker = poly._kronecker_mul
+
+        def spy(a, b):
+            out = kronecker(a, b)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(poly, "_kronecker_mul", spy)
+        rng = random.Random(8)
+        x, y = Poly2.x(field), Poly2.y(field)
+        a = x - y
+        b = Poly2(field, {(i, 199 - i): _coeff(field, rng, True) for i in range(200)})
+        assert len(a.terms) * len(b.terms) == poly._PACK_MIN_PAIRS[type(field)]
+        got = (a * b).terms
+        assert calls == [True]
+        assert got == _product(a, b, a._mul_dict(b))
 
     def test_function_field_coefficients_use_the_dict_loop(self, monkeypatch):
         packed = Poly1._mul_packed
@@ -196,7 +235,7 @@ class TestPackedMultiply:
 
         monkeypatch.setattr(Poly1, "_mul_packed", only_over_the_base)
         a = Poly1(QZ, {e: QZ.gen + e for e in range(6)})
-        assert (a * a).terms == a._mul_dict(a)
+        assert (a * a).terms == _product(a, a, a._mul_dict(a))
 
 
 class TestOracleAgreement:
