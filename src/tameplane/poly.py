@@ -124,10 +124,13 @@ class _SparsePoly:
         """The polynomial with coefficients ``terms`` (key -> scalar)."""
         lift, of = field.lift, field.of
         pairs = [(k, lift(of(c))) for k, c in terms.items()] if terms else []
+        # each lifted element is canonical, so over the lcm of their
+        # denominators the numerators share no factor with it: only the
+        # zeros need dropping
         den = math.lcm(*[d for _, (_, d) in pairs])
-        nums = {k: n if d == den else n * (den // d) for k, (n, d) in pairs}
         self.field = field
-        self._num, self._den = field.normalize(nums, den)
+        self._num = {k: n if d == den else n * (den // d) for k, (n, d) in pairs if n}
+        self._den = den if self._num else 1
         self._hash = None
 
     @classmethod
@@ -293,12 +296,11 @@ class _SparsePoly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = self.field.of(c)
-        if not c:
+        n, d = self.field.lift(self.field.of(c))
+        if not n:
             return self.zero(self.field)
         # polynomials are immutable, so self can be shared; n == d is c == 1
         # and n == -d is c == -1 (never over F_p, whose n is a residue)
-        n, d = self.field.lift(c)
         if n == d:
             return self
         if n == -d:

@@ -119,6 +119,9 @@ def test_ring_operations_are_canonical_and_match_element_loops(field, cls, data)
     a = data.draw(operands(cls, field))
     b = data.draw(operands(cls, field))
     c = data.draw(scalars(field))
+    # the constructor's own output, from element dicts
+    assert_canonical(a)
+    assert_canonical(b)
     zero = field.zero
     ta, tb = a.terms, b.terms
     results = {
