@@ -7,6 +7,8 @@ small lab of group-theoretic consistency checks built on the same exact
 arithmetic.
 """
 
+from types import ModuleType as _ModuleType
+
 from .scalars import QQ, PrimeField
 from .ratfunc import RationalFunctionField, field_from_spec
 from .poly import NEG_INF, Poly1, Poly2
@@ -69,66 +71,8 @@ from .textio import (
     parse_scalar,
 )
 
-__all__ = [
-    "QQ",
-    "PrimeField",
-    "RationalFunctionField",
-    "field_from_spec",
-    "NEG_INF",
-    "Poly1",
-    "Poly2",
-    "Mat2",
-    "PolyMat2",
-    "ProjPoint",
-    "AffineAuto",
-    "ElemAuto",
-    "NotAnAutomorphism",
-    "PlaneAuto",
-    "as_affine",
-    "as_elementary",
-    "classify",
-    "compose_all",
-    "line_shear",
-    "scaled_shear",
-    "shear_in_y",
-    "swap_map",
-    "AmalgamWord",
-    "WordType",
-    "borel_escape_witness",
-    "conjugate_to_corner",
-    "free_reduce",
-    "in_borel",
-    "invert",
-    "normal_form",
-    "shear_decompose",
-    "shear_recompose",
-    "vdk_factor",
-    "word_from_json",
-    "word_of_atoms",
-    "word_to_json",
-    "word_type",
-    "NotInMatrixGroup",
-    "PingPongResult",
-    "ShearFactor",
-    "from_matrix",
-    "line_matrix",
-    "matrix_factor",
-    "matrix_recompose",
-    "matrix_reduced_word",
-    "pingpong_check",
-    "to_matrix",
-    "ParseError",
-    "field_spec",
-    "format_auto",
-    "format_poly1",
-    "format_poly2",
-    "format_polymat",
-    "format_scalar",
-    "parse_auto",
-    "parse_poly1",
-    "parse_poly2",
-    "parse_polymat",
-    "parse_scalar",
-]
+# every name imported above; the submodules those imports bind here are left out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 
 __version__ = "0.1.0"

@@ -61,11 +61,11 @@ def in_borel(auto: PlaneAuto) -> bool:
 def _split_affine(g: AffineAuto) -> tuple[AffineAuto, ElemAuto]:
     """g = rep o b with rep a coset representative and b triangular."""
     f = g.field
-    if not g.m.e01:
+    if g.is_lower_triangular():
         raise ValueError("affine map already triangular")
-    lam = g.m.e11 / g.m.e01
-    rep = AffineAuto(Mat2(f, f.zero, f.one, f.one, lam))
-    b = AffineAuto(Mat2(f, -lam, f.one, f.one, f.zero)).compose(g)
+    lam = g._entry(3) / g._entry(1)
+    rep = AffineAuto._from_entries(f, {1: f.one, 2: f.one, 3: lam})
+    b = AffineAuto._from_entries(f, {0: -lam, 1: f.one, 2: f.one}).compose(g)
     if not b.is_lower_triangular():
         raise AssertionError("affine split left a non-triangular remainder")
     return rep, ElemAuto.from_affine(b)
@@ -77,9 +77,7 @@ def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
     if g.f.degree() <= 1:
         raise ValueError("shear already triangular")
     iz1 = f.one / g.z1
-    arg = Poly1(f, {1: iz1, 0: -g.t0 * iz1})
-    shifted = g.f.substitute(arg)
-    gtilde = shifted.drop_below(2)
+    gtilde = g.f.substitute_affine(iz1, -g.t0 * iz1).drop_below(2)
     rep = ElemAuto.shear(f, gtilde)
     b = ElemAuto.shear(f, -gtilde).compose(g)
     if b.f.degree() > 1:
@@ -113,15 +111,13 @@ class AmalgamWord:
         for a, b in zip(kinds, kinds[1:]):
             if a == b:
                 return False
+        f = self.field
         for g in self.factors:
             if isinstance(g, AffineAuto):
-                if g.shift[0] or g.shift[1] or g.m.e00 or not (g.m.e01 == self.field.one and g.m.e10 == self.field.one):
+                if g != AffineAuto(Mat2(f, f.zero, f.one, f.one, g.m.e11)):
                     return False
-            else:
-                if not (g.z1 == self.field.one and g.z2 == self.field.one) or g.t0:
-                    return False
-                if g.f.is_zero() or g.f.degree() <= 1 or (g.f and g.f.valuation() < 2):
-                    return False
+            elif g != ElemAuto.shear(f, g.f) or g.f.degree() <= 1 or g.f.valuation() < 2:
+                return False
         return self.tail.is_lower_triangular()
 
 
@@ -235,7 +231,7 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     f = auto.field
     atoms: list = []
     p, q = auto.p, auto.q
-    swap = AffineAuto(Mat2(f, f.zero, f.one, f.one, f.zero))
+    swap = AffineAuto._from_entries(f, {1: f.one, 2: f.one})
     powers = [Poly2.one(f), p]
     dp, dq = p.total_degree(), q.total_degree()
     while max(dp, dq) > 1:
@@ -482,13 +478,8 @@ def word_to_json(word: AmalgamWord) -> str:
     recs = []
     for g in word.factors:
         if isinstance(g, AffineAuto):
-            recs.append(
-                {
-                    "kind": "affine",
-                    "matrix": [[scalar(g.m.e00), scalar(g.m.e01)], [scalar(g.m.e10), scalar(g.m.e11)]],
-                    "shift": [scalar(g.shift[0]), scalar(g.shift[1])],
-                }
-            )
+            recs.append({"kind": "affine", "matrix": [[scalar(e) for e in row] for row in g.m.rows()],
+                         "shift": [scalar(e) for e in g.shift]})
         else:
             recs.append({"kind": "shear", **shear(g)})
     doc = {
@@ -529,11 +520,17 @@ def word_from_json(text: str) -> AmalgamWord:
         def shear(rec) -> ElemAuto:
             return ElemAuto(field, scal(rec["z1"]), scal(rec["t0"]), scal(rec["z2"]), parse_poly1(field, rec["f"], "x"))
 
+        def array(v, what: str, size=None) -> list:
+            if not isinstance(v, list) or size is not None and len(v) != size:
+                raise ParseError("malformed %s document: %s must be an array%s"
+                                 % (_FORMAT, what, "" if size is None else " of %d" % size))
+            return v
+
         factors: list = []
-        for rec in doc["factors"]:
+        for rec in array(doc["factors"], "factors"):
             if rec["kind"] == "affine":
-                (a, b), (c, d) = rec["matrix"]
-                sh = rec.get("shift", ["0", "0"])
+                (a, b), (c, d) = (array(row, "a matrix row", 2) for row in array(rec["matrix"], "a matrix", 2))
+                sh = array(rec.get("shift", ["0", "0"]), "a shift", 2)
                 factors.append(AffineAuto(Mat2(field, scal(a), scal(b), scal(c), scal(d)), (scal(sh[0]), scal(sh[1]))))
             elif rec["kind"] == "shear":
                 factors.append(shear(rec))

@@ -14,6 +14,15 @@ Each atom acts on a pair of components through ``apply``: ``atom.apply(p, q)``
 is atom o (p, q), computed from the atom's closed form instead of by generic
 substitution.  ``to_plane`` is that action on (x, y), and every product of
 atoms is multiplied out by applying them from the left, last atom first.
+
+Storage.  An ``AffineAuto`` is one 2x3 block (m | shift) of numerators over
+one denominator (FLINT's ``fmpq_mat`` form): ``_num`` maps positions 0, 1
+(the first row of m), 2, 3 (the second) and 4, 5 (the shift) to nonzero
+numerators over ``_den``, kept canonical by the same three field hooks as
+polynomial coefficients, so compose, inverse and the triangularity tests run
+on ints over Q and F_p.  ``m`` and ``shift`` read the block back as field
+elements.  An ``ElemAuto`` holds z1, t0 and z2 as field elements beside its
+``Poly1``, and substitutes z1 x + t0 into it by ``Poly1.substitute_affine``.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linear import Mat2, ProjPoint
-from .poly import Poly1, Poly2
+from .poly import Poly1, Poly2, over_lcm
 
 
 class NotAnAutomorphism(ValueError):
@@ -69,9 +78,6 @@ class PlaneAuto:
         f = self.field
         return Mat2(f, self.p.coeff(1, 0), self.p.coeff(0, 1), self.q.coeff(1, 0), self.q.coeff(0, 1))
 
-    def translation_part(self):
-        return (self.p.constant_term(), self.q.constant_term())
-
     def fixes_origin(self) -> bool:
         return not self.p.constant_term() and not self.q.constant_term()
 
@@ -102,55 +108,100 @@ def compose_all(*autos: PlaneAuto) -> PlaneAuto:
 
 
 class AffineAuto:
-    """v -> m v + shift with m an invertible 2x2 matrix."""
+    """v -> m v + shift with m an invertible 2x2 matrix, stored as one
+    block of numerators (module docstring)."""
 
-    __slots__ = ("m", "shift")
+    __slots__ = ("field", "_num", "_den")
 
     def __init__(self, m: Mat2, shift=None):
-        self.m = m
-        if shift is None:
-            shift = (m.field.zero, m.field.zero)
-        self.shift = (m.field.of(shift[0]), m.field.of(shift[1]))
+        self.field = field = m.field
+        entries = map(field.of, (*m.entries(), *(shift or ())))
+        self._num, self._den = over_lcm({k: field.lift(c) for k, c in enumerate(entries) if c})
 
-    @property
-    def field(self):
-        return self.m.field
+    @classmethod
+    def _make(cls, field, nums: dict, den: int) -> AffineAuto:
+        # internal: caller guarantees the canonical form
+        out = object.__new__(cls)
+        out.field, out._num, out._den = field, nums, den
+        return out
+
+    @classmethod
+    def _from_entries(cls, field, entries: dict) -> AffineAuto:
+        # the field element entries[k] at block position k, zero elsewhere
+        return cls._make(field, *over_lcm({k: field.lift(c) for k, c in entries.items()}))
 
     @classmethod
     def identity(cls, field) -> AffineAuto:
         return cls(Mat2.identity(field))
 
+    def _block(self) -> list:
+        # the six numerators, absent ones as the field's zero numerator
+        get, zero = self._num.get, self.field.lift(self.field.zero)[0]
+        return [get(k, zero) for k in range(6)]
+
+    def _entry(self, k: int):
+        n = self._num.get(k)
+        return self.field.zero if n is None else self.field.ratio(n, self._den)
+
+    @property
+    def m(self) -> Mat2:
+        return Mat2(self.field, *map(self._entry, range(4)))
+
+    @property
+    def shift(self) -> tuple:
+        return self._entry(4), self._entry(5)
+
+    def _det(self) -> dict:
+        """The numerator of det m over den^2, through the hook: {} when zero."""
+        a, b, c, d, _, _ = self._block()
+        return self.field.normalize({0: a * d - b * c}, 1)[0]
+
     def is_invertible(self) -> bool:
-        return bool(self.m.det())
+        return bool(self._det())
 
     def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
         """Components of self o (p, q)."""
-        m, (v0, v1) = self.m, self.shift
-        return p.scale(m.e00) + q.scale(m.e01) + v0, p.scale(m.e10) + q.scale(m.e11) + v1
+        nums, args = self._num, (p, q, Poly2.one(self.field))
+        return tuple(Poly2._lincomb(self.field, [(nums[k], g) for k, g in zip(row, args) if k in nums],
+                                    self._den) for row in ((0, 1, 4), (2, 3, 5)))
 
     def to_plane(self) -> PlaneAuto:
         return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
 
     def compose(self, other: AffineAuto) -> AffineAuto:
-        mv = self.m.act(other.shift)
-        return AffineAuto(
-            self.m * other.m,
-            (mv[0] + self.shift[0], mv[1] + self.shift[1]),
-        )
+        """(m | s) (m' | s') = (m m' | m s' + s den'), over den den'."""
+        a, b, c, d, u, v = self._block()
+        a2, b2, c2, d2, u2, v2 = other._block()
+        e = other._den
+        if e != 1:  # never outside Q, so K(z) numerators meet no int
+            u, v = u * e, v * e
+        return AffineAuto._make(self.field, *self.field.normalize({
+            0: a * a2 + b * c2, 1: a * b2 + b * d2, 2: c * a2 + d * c2, 3: c * b2 + d * d2,
+            4: a * u2 + b * v2 + u, 5: c * u2 + d * v2 + v}, self._den * e))
 
     def inverse(self) -> AffineAuto:
-        mi = self.m.inverse()
-        mv = mi.act(self.shift)
-        return AffineAuto(mi, (-mv[0], -mv[1]))
+        """m^-1 = den adj(N) / det N for m = N / den, and the shift
+        -m^-1 s = -adj(N) S / det N for s = S / den; 1 / det N = n / dn."""
+        det = self._det()
+        if not det:
+            raise ZeroDivisionError("singular matrix")
+        field, den = self.field, self._den
+        n, dn = field.lift(field.one / field.ratio(det[0], 1))
+        a, b, c, d, u, v = self._block()
+        nd = n if den == 1 else n * den
+        return AffineAuto._make(field, *field.normalize({
+            0: d * nd, 1: -(b * nd), 2: -(c * nd), 3: a * nd,
+            4: (b * v - d * u) * n, 5: (c * u - a * v) * n}, dn))
 
     def is_lower_triangular(self) -> bool:
-        return self.m.is_lower_triangular()
+        return 1 not in self._num
 
     def __eq__(self, other):
-        return isinstance(other, AffineAuto) and self.m == other.m and self.shift == other.shift
+        return (isinstance(other, AffineAuto) and self.field == other.field
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.m, self.shift))
+        return hash((self.field, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
         return "AffineAuto(%r, shift=%r)" % (self.m, self.shift)
@@ -162,10 +213,7 @@ class ElemAuto:
     __slots__ = ("field", "z1", "t0", "z2", "f")
 
     def __init__(self, field, z1, t0, z2, f: Poly1):
-        self.field = field
-        self.z1 = field.of(z1)
-        self.t0 = field.of(t0)
-        self.z2 = field.of(z2)
+        self.field, self.z1, self.t0, self.z2 = field, field.of(z1), field.of(t0), field.of(z2)
         if f.field != field:
             raise ValueError("shear polynomial over the wrong field")
         self.f = f
@@ -191,13 +239,12 @@ class ElemAuto:
 
     def compose(self, other: ElemAuto) -> ElemAuto:
         # x-part: z1 (z1' x + t0') + t0 ; y-part: z2 (z2' y + f'(x)) + f(z1' x + t0')
-        arg = Poly1(self.field, {1: other.z1, 0: other.t0})
         return ElemAuto(
             self.field,
             self.z1 * other.z1,
             self.z1 * other.t0 + self.t0,
             self.z2 * other.z2,
-            other.f.scale(self.z2) + self.f.substitute(arg),
+            other.f.scale(self.z2) + self.f.substitute_affine(other.z1, other.t0),
         )
 
     def inverse(self) -> ElemAuto:
@@ -205,8 +252,8 @@ class ElemAuto:
             raise NotAnAutomorphism("elementary map with zero scaling")
         iz1 = self.field.one / self.z1
         iz2 = self.field.one / self.z2
-        arg = Poly1(self.field, {1: iz1, 0: -self.t0 * iz1})
-        return ElemAuto(self.field, iz1, -self.t0 * iz1, iz2, -self.f.substitute(arg).scale(iz2))
+        t0 = -self.t0 * iz1
+        return ElemAuto(self.field, iz1, t0, iz2, self.f.substitute_affine(iz1, t0).scale(-iz2))
 
     def is_lower_triangular(self) -> bool:
         """True when the map is affine, i.e. lies in the common subgroup."""
@@ -215,31 +262,26 @@ class ElemAuto:
     def to_affine(self) -> AffineAuto:
         if not self.is_lower_triangular():
             raise ValueError("nonlinear shear is not affine")
-        f = self.field
-        m = Mat2(f, self.z1, f.zero, self.f.coeff(1), self.z2)
-        return AffineAuto(m, (self.t0, self.f.coeff(0)))
+        lift, nums, den = self.field.lift, self.f._num, self.f._den
+        pairs = {0: lift(self.z1), 3: lift(self.z2), 4: lift(self.t0)}
+        pairs.update((k, (nums[e], den)) for k, e in ((2, 1), (5, 0)) if e in nums)
+        return AffineAuto._make(self.field, *over_lcm(pairs))
 
     @classmethod
     def from_affine(cls, aff: AffineAuto) -> ElemAuto:
         if not aff.is_lower_triangular():
             raise ValueError("affine map with upper triangular part is not elementary")
-        f = aff.field
-        poly = Poly1(f, {0: aff.shift[1], 1: aff.m.e10})
-        return cls(f, aff.m.e00, aff.shift[0], aff.m.e11, poly)
+        nums = aff._num
+        poly = Poly1._normalized(aff.field, {e: nums[k] for e, k in ((1, 2), (0, 5)) if k in nums}, aff._den)
+        return cls(aff.field, aff._entry(0), aff._entry(4), aff._entry(3), poly)
 
     def is_identity(self) -> bool:
         f = self.field
         return self.z1 == f.one and self.z2 == f.one and not self.t0 and self.f.is_zero()
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ElemAuto)
-            and self.field == other.field
-            and self.z1 == other.z1
-            and self.t0 == other.t0
-            and self.z2 == other.z2
-            and self.f == other.f
-        )
+        return isinstance(other, ElemAuto) and (self.field, self.z1, self.t0, self.z2, self.f) == (
+            other.field, other.z1, other.t0, other.z2, other.f)
 
     def __hash__(self):
         return hash((self.field, self.z1, self.t0, self.z2, self.f))
@@ -255,10 +297,11 @@ def as_affine(auto: PlaneAuto) -> AffineAuto | None:
     """The affine form of the map, or None if it is not affine."""
     if auto.max_degree() > 1:
         return None
-    m = auto.linear_part()
-    if not m.det():
-        return None
-    return AffineAuto(m, auto.translation_part())
+    pairs = {k: (g._num[key], g._den) for g, row in ((auto.p, 0), (auto.q, 2))
+             for k, key in ((row, (1, 0)), (row + 1, (0, 1)), (row // 2 + 4, (0, 0)))
+             if key in g._num}
+    aff = AffineAuto._make(auto.field, *over_lcm(pairs))
+    return aff if aff.is_invertible() else None
 
 
 def as_elementary(auto: PlaneAuto) -> ElemAuto | None:
@@ -266,20 +309,18 @@ def as_elementary(auto: PlaneAuto) -> ElemAuto | None:
     f = auto.field
     p, q = auto.p, auto.q
     z1 = p.coeff(1, 0)
-    if not z1:
-        return None
-    if p != Poly2.x(f).scale(z1) + Poly2.constant(f, p.constant_term()):
+    if not z1 or not p.keys() <= {(1, 0), (0, 0)}:
         return None
     z2 = q.coeff(0, 1)
     if not z2:
         return None
     shear_terms = {}
-    for (i, j), c in q.items():
+    for (i, j), n in q._num.items():
         if j == 0:
-            shear_terms[i] = c
+            shear_terms[i] = n
         elif (i, j) != (0, 1):
             return None
-    return ElemAuto(f, z1, p.constant_term(), z2, Poly1(f, shear_terms))
+    return ElemAuto(f, z1, p.constant_term(), z2, Poly1._normalized(f, shear_terms, q._den))
 
 
 @dataclass

@@ -113,6 +113,18 @@ def _kronecker_mul(a: dict, b: dict) -> dict | None:
     return out
 
 
+def over_lcm(pairs: dict) -> tuple:
+    """(nums, den): the pairs key -> (num, den) over the lcm of their
+    denominators, zero numerators dropped.
+
+    The pairs are lifted elements, or all the numerators of a canonical
+    polynomial over its denominator; neither shares a factor with its own
+    denominator, so none does with the lcm, and the result is canonical."""
+    den = math.lcm(*[d for _, d in pairs.values()])
+    nums = {k: n if d == den else n * (den // d) for k, (n, d) in pairs.items() if n}
+    return nums, den if nums else 1
+
+
 class _SparsePoly:
     """Key-shape-independent arithmetic on numerators over one denominator."""
 
@@ -123,14 +135,8 @@ class _SparsePoly:
     def __init__(self, field, terms: dict | None = None):
         """The polynomial with coefficients ``terms`` (key -> scalar)."""
         lift, of = field.lift, field.of
-        pairs = [(k, lift(of(c))) for k, c in terms.items()] if terms else []
-        # each lifted element is canonical, so over the lcm of their
-        # denominators the numerators share no factor with it: only the
-        # zeros need dropping
-        den = math.lcm(*[d for _, (_, d) in pairs])
         self.field = field
-        self._num = {k: n if d == den else n * (den // d) for k, (n, d) in pairs if n}
-        self._den = den if self._num else 1
+        self._num, self._den = over_lcm({k: lift(of(c)) for k, c in terms.items()} if terms else {})
         self._hash = None
 
     @classmethod
@@ -469,6 +475,39 @@ class Poly1(_SparsePoly):
                 yield c, pw
 
         return value._lincomb(self.field, scaled_powers(), self._den)
+
+    def substitute_affine(self, a, b) -> Poly1:
+        """self(a t + b) for scalars a and b, by an in-place Taylor shift of
+        the numerators (von zur Gathen & Gerhard, "Fast algorithms for Taylor
+        shifts and certain difference equations", ISSAC 1997).
+
+        With a = an/ad and b = bn/bd lifted and d = ad bd, self(a t + b) is
+        self((A t + B) / d) for A = an bd and B = bn ad: numerator e is scaled
+        by d^(n-e), shifted by B and scaled by A^e, over d^n times the stored
+        denominator.  O(n^2) ring operations and no intermediate polynomial."""
+        field = self.field
+        if not self._num:
+            return self
+        an, ad = field.lift(field.of(a))
+        bn, bd = field.lift(field.of(b))
+        n = max(self._num)
+        zero = field.lift(field.zero)[0]
+        c = [self._num.get(e, zero) for e in range(n + 1)]
+        d = ad * bd
+        if d != 1:  # d is 1 except over Q, so K(z) numerators never meet an int
+            an, bn, w = an * bd, bn * ad, d
+            for e in range(n - 1, -1, -1):
+                c[e] *= w
+                w *= d
+        if bn:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    c[j] += bn * c[j + 1]
+        w = an
+        for e in range(1, n + 1):
+            c[e] *= w
+            w *= an
+        return Poly1._normalized(field, dict(enumerate(c)), self._den * d ** n)
 
     def shift_down(self, k: int = 1) -> Poly1:
         """Exact division by t**k (raises if any low coefficient survives)."""

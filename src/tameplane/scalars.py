@@ -10,7 +10,8 @@ package: ``zero``, ``one``, ``of``, ``characteristic``, ``random_element``.
 Scalars themselves are immutable, hashable, support ``+ - * / **`` and are
 falsy exactly when zero.
 
-Polynomials (:mod:`tameplane.poly`) store integer numerators over one
+Polynomials (:mod:`tameplane.poly`) and the affine maps ``AffineAuto``
+(:mod:`tameplane.automorphisms`) store integer numerators over one
 denominator and reach the field only through three hooks: ``lift(c)`` is an
 element as (num, den), ``normalize(nums, den)`` brings a dict of numerators
 over den to the canonical form (over Q no zeros, den > 0 and

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 
 from tameplane import (
     AffineAuto,
+    AmalgamWord,
     ElemAuto,
     Mat2,
     NotAnAutomorphism,
@@ -22,6 +23,8 @@ from tameplane import (
     scaled_shear,
     shear_in_y,
     swap_map,
+    word_from_json,
+    word_to_json,
 )
 from tameplane.automorphisms import as_affine, as_elementary, scaling
 from tameplane.sampling import random_affine, random_elementary, random_tame_auto
@@ -147,6 +150,62 @@ class TestViews:
     def test_from_affine_requires_triangular(self):
         with pytest.raises(ValueError):
             ElemAuto.from_affine(AffineAuto(Mat2(QQ, 0, 1, 1, 0)))
+
+
+def _atom_pairs(field, seed, count=6):
+    """count pairs of random affine atoms, then count of triangular ones."""
+    rng = random.Random(seed)
+    return ([(random_affine(field, rng, 4), random_affine(field, rng, 4)) for _ in range(count)]
+            + [(random_elementary(field, rng, 3, 4), random_elementary(field, rng, 3, 4))
+               for _ in range(count)])
+
+
+class TestAtomLaws:
+    def test_compose_is_composition_of_plane_maps(self, field):
+        for a, b in _atom_pairs(field, 41):
+            assert a.compose(b).to_plane() == a.to_plane().compose(b.to_plane())
+
+    def test_inverse_composes_to_the_identity(self, field):
+        for a, b in _atom_pairs(field, 43):
+            for g in (a, b, a.compose(b)):
+                assert g.inverse().compose(g) == type(g).identity(field)
+                assert g.compose(g.inverse()).to_plane().is_identity()
+                if isinstance(g, ElemAuto):
+                    assert g.inverse().compose(g).is_identity()
+
+    def test_triangular_atoms_round_trip_through_affine_form(self, field):
+        rng = random.Random(47)
+        for _ in range(8):
+            c0, c1 = field.random_element(rng, 5), field.random_element(rng, 5)
+            t = ElemAuto(field, field.random_nonzero(rng, 5), field.random_element(rng, 5),
+                         field.random_nonzero(rng, 5), Poly1(field, {0: c0, 1: c1}))
+            assert ElemAuto.from_affine(t.to_affine()) == t
+            assert t.to_affine().to_plane() == t.to_plane()
+            assert as_affine(t.to_plane()) == t.to_affine()
+            assert ElemAuto.from_affine(t.to_affine()).to_affine() == t.to_affine()
+
+    def test_equal_atoms_built_along_different_paths_hash_equal(self, field):
+        for a, b in _atom_pairs(field, 53, count=4):
+            # the constructor from the read-back elements, compose with the
+            # identity on either side, a double inverse, and a JSON round trip
+            if isinstance(a, AffineAuto):
+                rebuilt = AffineAuto(a.m, a.shift)
+            else:
+                rebuilt = ElemAuto(field, a.z1, a.t0, a.z2, a.f)
+            e = type(a).identity(field)
+            word = AmalgamWord(field, (a,), b if isinstance(b, ElemAuto) else ElemAuto.identity(field))
+            (from_json,) = word_from_json(word_to_json(word)).factors
+            for other in (rebuilt, e.compose(a), a.compose(e), a.inverse().inverse(), from_json,
+                          a.compose(b).compose(b.inverse())):
+                assert other == a and hash(other) == hash(a)
+
+    def test_recognizers_agree_with_the_atoms(self, field):
+        for a, b in _atom_pairs(field, 59):
+            g = a.compose(b)
+            if isinstance(g, AffineAuto):
+                assert as_affine(g.to_plane()) == g
+            else:
+                assert as_elementary(g.to_plane()) == g
 
 
 def _random_pair(field, rng):

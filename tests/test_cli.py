@@ -115,6 +115,32 @@ class TestExitCodes:
             assert code == 2 and "parse error" in err, argv
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("matrix", ["01", "10"]),
+        ("matrix", "0110"),
+        ("matrix", [["0", "1"]]),
+        ("matrix", [["0", "1"], ["1", "0"], ["1", "1"]]),
+        ("matrix", [["0", "1", "1"], ["1", "0"]]),
+        ("matrix", [["0", "1"], "10"]),
+        ("matrix", {"0": "0", "1": "1"}),
+        ("shift", "34"),
+        ("shift", ["3"]),
+        ("shift", ["3", "4", "5"]),
+        ("shift", {"0": "3", "1": "4"}),
+    ])
+    def test_affine_factor_needs_two_element_arrays(self, capsys, key, value):
+        # the factor word of y + x^2, x starts with an affine factor
+        doc = word_doc(capsys, mutate=lambda d: d["factors"][0].update({key: value}))
+        code, out, err = run(capsys, "nf", "--json", doc)
+        assert code == 2 and out == ""
+        assert "parse error" in err and "must be an array" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["", "ab", {}, {"kind": "affine"}])
+    def test_factors_must_be_an_array(self, capsys, value):
+        doc = word_doc(capsys, mutate=lambda d: d.update(factors=value))
+        code, out, err = run(capsys, "nf", "--json", doc)
+        assert code == 2 and out == "" and "parse error" in err
+
     def test_bad_field_is_2(self, capsys):
         code, _, err = run(capsys, "--field", "fp:6", "classify", "x, y")
         assert code == 2

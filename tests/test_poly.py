@@ -391,6 +391,45 @@ class TestShifts:
             assert p.shift_down(v).coeff(0) == p.coeff(v)
 
 
+AFFINE_SUBSTITUTE_FIELDS = (QQ, F5, QZ, F1000003, F_M61)
+
+
+def _affine_reference(f, a, b):
+    return f.substitute(Poly1(f.field, {1: a, 0: b}))
+
+
+class TestAffineSubstitute:
+    """substitute_affine(a, b) is f(a t + b), the generic substitute of the
+    linear polynomial a t + b, numerator for numerator."""
+
+    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_generic_substitute(self, field, data):
+        one, zero = field.one, field.zero
+        f = data.draw(st.one_of(poly1(field, max_deg=6), scalars(field).map(
+            lambda c: Poly1.constant(field, c))))
+        a = data.draw(st.one_of(st.sampled_from([one, -one]), nonzero_scalars(field)))
+        b = data.draw(st.one_of(st.just(zero), scalars(field)))
+        got, want = f.substitute_affine(a, b), _affine_reference(f, a, b)
+        assert (got._num, got._den) == (want._num, want._den)
+
+    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
+    def test_unit_scalings_zero_shift_and_trivial_polynomials(self, field):
+        rng = random.Random(7)
+        one, zero = field.one, field.zero
+        c = field.random_nonzero(rng, 5)
+        polys = (Poly1.zero(field), Poly1.constant(field, c),
+                 Poly1(field, {0: c, 2: one, 5: -c}), Poly1.monomial(field, 7, c))
+        for f in polys:
+            for a, b in ((one, zero), (-one, zero), (one, c), (-one, c), (c, zero), (c, c)):
+                got, want = f.substitute_affine(a, b), _affine_reference(f, a, b)
+                assert (got._num, got._den) == (want._num, want._den), (f, a, b)
+        assert polys[0].substitute_affine(c, c).is_zero()
+        assert polys[1].substitute_affine(c, c) == polys[1]
+        assert polys[2].substitute_affine(one, zero) == polys[2]
+
+
 class TestCalculus:
     @given(poly2(QQ), poly2(QQ))
     @settings(max_examples=40)
