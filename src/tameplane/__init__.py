@@ -12,7 +12,7 @@ from types import ModuleType as _ModuleType
 from .scalars import QQ, PrimeField
 from .ratfunc import RationalFunctionField, field_from_spec
 from .poly import NEG_INF, Poly1, Poly2
-from .linear import Mat2, PolyMat2, ProjPoint
+from .linear import PolyMat2, ProjPoint
 from .automorphisms import (
     AffineAuto,
     ElemAuto,

@@ -40,7 +40,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .linear import Mat2, ProjPoint
+from .linear import ProjPoint
 from .poly import Poly1, Poly2
 from .automorphisms import (
     AffineAuto,
@@ -64,8 +64,8 @@ def _split_affine(g: AffineAuto) -> tuple[AffineAuto, ElemAuto]:
     if g.is_lower_triangular():
         raise ValueError("affine map already triangular")
     lam = g._entry(3) / g._entry(1)
-    rep = AffineAuto._from_entries(f, {1: f.one, 2: f.one, 3: lam})
-    b = AffineAuto._from_entries(f, {0: -lam, 1: f.one, 2: f.one}).compose(g)
+    rep = AffineAuto(f, ((f.zero, f.one), (f.one, lam)))
+    b = AffineAuto(f, ((-lam, f.one), (f.one, f.zero))).compose(g)
     if not b.is_lower_triangular():
         raise AssertionError("affine split left a non-triangular remainder")
     return rep, ElemAuto.from_affine(b)
@@ -114,7 +114,7 @@ class AmalgamWord:
         f = self.field
         for g in self.factors:
             if isinstance(g, AffineAuto):
-                if g != AffineAuto(Mat2(f, f.zero, f.one, f.one, g.m.e11)):
+                if g != AffineAuto(f, ((f.zero, f.one), (f.one, g.m[1][1]))):
                     return False
             elif g != ElemAuto.shear(f, g.f) or g.f.degree() <= 1 or g.f.valuation() < 2:
                 return False
@@ -231,7 +231,7 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     f = auto.field
     atoms: list = []
     p, q = auto.p, auto.q
-    swap = AffineAuto._from_entries(f, {1: f.one, 2: f.one})
+    swap = AffineAuto(f, ((f.zero, f.one), (f.one, f.zero)))
     powers = [Poly2.one(f), p]
     dp, dq = p.total_degree(), q.total_degree()
     while max(dp, dq) > 1:
@@ -276,10 +276,9 @@ def _affine_candidates(field):
         (one, one, one, zero),
         (one, two, one, one),
     ]
-    for m in rows:
-        cand = Mat2(field, *m)
-        if cand.det() and cand.e01:
-            yield AffineAuto(cand)
+    for a, b, c, d in rows:
+        if a * d - b * c and b:
+            yield AffineAuto(field, ((a, b), (c, d)))
 
 
 def _shear_candidates(field):
@@ -351,7 +350,7 @@ def borel_escape_witness(
         raise ValueError("map is already outside the triangular subgroup")
 
     def linear(m00, m01, m10, m11):
-        return AffineAuto(Mat2(field, m00, m01, m10, m11)).to_plane()
+        return AffineAuto(field, ((m00, m01), (m10, m11))).to_plane()
 
     one, zero = field.one, field.zero
     rotation = linear(zero, -one, one, zero)
@@ -415,7 +414,8 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     A tangent map that is not an automorphism gets the peel stuck.
     """
     field = auto.field
-    if not (auto.fixes_origin() and auto.linear_part().is_identity()):
+    one, zero = field.one, field.zero
+    if not (auto.fixes_origin() and auto.linear_part() == ((one, zero), (zero, one))):
         raise ValueError("map is not tangent to the identity at the origin")
     p, q = auto.p, auto.q
     dp, dq = p.total_degree(), q.total_degree()
@@ -478,7 +478,7 @@ def word_to_json(word: AmalgamWord) -> str:
     recs = []
     for g in word.factors:
         if isinstance(g, AffineAuto):
-            recs.append({"kind": "affine", "matrix": [[scalar(e) for e in row] for row in g.m.rows()],
+            recs.append({"kind": "affine", "matrix": [[scalar(e) for e in row] for row in g.m],
                          "shift": [scalar(e) for e in g.shift]})
         else:
             recs.append({"kind": "shear", **shear(g)})
@@ -531,7 +531,7 @@ def word_from_json(text: str) -> AmalgamWord:
             if rec["kind"] == "affine":
                 (a, b), (c, d) = (array(row, "a matrix row", 2) for row in array(rec["matrix"], "a matrix", 2))
                 sh = array(rec.get("shift", ["0", "0"]), "a shift", 2)
-                factors.append(AffineAuto(Mat2(field, scal(a), scal(b), scal(c), scal(d)), (scal(sh[0]), scal(sh[1]))))
+                factors.append(AffineAuto(field, ((scal(a), scal(b)), (scal(c), scal(d))), (scal(sh[0]), scal(sh[1]))))
             elif rec["kind"] == "shear":
                 factors.append(shear(rec))
             else:

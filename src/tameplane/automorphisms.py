@@ -20,16 +20,18 @@ one denominator (FLINT's ``fmpq_mat`` form): ``_num`` maps positions 0, 1
 (the first row of m), 2, 3 (the second) and 4, 5 (the shift) to nonzero
 numerators over ``_den``, kept canonical by the same three field hooks as
 polynomial coefficients, so compose, inverse and the triangularity tests run
-on ints over Q and F_p.  ``m`` and ``shift`` read the block back as field
-elements.  An ``ElemAuto`` holds z1, t0 and z2 as field elements beside its
-``Poly1``, and substitutes z1 x + t0 into it by ``Poly1.substitute_affine``.
+on ints over Q and F_p.  This block is the package's only scalar 2x2
+matrix: ``m`` reads it back as rows ((a, b), (c, d)) of field elements, and
+``shift`` as the pair (u, v).  An ``ElemAuto`` holds z1, t0 and z2 as field
+elements beside its ``Poly1``, and substitutes z1 x + t0 into it by
+``Poly1.substitute_affine``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linear import Mat2, ProjPoint
+from .linear import ProjPoint
 from .poly import Poly1, Poly2, over_lcm
 
 
@@ -74,9 +76,10 @@ class PlaneAuto:
     def jacobian(self) -> Poly2:
         return self.p.partial_x() * self.q.partial_y() - self.p.partial_y() * self.q.partial_x()
 
-    def linear_part(self) -> Mat2:
-        f = self.field
-        return Mat2(f, self.p.coeff(1, 0), self.p.coeff(0, 1), self.q.coeff(1, 0), self.q.coeff(0, 1))
+    def linear_part(self) -> tuple:
+        """The rows of the differential at the origin."""
+        p, q = self.p, self.q
+        return (p.coeff(1, 0), p.coeff(0, 1)), (q.coeff(1, 0), q.coeff(0, 1))
 
     def fixes_origin(self) -> bool:
         return not self.p.constant_term() and not self.q.constant_term()
@@ -108,15 +111,19 @@ def compose_all(*autos: PlaneAuto) -> PlaneAuto:
 
 
 class AffineAuto:
-    """v -> m v + shift with m an invertible 2x2 matrix, stored as one
-    block of numerators (module docstring)."""
+    """v -> m v + shift with m an invertible 2x2 matrix, given as rows
+    ((a, b), (c, d)) and stored as one block of numerators (module
+    docstring).  A matrix or shift of another shape raises ValueError."""
 
     __slots__ = ("field", "_num", "_den")
 
-    def __init__(self, m: Mat2, shift=None):
-        self.field = field = m.field
-        entries = map(field.of, (*m.entries(), *(shift or ())))
-        self._num, self._den = over_lcm({k: field.lift(c) for k, c in enumerate(entries) if c})
+    def __init__(self, field, m, shift=(0, 0)):
+        (a, b), (c, d) = m
+        u, v = shift
+        self.field = field
+        # zeros are skipped before coercion; over_lcm drops any that coerce to zero
+        self._num, self._den = over_lcm({k: field.lift(field.of(e))
+                                         for k, e in enumerate((a, b, c, d, u, v)) if e})
 
     @classmethod
     def _make(cls, field, nums: dict, den: int) -> AffineAuto:
@@ -126,13 +133,8 @@ class AffineAuto:
         return out
 
     @classmethod
-    def _from_entries(cls, field, entries: dict) -> AffineAuto:
-        # the field element entries[k] at block position k, zero elsewhere
-        return cls._make(field, *over_lcm({k: field.lift(c) for k, c in entries.items()}))
-
-    @classmethod
     def identity(cls, field) -> AffineAuto:
-        return cls(Mat2.identity(field))
+        return cls(field, ((field.one, field.zero), (field.zero, field.one)))
 
     def _block(self) -> list:
         # the six numerators, absent ones as the field's zero numerator
@@ -144,8 +146,9 @@ class AffineAuto:
         return self.field.zero if n is None else self.field.ratio(n, self._den)
 
     @property
-    def m(self) -> Mat2:
-        return Mat2(self.field, *map(self._entry, range(4)))
+    def m(self) -> tuple:
+        e = self._entry
+        return (e(0), e(1)), (e(2), e(3))
 
     @property
     def shift(self) -> tuple:
@@ -204,7 +207,7 @@ class AffineAuto:
         return hash((self.field, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        return "AffineAuto(%r, shift=%r)" % (self.m, self.shift)
+        return "AffineAuto(%r, %r, shift=%r)" % (self.field, self.m, self.shift)
 
 
 class ElemAuto:
@@ -347,13 +350,12 @@ def classify(auto: PlaneAuto) -> AutoProfile:
     inv = jac.is_constant() and bool(jac.constant_term())
     aff = as_affine(auto)
     elem = as_elementary(auto)
-    lp = auto.linear_part()
     return AutoProfile(
         jacobian=jac,
         invertible_jacobian=inv,
         special=jac == Poly2.one(f),
         fixes_origin=auto.fixes_origin(),
-        identity_differential=lp.is_identity(),
+        identity_differential=auto.linear_part() == ((f.one, f.zero), (f.zero, f.one)),
         affine=aff is not None,
         elementary=elem is not None and elem.is_invertible(),
         triangular=aff is not None and elem is not None and aff.is_lower_triangular(),

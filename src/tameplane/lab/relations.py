@@ -17,7 +17,6 @@ import random
 
 from ..amalgam import vdk_factor
 from ..automorphisms import AffineAuto, PlaneAuto, compose_all, scaling, shear_in_y
-from ..linear import Mat2
 from ..poly import Poly1
 from ..scalars import QQ
 from .report import Report
@@ -29,7 +28,7 @@ def halving_homothety(field=QQ) -> PlaneAuto:
 
 
 def addswap_linear(field=QQ) -> PlaneAuto:
-    return AffineAuto(Mat2(field, 1, 1, 1, 0)).to_plane()
+    return AffineAuto(field, ((1, 1), (1, 0))).to_plane()
 
 
 def square_shear(field=QQ) -> PlaneAuto:
@@ -68,10 +67,13 @@ def relations_report(word_trials: int = 10, seed: int = 2024) -> Report:
     report.add("conjugation_squares_the_shear", True,
                compose_all(homothety, shear, homothety_inv) == shear.compose(shear))
 
-    matrix = Mat2(QQ, 1, 1, 1, 0)
-    triangular_powers = sum(
-        1 for n in range(1, 21)
-        if (matrix ** n).is_lower_triangular() or (matrix ** (-n)).is_lower_triangular())
+    step = AffineAuto(QQ, ((1, 1), (1, 0)))
+    back = step.inverse()
+    power = inverse_power = AffineAuto.identity(QQ)
+    triangular_powers = 0
+    for _ in range(20):
+        power, inverse_power = power.compose(step), inverse_power.compose(back)
+        triangular_powers += power.is_lower_triangular() or inverse_power.is_lower_triangular()
     report.add("linear_powers_leave_triangulars", 0, triangular_powers, n_max=20)
 
     rng = random.Random(seed)

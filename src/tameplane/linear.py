@@ -1,9 +1,10 @@
-"""Exact 2x2 matrices, points of the projective line, and matrices of polynomials.
+"""Matrices of polynomials and points of the projective line.
 
-``Mat2`` (entries in the field K) and ``PolyMat2`` (entries ``Poly1`` in
-K[t]) share ``_Mat2Base``, which holds every operation that only adds and
-multiplies entries: products, sums, determinant, action on a pair,
-equality.  Each subclass keeps what depends on its entry ring.
+``PolyMat2`` (entries ``Poly1`` in K[t]) is the package's one 2x2 matrix
+type.  Scalar 2x2 matrices live only in the numerator block of
+``AffineAuto`` and cross the API as rows ((a, b), (c, d)) of field elements;
+``PolyMat2.coeff(k)`` reads the t^k coefficient of a matrix the same way,
+as the tuple (a, b, c, d).
 
 The square-zero endomorphism e_delta = v w^T attached to a projective point
 bridges plane maps that shear along a line and matrices over K[t]; its
@@ -13,124 +14,6 @@ factors v, w are fixed once here (``nil_factors``) and shared by every user.
 from __future__ import annotations
 
 from .poly import Poly1
-from .scalars import power
-
-
-class _Mat2Base:
-    """A 2x2 matrix over a commutative ring, rows (e00 e01; e10 e11)."""
-
-    __slots__ = ("field", "e00", "e01", "e10", "e11")
-
-    def __init__(self, field, e00, e01, e10, e11):
-        self.field = field
-        self.e00 = e00
-        self.e01 = e01
-        self.e10 = e10
-        self.e11 = e11
-
-    def entries(self):
-        return (self.e00, self.e01, self.e10, self.e11)
-
-    def rows(self):
-        return ((self.e00, self.e01), (self.e10, self.e11))
-
-    def __mul__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return type(self)(
-            self.field,
-            self.e00 * other.e00 + self.e01 * other.e10,
-            self.e00 * other.e01 + self.e01 * other.e11,
-            self.e10 * other.e00 + self.e11 * other.e10,
-            self.e10 * other.e01 + self.e11 * other.e11,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return type(self)(
-            self.field,
-            self.e00 + other.e00,
-            self.e01 + other.e01,
-            self.e10 + other.e10,
-            self.e11 + other.e11,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return type(self)(
-            self.field,
-            self.e00 - other.e00,
-            self.e01 - other.e01,
-            self.e10 - other.e10,
-            self.e11 - other.e11,
-        )
-
-    def __neg__(self):
-        return type(self)(self.field, -self.e00, -self.e01, -self.e10, -self.e11)
-
-    def det(self):
-        return self.e00 * self.e11 - self.e01 * self.e10
-
-    def act(self, vec):
-        """Column-vector action: self @ (v0, v1)."""
-        v0, v1 = vec
-        return (self.e00 * v0 + self.e01 * v1, self.e10 * v0 + self.e11 * v1)
-
-    def is_identity(self) -> bool:
-        return self == self.identity(self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self.field == other.field
-            and self.entries() == other.entries()
-        )
-
-    def __hash__(self):
-        return hash((self.field, *self.entries()))
-
-    def __repr__(self):
-        return "%s((%r, %r), (%r, %r))" % (type(self).__name__, *self.entries())
-
-
-class Mat2(_Mat2Base):
-    """A 2x2 matrix of field scalars; entries are coerced into the field."""
-
-    __slots__ = ()
-
-    def __init__(self, field, e00, e01, e10, e11):
-        super().__init__(field, field.of(e00), field.of(e01), field.of(e10), field.of(e11))
-
-    @classmethod
-    def identity(cls, field) -> Mat2:
-        return cls(field, field.one, field.zero, field.zero, field.one)
-
-    def scale(self, c) -> Mat2:
-        c = self.field.of(c)
-        return Mat2(self.field, c * self.e00, c * self.e01, c * self.e10, c * self.e11)
-
-    def trace(self):
-        return self.e00 + self.e11
-
-    def inverse(self) -> Mat2:
-        d = self.det()
-        if not d:
-            raise ZeroDivisionError("singular matrix")
-        inv = self.field.one / d
-        return Mat2(self.field, self.e11 * inv, -self.e01 * inv, -self.e10 * inv, self.e00 * inv)
-
-    def __pow__(self, n: int) -> Mat2:
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(Mat2.identity(self.field), self, n)
-
-    def is_zero(self) -> bool:
-        return not (self.e00 or self.e01 or self.e10 or self.e11)
-
-    def is_lower_triangular(self) -> bool:
-        return not self.e01
 
 
 class ProjPoint:
@@ -206,10 +89,18 @@ def nil_factors(point: ProjPoint):
     return (point.a, f.one), (f.one, -point.a)
 
 
-class PolyMat2(_Mat2Base):
-    """A 2x2 matrix with Poly1 entries (the variable is called t)."""
+class PolyMat2:
+    """A 2x2 matrix with Poly1 entries (the variable is called t), rows
+    (e00 e01; e10 e11)."""
 
-    __slots__ = ()
+    __slots__ = ("field", "e00", "e01", "e10", "e11")
+
+    def __init__(self, field, e00, e01, e10, e11):
+        self.field = field
+        self.e00 = e00
+        self.e01 = e01
+        self.e10 = e10
+        self.e11 = e11
 
     @classmethod
     def identity(cls, field) -> PolyMat2:
@@ -217,20 +108,60 @@ class PolyMat2(_Mat2Base):
         zero = Poly1.zero(field)
         return cls(field, one, zero, zero, one)
 
+    def entries(self):
+        return (self.e00, self.e01, self.e10, self.e11)
+
+    def rows(self):
+        return ((self.e00, self.e01), (self.e10, self.e11))
+
+    def __mul__(self, other):
+        if not isinstance(other, PolyMat2):
+            return NotImplemented
+        return PolyMat2(
+            self.field,
+            self.e00 * other.e00 + self.e01 * other.e10,
+            self.e00 * other.e01 + self.e01 * other.e11,
+            self.e10 * other.e00 + self.e11 * other.e10,
+            self.e10 * other.e01 + self.e11 * other.e11,
+        )
+
+    def __add__(self, other):
+        if not isinstance(other, PolyMat2):
+            return NotImplemented
+        return PolyMat2(self.field, *(a + b for a, b in zip(self.entries(), other.entries())))
+
+    def __sub__(self, other):
+        if not isinstance(other, PolyMat2):
+            return NotImplemented
+        return PolyMat2(self.field, *(a - b for a, b in zip(self.entries(), other.entries())))
+
+    def det(self):
+        return self.e00 * self.e11 - self.e01 * self.e10
+
+    def act(self, vec):
+        """Column-vector action: self @ (v0, v1)."""
+        v0, v1 = vec
+        return (self.e00 * v0 + self.e01 * v1, self.e10 * v0 + self.e11 * v1)
+
     def degree(self):
         return max(e.degree() for e in self.entries())
 
-    def coeff_matrix(self, k: int) -> Mat2:
-        return Mat2(self.field, self.e00.coeff(k), self.e01.coeff(k), self.e10.coeff(k), self.e11.coeff(k))
+    def coeff(self, k: int) -> tuple:
+        """The t^k coefficient matrix as its four scalars (a, b, c, d)."""
+        return tuple(e.coeff(k) for e in self.entries())
 
-    def evaluate(self, s) -> Mat2:
-        return Mat2(
-            self.field,
-            self.e00.evaluate(s),
-            self.e01.evaluate(s),
-            self.e10.evaluate(s),
-            self.e11.evaluate(s),
+    def is_identity(self) -> bool:
+        return self == PolyMat2.identity(self.field)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PolyMat2)
+            and self.field == other.field
+            and self.entries() == other.entries()
         )
 
-    def at_zero(self) -> Mat2:
-        return self.coeff_matrix(0)
+    def __hash__(self):
+        return hash((self.field, *self.entries()))
+
+    def __repr__(self):
+        return "PolyMat2((%r, %r), (%r, %r))" % self.entries()

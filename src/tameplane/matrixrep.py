@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .amalgam import free_reduce, shear_decompose
 from .automorphisms import PlaneAuto
-from .linear import Mat2, PolyMat2, ProjPoint, nil_factors
+from .linear import PolyMat2, ProjPoint, nil_factors
 from .poly import NEG_INF, Poly1
 from .textio import format_poly1
 
@@ -76,7 +76,7 @@ def _validate_group_member(g: PolyMat2) -> None:
     field = g.field
     if g.det() != Poly1.one(field):
         raise NotInMatrixGroup("determinant %s is not 1" % format_poly1(g.det()))
-    if not g.at_zero().is_identity():
+    if g.coeff(0) != (field.one, field.zero, field.zero, field.one):
         raise NotInMatrixGroup("value at t = 0 is not the identity")
 
 
@@ -93,12 +93,12 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
     field = g.field
     factors: list[ShearFactor] = []
     while (deg := g.degree()) >= 1:
-        top = g.coeff_matrix(deg)
-        if top.det():
+        t00, t01, t10, t11 = top = g.coeff(deg)
+        if t00 * t11 - t01 * t10:
             raise FactorizationInvariantError("top coefficient %r is invertible" % (top,))
-        col = (top.e00, top.e10) if (top.e00 or top.e10) else (top.e01, top.e11)
+        col = (t00, t10) if (t00 or t10) else (t01, t11)
         delta = ProjPoint.of(field, *col)
-        if not delta.contains((top.e01, top.e11)) or not delta.contains((top.e00, top.e10)):
+        if not delta.contains((t01, t11)) or not delta.contains((t00, t10)):
             raise FactorizationInvariantError("top coefficient image is not one line")
         (v0, v1), (w0, w1) = nil_factors(delta)
         n = None
@@ -111,11 +111,11 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
         if n is None:
             raise FactorizationInvariantError("no anchor coefficient below degree %d" % deg)
         # e_delta times the anchor coefficient is v (w^T a) = v (r0, r1)
-        b = Mat2(field, v0 * r0, v0 * r1, v1 * r0, v1 * r1)
-        c = next((te / be for be, te in zip(b.entries(), top.entries()) if be), None)
+        b = (v0 * r0, v0 * r1, v1 * r0, v1 * r1)
+        c = next((te / be for be, te in zip(b, top) if be), None)
         if not c:
             raise FactorizationInvariantError("anchor produced a zero scalar")
-        if b.scale(c) != top:
+        if tuple(c * be for be in b) != top:
             raise FactorizationInvariantError("top coefficient is not a multiple of the anchor")
         step = ShearFactor(delta, c, deg - n)
         g = _shear_left(delta, Poly1.monomial(field, deg - n, -c), g)

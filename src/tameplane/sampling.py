@@ -10,23 +10,19 @@ from __future__ import annotations
 import random
 
 from .automorphisms import AffineAuto, ElemAuto, PlaneAuto, compose_all
-from .linear import Mat2, ProjPoint
+from .linear import ProjPoint
 from .matrixrep import ShearFactor
 from .poly import Poly1
 
 
-def random_invertible_matrix(field, rng: random.Random, height: int = 8) -> Mat2:
-    while True:
-        m = Mat2(field,
-                 field.random_element(rng, height), field.random_element(rng, height),
-                 field.random_element(rng, height), field.random_element(rng, height))
-        if m.det():
-            return m
-
-
 def random_affine(field, rng: random.Random, height: int = 8) -> AffineAuto:
+    """The shift first, then four matrix entries per attempt until the
+    matrix is invertible."""
     shift = (field.random_element(rng, height), field.random_element(rng, height))
-    return AffineAuto(random_invertible_matrix(field, rng, height), shift)
+    while True:
+        a, b, c, d = (field.random_element(rng, height) for _ in range(4))
+        if a * d - b * c:
+            return AffineAuto(field, ((a, b), (c, d)), shift)
 
 
 def random_elementary(field, rng: random.Random, max_deg: int = 3,
@@ -136,8 +132,8 @@ def random_congruence_borel(funcfield, rng: random.Random, max_deg: int = 2,
 
     while True:
         w = small()
-        m = Mat2(funcfield, funcfield.one, funcfield.zero, w, funcfield.one)
+        m = ((funcfield.one, funcfield.zero), (w, funcfield.one))
         shift = (small(), small())
-        g = AffineAuto(m, shift).to_plane()
+        g = AffineAuto(funcfield, m, shift).to_plane()
         if not g.is_identity():
             return g

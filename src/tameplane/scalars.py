@@ -18,8 +18,8 @@ over den to the canonical form (over Q no zeros, den > 0 and
 gcd(den, *nums) = 1; over F_p residues in [1, p) over 1), and
 ``ratio(num, den)`` is the element num/den.
 
-``power`` is the one exponentiation-by-squaring loop; polynomials and the
-matrix types raise to powers through it.
+``power`` is the one exponentiation-by-squaring loop; polynomials, K(z)
+elements and ``RationalMatrix`` raise to powers through it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from tameplane import (
     AffineAuto,
     AmalgamWord,
     ElemAuto,
-    Mat2,
     NotAnAutomorphism,
     PlaneAuto,
     Poly1,
@@ -96,7 +95,7 @@ class TestVdkFactor:
     def test_degree_is_the_product_of_shear_degrees(self):
         tall = ElemAuto.shear(QQ, Poly1.monomial(QQ, 3, Fraction(1)))
         wide = ElemAuto.shear(QQ, Poly1.monomial(QQ, 2, Fraction(1)))
-        flip = AffineAuto(Mat2(QQ, 0, 1, 1, 0))
+        flip = AffineAuto(QQ, ((0, 1), (1, 0)))
         g = compose_all(tall.to_plane(), flip.to_plane(), wide.to_plane())
         word = vdk_factor(g)
         product = 1
@@ -187,7 +186,7 @@ class TestNormalForm:
         tail = ElemAuto.identity(QQ)
         for bad, error in (
             (PlaneAuto.identity(QQ), TypeError),
-            (AffineAuto(Mat2(QQ, 1, 1, 1, 1)), NotAnAutomorphism),
+            (AffineAuto(QQ, ((1, 1), (1, 1))), NotAnAutomorphism),
             (ElemAuto(QQ, 0, 0, 1, Poly1.zero(QQ)), NotAnAutomorphism),
         ):
             with pytest.raises(error):
@@ -196,7 +195,7 @@ class TestNormalForm:
                 normal_form(AmalgamWord(QQ, (*word.factors, bad), tail))
 
     def test_adjacent_affine_factors_are_not_reduced(self):
-        swap = AffineAuto(Mat2(QQ, 0, 1, 1, 0))
+        swap = AffineAuto(QQ, ((0, 1), (1, 0)))
         tail = ElemAuto.identity(QQ)
         assert AmalgamWord(QQ, (swap,), tail).is_reduced()
         assert not AmalgamWord(QQ, (swap, swap), tail).is_reduced()
@@ -204,7 +203,7 @@ class TestNormalForm:
 
 class TestWordShapes:
     def test_word_type_of_assembled_words(self):
-        flip = AffineAuto(Mat2(QQ, 0, 1, 1, 0))
+        flip = AffineAuto(QQ, ((0, 1), (1, 0)))
         shear = ElemAuto.shear(QQ, Poly1.monomial(QQ, 2, Fraction(1)))
         w = word_of_atoms(QQ, [flip, shear, flip])
         assert word_type(w) is WordType.AFFINE_AFFINE
@@ -212,7 +211,7 @@ class TestWordShapes:
         assert word_type(w) is WordType.SHEAR_SHEAR
 
     def test_conjugate_to_corner_reshapes(self):
-        flip = AffineAuto(Mat2(QQ, 0, 1, 1, 0))
+        flip = AffineAuto(QQ, ((0, 1), (1, 0)))
         shear = ElemAuto.shear(QQ, Poly1.monomial(QQ, 2, Fraction(1)))
         word = word_of_atoms(QQ, [flip, shear, flip])
         for target in (WordType.SHEAR_SHEAR, WordType.AFFINE_AFFINE):
@@ -224,7 +223,7 @@ class TestWordShapes:
     @pytest.mark.parametrize("field", [QQ, F5, F2], ids=["Q", "F5", "F2"])
     def test_affine_conjugators_reshape_shear_ended_words(self, field):
         one, zero = field.one, field.zero
-        flip = AffineAuto(Mat2(field, zero, one, one, zero))
+        flip = AffineAuto(field, ((zero, one), (one, zero)))
         shear = ElemAuto.shear(field, Poly1.monomial(field, 2, one))
         cubic = ElemAuto.shear(field, Poly1.monomial(field, 3, one))
         shapes = {
@@ -300,9 +299,9 @@ class TestBorelEscape:
     def test_congruence_case_table(self):
         z = QZ.gen
         # strictly lower linear entry, x-translation, pure y-translation
-        w_case = AffineAuto(Mat2(QZ, 1, 0, z, 1)).to_plane()
-        u_case = AffineAuto(Mat2.identity(QZ), (z, QZ.zero)).to_plane()
-        v_case = AffineAuto(Mat2.identity(QZ), (QZ.zero, z)).to_plane()
+        w_case = AffineAuto(QZ, ((1, 0), (z, 1))).to_plane()
+        u_case = AffineAuto(QZ, ((1, 0), (0, 1)), (z, QZ.zero)).to_plane()
+        v_case = AffineAuto(QZ, ((1, 0), (0, 1)), (QZ.zero, z)).to_plane()
         for g in (w_case, u_case, v_case):
             gamma, conj = borel_escape_witness(g, context="congruence")
             assert not in_borel(conj)

@@ -10,7 +10,6 @@ from tameplane import (
     AffineAuto,
     AmalgamWord,
     ElemAuto,
-    Mat2,
     NotAnAutomorphism,
     PlaneAuto,
     Poly1,
@@ -113,12 +112,12 @@ class TestClassify:
         rng = random.Random(51)
         inner = line_shear(ProjPoint.of(QQ, 1, 1), Poly1.monomial(QQ, 2, Fraction(1)))
         for _ in range(10):
-            m = Mat2(QQ, rng.randint(1, 3), rng.randint(0, 2),
-                     rng.randint(0, 2), rng.randint(1, 3))
-            if not m.det():
+            aff = AffineAuto(QQ, ((rng.randint(1, 3), rng.randint(0, 2)),
+                                  (rng.randint(0, 2), rng.randint(1, 3))))
+            if not aff.is_invertible():
                 continue
-            g = AffineAuto(m).to_plane()
-            gi = AffineAuto(m.inverse()).to_plane()
+            g = aff.to_plane()
+            gi = aff.inverse().to_plane()
             conj = compose_all(g, inner, gi)
             assert classify(conj).tangent_to_identity()
 
@@ -134,7 +133,7 @@ class TestViews:
         assert as_affine(parse_auto(QQ, "x, y + x^3")) is None
 
     def test_affine_inverse(self):
-        aff = AffineAuto(Mat2(QQ, 2, 1, 1, 1), (Fraction(3), Fraction(-1)))
+        aff = AffineAuto(QQ, ((2, 1), (1, 1)), (Fraction(3), Fraction(-1)))
         assert aff.compose(aff.inverse()) == AffineAuto.identity(QQ)
 
     def test_elementary_inverse_and_conversion(self):
@@ -149,7 +148,12 @@ class TestViews:
 
     def test_from_affine_requires_triangular(self):
         with pytest.raises(ValueError):
-            ElemAuto.from_affine(AffineAuto(Mat2(QQ, 0, 1, 1, 0)))
+            ElemAuto.from_affine(AffineAuto(QQ, ((0, 1), (1, 0))))
+        with pytest.raises(ValueError):
+            ElemAuto.from_affine(AffineAuto(QQ, ((1, 1), (0, 1))))
+        lower = AffineAuto(QQ, ((1, 0), (5, 2)))
+        assert lower.is_lower_triangular()
+        assert ElemAuto.from_affine(lower).to_affine() == lower
 
 
 def _atom_pairs(field, seed, count=6):
@@ -164,6 +168,7 @@ class TestAtomLaws:
     def test_compose_is_composition_of_plane_maps(self, field):
         for a, b in _atom_pairs(field, 41):
             assert a.compose(b).to_plane() == a.to_plane().compose(b.to_plane())
+            assert a.compose(b).is_invertible()
 
     def test_inverse_composes_to_the_identity(self, field):
         for a, b in _atom_pairs(field, 43):
@@ -189,7 +194,7 @@ class TestAtomLaws:
             # the constructor from the read-back elements, compose with the
             # identity on either side, a double inverse, and a JSON round trip
             if isinstance(a, AffineAuto):
-                rebuilt = AffineAuto(a.m, a.shift)
+                rebuilt = AffineAuto(field, a.m, a.shift)
             else:
                 rebuilt = ElemAuto(field, a.z1, a.t0, a.z2, a.f)
             e = type(a).identity(field)
@@ -232,7 +237,8 @@ class TestAtomAction:
         for _ in range(8):
             a, b = field.random_element(rng, 4), field.random_element(rng, 4)
             aff = random_affine(field, rng, 4)
-            u, v = aff.m.act((a, b))
+            (m00, m01), (m10, m11) = aff.m
+            u, v = m00 * a + m01 * b, m10 * a + m11 * b
             assert aff.to_plane().evaluate((a, b)) == (u + aff.shift[0], v + aff.shift[1])
             el = random_elementary(field, rng, 3, 4)
             want = (el.z1 * a + el.t0, el.z2 * b + el.f.evaluate(a))
@@ -304,5 +310,25 @@ class TestValidation:
             PlaneAuto(Poly2.x(QQ), Poly2.y(F5))
 
     def test_singular_affine_reports_not_invertible(self):
-        aff = AffineAuto(Mat2(QQ, 1, 2, 2, 4))
+        aff = AffineAuto(QQ, ((1, 2), (2, 4)))
         assert not aff.is_invertible()
+        # det is multiplicative: a singular factor makes a singular product
+        other = AffineAuto(QQ, ((2, 1), (1, 1)), (1, 0))
+        assert not aff.compose(other).is_invertible() and not other.compose(aff).is_invertible()
+        singular = AffineAuto(F5, ((1, 3), (2, 1)))
+        assert not singular.is_invertible()
+        with pytest.raises(ZeroDivisionError):
+            singular.inverse()
+
+    @pytest.mark.parametrize("m, shift", [
+        (((1, 0), (0, 1)), (1, 2, 3)),
+        (((1, 0), (0, 1)), (1,)),
+        (((1, 0), (0, 1)), ()),
+        (((1, 0), (0, 1), (0, 0)), (0, 0)),
+        (((1, 0),), (0, 0)),
+        (((1, 0, 0), (0, 1)), (0, 0)),
+        (((1,), (0, 1)), (0, 0)),
+    ], ids=["shift-of-3", "shift-of-1", "empty-shift", "three-rows", "one-row", "row-of-3", "row-of-1"])
+    def test_affine_shape_is_two_rows_of_two_and_a_shift_of_two(self, m, shift):
+        with pytest.raises(ValueError):
+            AffineAuto(QQ, m, shift)

@@ -27,7 +27,7 @@ def test_linear_powers_are_not_triangular():
     acc = s
     for n in range(1, 21):
         for g in (acc, invert(acc)):
-            assert not g.linear_part().is_lower_triangular(), n
+            assert g.linear_part()[0][1], n
         acc = acc.compose(s)
 
 
@@ -55,10 +55,10 @@ def test_random_words_are_nontrivial_via_normal_form():
 
 def test_named_maps_have_the_advertised_matrices():
     h = halving_homothety()
-    assert h.linear_part().rows() == ((Fraction(1, 2), Fraction(0)),
+    assert h.linear_part() == ((Fraction(1, 2), Fraction(0)),
                                       (Fraction(0), Fraction(1, 2)))
     s = addswap_linear()
-    assert s.linear_part().rows() == ((Fraction(1), Fraction(1)),
+    assert s.linear_part() == ((Fraction(1), Fraction(1)),
                                       (Fraction(1), Fraction(0)))
     t = square_shear()
     assert t.max_degree() == 2 and t.jacobian().constant_term() == Fraction(1)

@@ -29,7 +29,7 @@ def test_exported_names_resolve(name):
 EXPORTED = {
     "tameplane": {
         "QQ", "PrimeField", "RationalFunctionField", "field_from_spec", "NEG_INF", "Poly1",
-        "Poly2", "Mat2", "PolyMat2", "ProjPoint", "AffineAuto", "ElemAuto", "NotAnAutomorphism",
+        "Poly2", "PolyMat2", "ProjPoint", "AffineAuto", "ElemAuto", "NotAnAutomorphism",
         "PlaneAuto", "as_affine", "as_elementary", "classify", "compose_all", "line_shear",
         "scaled_shear", "shear_in_y", "swap_map", "AmalgamWord", "WordType",
         "borel_escape_witness", "conjugate_to_corner", "free_reduce", "in_borel", "invert",

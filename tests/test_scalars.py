@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tameplane import Mat2, Poly1, Poly2, PrimeField, QQ, RationalFunctionField, field_from_spec
+from tameplane import Poly1, Poly2, PrimeField, QQ, RationalFunctionField, field_from_spec
 from tameplane.lab.unipotent import RationalMatrix
 from tameplane.ratfunc import RationalFunction
 from tameplane.scalars import _is_prime, power
@@ -291,10 +291,6 @@ class TestPower:
         yield Poly1.one(QQ), tt.scale(QQ.of(3)) - 1, None
         yield Poly1.one(F5), t5 + 2, None
         yield Poly2.one(QQ), xy, None
-        m = Mat2(QQ, 2, 1, 1, 1)
-        yield Mat2.identity(QQ), m, m.inverse()
-        f5 = Mat2(F5, 1, 3, 0, 2)
-        yield Mat2.identity(F5), f5, f5.inverse()
         r = RationalMatrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]])
         yield RationalMatrix.identity(3), r, r.inverse()
         q = (z + 1) / (z * z - 2)
