@@ -4,7 +4,8 @@
 type.  Scalar 2x2 matrices live only in the numerator block of
 ``AffineAuto`` and cross the API as rows ((a, b), (c, d)) of field elements;
 ``PolyMat2.coeff(k)`` reads the t^k coefficient of a matrix the same way,
-as the tuple (a, b, c, d).
+as the tuple (a, b, c, d).  The product and ``det`` compute each entry as
+one sum of two raw Poly1 products with a single normalize (``_mul_add``).
 
 The square-zero endomorphism e_delta = v w^T attached to a projective point
 bridges plane maps that shear along a line and matrices over K[t]; its
@@ -54,10 +55,6 @@ class ProjPoint:
 
     def vector(self):
         return (self.a, self.b)
-
-    def contains(self, vec) -> bool:
-        v0, v1 = vec
-        return not (self.b * v0 - self.a * v1)
 
     def __eq__(self, other):
         return (
@@ -111,37 +108,16 @@ class PolyMat2:
     def entries(self):
         return (self.e00, self.e01, self.e10, self.e11)
 
-    def rows(self):
-        return ((self.e00, self.e01), (self.e10, self.e11))
-
     def __mul__(self, other):
-        if not isinstance(other, PolyMat2):
+        if not isinstance(other, PolyMat2) or other.field != self.field:
             return NotImplemented
-        return PolyMat2(
-            self.field,
-            self.e00 * other.e00 + self.e01 * other.e10,
-            self.e00 * other.e01 + self.e01 * other.e11,
-            self.e10 * other.e00 + self.e11 * other.e10,
-            self.e10 * other.e01 + self.e11 * other.e11,
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(self.field, *(a + b for a, b in zip(self.entries(), other.entries())))
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyMat2):
-            return NotImplemented
-        return PolyMat2(self.field, *(a - b for a, b in zip(self.entries(), other.entries())))
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        return PolyMat2(self.field, a._mul_add(e, b, g), a._mul_add(f, b, h),
+                        c._mul_add(e, d, g), c._mul_add(f, d, h))
 
     def det(self):
-        return self.e00 * self.e11 - self.e01 * self.e10
-
-    def act(self, vec):
-        """Column-vector action: self @ (v0, v1)."""
-        v0, v1 = vec
-        return (self.e00 * v0 + self.e01 * v1, self.e10 * v0 + self.e11 * v1)
+        return self.e00._mul_add(self.e11, self.e01, self.e10, sub=True)
 
     def degree(self):
         return max(e.degree() for e in self.entries())

@@ -13,16 +13,23 @@ With e_delta = v w^T (``nil_factors``), a factor id + h e_delta changes a
 vector u by the rank-one update h (w . u) v, so peeling and recomposing
 apply factors column by column and ping-pong to one vector, one Poly1
 product per vector, never as a full 2x2 polynomial-matrix product.
+
+Peeling reads numerators, not field elements: each step takes the four
+entries over the lcm of their denominators and v, w over their own, tests
+every zero through ``field.normalize`` (F_p products are unreduced ints),
+walks only the exponents present, and builds elements only for the step's
+direction and scalar.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .amalgam import free_reduce, shear_decompose
 from .automorphisms import PlaneAuto
 from .linear import PolyMat2, ProjPoint, nil_factors
-from .poly import NEG_INF, Poly1
+from .poly import NEG_INF, Poly1, over_lcm
 from .textio import format_poly1
 
 
@@ -73,10 +80,11 @@ def _shear_left(delta: ProjPoint, h: Poly1, g: PolyMat2) -> PolyMat2:
 
 
 def _validate_group_member(g: PolyMat2) -> None:
-    field = g.field
-    if g.det() != Poly1.one(field):
-        raise NotInMatrixGroup("determinant %s is not 1" % format_poly1(g.det()))
-    if g.coeff(0) != (field.one, field.zero, field.zero, field.one):
+    det = g.det()
+    if det != Poly1.one(g.field):
+        raise NotInMatrixGroup("determinant %s is not 1" % format_poly1(det))
+    e00, e01, e10, e11 = g.entries()  # a constant term 1 is a numerator equal to _den
+    if 0 in e01._num or 0 in e10._num or (e00._num.get(0), e11._num.get(0)) != (e00._den, e11._den):
         raise NotInMatrixGroup("value at t = 0 is not the identity")
 
 
@@ -91,31 +99,36 @@ def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
     """
     _validate_group_member(g)
     field = g.field
+    normalize, lift, zero = field.normalize, field.lift, field.lift(field.zero)[0]
     factors: list[ShearFactor] = []
     while (deg := g.degree()) >= 1:
-        t00, t01, t10, t11 = top = g.coeff(deg)
-        if t00 * t11 - t01 * t10:
-            raise FactorizationInvariantError("top coefficient %r is invertible" % (top,))
-        col = (t00, t10) if (t00 or t10) else (t01, t11)
-        delta = ProjPoint.of(field, *col)
-        if not delta.contains((t01, t11)) or not delta.contains((t00, t10)):
+        den = math.lcm(*[e._den for e in g.entries()])
+        n00, n01, n10, n11 = nums = [e._num if e._den == den else {
+            k: v * (den // e._den) for k, v in e._num.items()} for e in g.entries()]
+        t00, t01, t10, t11 = top = [n.get(deg, zero) for n in nums]
+        if normalize({0: t00 * t11 - t01 * t10}, 1)[0]:
+            raise FactorizationInvariantError("top coefficient %r is invertible" % (g.coeff(deg),))
+        # canonical numerators hold no zeros, so a present key is a nonzero one
+        delta = ProjPoint.of(field, *((t00, t10) if deg in n00 or deg in n10 else (t01, t11)))
+        (v, vd), (w, wd) = (over_lcm({i: lift(x) for i, x in enumerate(vec)})
+                            for vec in nil_factors(delta))
+        v0, v1, w0, w1 = v.get(0, zero), v.get(1, zero), w.get(0, zero), w.get(1, zero)
+        if normalize({0: w0 * t00 + w1 * t10, 1: w0 * t01 + w1 * t11}, 1)[0]:
             raise FactorizationInvariantError("top coefficient image is not one line")
-        (v0, v1), (w0, w1) = nil_factors(delta)
-        n = None
-        for k in range(deg - 1, -1, -1):
-            r0 = w0 * g.e00.coeff(k) + w1 * g.e10.coeff(k)
-            r1 = w0 * g.e01.coeff(k) + w1 * g.e11.coeff(k)
-            if r0 or r1:
-                n = k
+        for n in sorted({*n00, *n01, *n10, *n11}, reverse=True)[1:]:
+            if r := normalize({0: w0 * n00.get(n, zero) + w1 * n10.get(n, zero),
+                               1: w0 * n01.get(n, zero) + w1 * n11.get(n, zero)}, 1)[0]:
                 break
-        if n is None:
+        else:
             raise FactorizationInvariantError("no anchor coefficient below degree %d" % deg)
-        # e_delta times the anchor coefficient is v (w^T a) = v (r0, r1)
-        b = (v0 * r0, v0 * r1, v1 * r0, v1 * r1)
-        c = next((te / be for be, te in zip(b, top) if be), None)
+        # b = e_delta times the anchor coefficient = v (r0, r1), over vd wd den
+        r0, r1 = r.get(0, zero), r.get(1, zero)
+        b = normalize(dict(enumerate((v0 * r0, v0 * r1, v1 * r0, v1 * r1))), 1)[0]
+        e = min(b, default=None)  # c = top_e / b_e, the match by cross-multiplying
+        c = None if e is None else field.of(top[e] * (vd * wd)) / field.of(b[e])
         if not c:
             raise FactorizationInvariantError("anchor produced a zero scalar")
-        if tuple(c * be for be in b) != top:
+        if normalize({f: t * b[e] - top[e] * b.get(f, zero) for f, t in enumerate(top)}, 1)[0]:
             raise FactorizationInvariantError("top coefficient is not a multiple of the anchor")
         step = ShearFactor(delta, c, deg - n)
         g = _shear_left(delta, Poly1.monomial(field, deg - n, -c), g)
@@ -200,7 +213,7 @@ def pingpong_check(pairs, sample: ProjPoint) -> PingPongResult:
 
     The vector is pushed through the factors one at a time, last pair
     first, each as the rank-one update u + h (w . u) v; the product matrix
-    is never formed, and the result equals matrix_recompose(...).act(u).
+    is never formed, and the result is matrix_recompose(...) times u.
 
     Precondition: pairs is reduced (adjacent directions distinct, parameters
     nonzero with zero constant term) and sample differs from the last

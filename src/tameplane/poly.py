@@ -18,7 +18,7 @@ numerators (ints over Q and F_p) and normalizes once per result.  The read
 API is element-valued: ``coeff``, ``items``, ``leading_coeff``,
 ``constant_term`` and the read-only ``terms`` dict.
 
-Multiply.  ``_SparsePoly.__mul__`` takes one of two paths:
+Multiply.  ``_raw_mul``, behind ``__mul__`` and ``_mul_add``, takes one of two paths:
 
 * the dict loop (``_mul_dict``, one per subclass because it adds keys)
   multiplies every pair of terms;
@@ -240,12 +240,10 @@ class _SparsePoly:
         except TypeError:
             return None
 
-    def _add(self, o, sub: bool):
-        """self + o, or self - o when sub, on numerators over the lcm."""
-        a, b = self._num, o._num
-        if not b:
-            return self
-        da, db = self._den, o._den
+    @classmethod
+    def _sum(cls, field, a: dict, da: int, b: dict, db: int, sub: bool):
+        """a/da + b/db, or a/da - b/db when sub, for numerator dicts: added
+        over the lcm of the denominators, one normalize; a and b are kept."""
         if da == db:
             out = dict(a)
         else:
@@ -262,13 +260,13 @@ class _SparsePoly:
             for k, v in b.items():
                 s = out.get(k)
                 out[k] = v if s is None else s + v
-        return self._normalized(self.field, out, da)
+        return cls._normalized(field, out, da)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._add(o, False)
+        return self._sum(self.field, self._num, self._den, o._num, o._den, False) if o._num else self
 
     __radd__ = __add__
 
@@ -279,27 +277,35 @@ class _SparsePoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._add(o, True)
+        return self._sum(self.field, self._num, self._den, o._num, o._den, True) if o._num else self
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._add(self, True)
+        return o._sum(o.field, o._num, o._den, self._num, self._den, True) if self._num else o
+
+    def _raw_mul(self, other) -> dict:
+        """self * other as unnormalized numerators over self._den * other._den."""
+        nums = None
+        if len(self._num) * len(other._num) >= _PACK_MIN_PAIRS.get(type(self.field), math.inf):
+            nums = self._mul_packed(other)
+        return self._mul_dict(other) if nums is None else nums
 
     def __mul__(self, other):
         if type(other) is not type(self) or other.field is not self.field:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        nums = None
-        if len(self._num) * len(other._num) >= _PACK_MIN_PAIRS.get(type(self.field), math.inf):
-            nums = self._mul_packed(other)
-        if nums is None:
-            nums = self._mul_dict(other)
-        return self._normalized(self.field, nums, self._den * other._den)
+        return self._normalized(self.field, self._raw_mul(other), self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _mul_add(self, b, c, d, sub: bool = False):
+        """self * b + c * d, or self * b - c * d when sub, for polynomials
+        of one field: two raw products added over the lcm, one normalize."""
+        return self._sum(self.field, self._raw_mul(b), self._den * b._den,
+                         c._raw_mul(d), c._den * d._den, sub)
 
     def scale(self, c):
         n, d = self.field.lift(self.field.of(c))

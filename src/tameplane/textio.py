@@ -389,6 +389,4 @@ def format_auto(auto) -> str:
 
 def format_polymat(m: PolyMat2) -> str:
     """Rows joined by ' ; ', entries by ', ', e.g. ``1, 0 ; t, 1``."""
-    (a, b), (c, d) = m.rows()
-    return "%s, %s ; %s, %s" % (
-        format_poly1(a), format_poly1(b), format_poly1(c), format_poly1(d))
+    return "%s, %s ; %s, %s" % tuple(map(format_poly1, m.entries()))

@@ -163,8 +163,14 @@ class TestExitCodes:
             assert code == 3 and "domain error" in err, argv
 
     def test_non_group_matrix_is_3(self, capsys):
-        code, _, err = run(capsys, "from-matrix", "1+t, 0 ; 0, 1")
-        assert code == 3
+        for argv, message in (
+            (("from-matrix", "1+t, 0 ; 0, 1"), "determinant 1 + t is not 1"),
+            (("from-matrix", "1, 1 ; 0, 1"), "value at t = 0 is not the identity"),
+            (("--field", "fp:5", "from-matrix", "2, 0 ; 0, 3"), "value at t = 0 is not the identity"),
+            (("--field", "q-of-z", "from-matrix", "z, 0 ; 0, 1/z"),
+             "value at t = 0 is not the identity"),
+        ):
+            assert run(capsys, *argv) == (3, "", "domain error: %s\n" % message), argv
 
     def test_non_group_matrix_message_prints_the_determinant_as_text(self, capsys):
         code, out, err = run(capsys, "from-matrix", "1, t ; t, 1")

@@ -48,12 +48,12 @@ class TestProjPoint:
         _, (w0, w1) = nil_factors(pt)
         a, b = pt.vector()
         assert not (w0 * a + w1 * b)
-        assert pt.contains(pt.vector())
+        assert ProjPoint.of(QQ, a, b) == pt
 
-    def test_contains_rejects_other_directions(self):
+    def test_proportional_vectors_span_the_same_point(self):
         pt = ProjPoint.of(QQ, 2, 1)
-        assert pt.contains((QQ.of(4), QQ.of(2)))
-        assert not pt.contains((QQ.of(1), QQ.of(1)))
+        assert ProjPoint.of(QQ, QQ.of(4), QQ.of(2)) == pt
+        assert ProjPoint.of(QQ, QQ.of(1), QQ.of(1)) != pt
 
 
 class TestNilEndo:
@@ -75,7 +75,7 @@ class TestNilEndo:
         for pt in points:
             (v0, v1), (w0, w1) = nil_factors(pt)
             assert nil_endo(pt) == (v0 * w0, v0 * w1, v1 * w0, v1 * w1)
-            assert pt.contains((v0, v1))
+            assert ProjPoint.of(field, v0, v1) == pt
             assert not (w0 * v0 + w1 * v1)
 
     @given(proj_points(QQ))

@@ -1,6 +1,7 @@
 """The degree-filtered matrix group and its shear dictionary."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from tameplane import (
     PlaneAuto,
     Poly1,
     PolyMat2,
+    PrimeField,
     ProjPoint,
     QQ,
     ShearFactor,
@@ -28,6 +30,7 @@ from tameplane.matrixrep import (
     PingPongResult,
     _shear_left,
 )
+from tameplane import poly
 from tameplane.poly import NEG_INF
 from tameplane.sampling import (
     random_matrix_factors,
@@ -36,10 +39,17 @@ from tameplane.sampling import (
 )
 from tameplane.textio import format_polymat, parse_auto, parse_polymat
 
-from conftest import F5, F1000003, QZ
+from conftest import F2, F5, F1000003, QZ
 
+F3 = PrimeField(3)
 KERNEL_FIELDS = (QQ, F5, F1000003, QZ)
 KERNEL_IDS = ("q", "fp5", "fp1000003", "qz")
+
+
+def entrywise_product(m, n):
+    """m * n from Poly1 products and sums, the reference for PolyMat2.__mul__."""
+    return PolyMat2(m.field, m.e00 * n.e00 + m.e01 * n.e10, m.e00 * n.e01 + m.e01 * n.e11,
+                    m.e10 * n.e00 + m.e11 * n.e10, m.e10 * n.e01 + m.e11 * n.e11)
 
 
 def product_of(field, factors):
@@ -51,16 +61,26 @@ def product_of(field, factors):
 
 class TestGroupMembership:
     def test_rejects_wrong_determinant(self):
-        with pytest.raises(NotInMatrixGroup):
-            matrix_factor(parse_polymat(QQ, "1 + t, 0 ; 0, 1"))
+        for field, text, det in ((QQ, "1 + t, 0 ; 0, 1", "1 + t"), (F5, "1, t ; t, 1", "1 + 4*t^2")):
+            with pytest.raises(NotInMatrixGroup) as exc:
+                matrix_factor(parse_polymat(field, text))
+            assert str(exc.value) == "determinant %s is not 1" % det
 
     def test_rejects_wrong_value_at_zero(self):
-        # determinant one, but t = 0 gives a nontrivial unipotent
-        with pytest.raises(NotInMatrixGroup):
-            matrix_factor(parse_polymat(QQ, "1, 1 ; 0, 1"))
+        # determinant one, but t = 0 gives a nontrivial unipotent or diagonal matrix
+        for field, text in ((QQ, "1, 1 ; 0, 1"), (QQ, "2, 0 ; 0, 1/2"), (F5, "2, 0 ; 0, 3"),
+                            (QZ, "z, 0 ; 0, 1/z")):
+            with pytest.raises(NotInMatrixGroup) as exc:
+                matrix_factor(parse_polymat(field, text))
+            assert str(exc.value) == "value at t = 0 is not the identity"
 
     def test_accepts_the_identity(self):
         assert matrix_factor(PolyMat2.identity(QQ)) == []
+
+    def test_constant_term_one_over_a_denominator_is_the_identity(self):
+        # 1 + t/2 stores the numerators {0: 2, 1: 1} over 2
+        g = parse_polymat(QQ, "1 + t/2, -t/2 ; t/2, 1 - t/2")
+        assert matrix_factor(g) == [ShearFactor(ProjPoint.of(QQ, 1, 1), QQ.of(Fraction(1, 2)), 1)]
 
 
 class TestWorkedExample:
@@ -83,8 +103,10 @@ class TestWorkedExample:
 
 class TestMatrixFactor:
     def test_degree_strictly_decreases_during_peeling(self):
+        # over F_2 the lifted row w of (1 : 1) is (1, 1), so two unit
+        # numerators give the anchor row value 2, zero only once reduced
         rng = random.Random(61)
-        for field in (QQ, F5):
+        for field in (QQ, F5, F2, F3):
             for _ in range(20):
                 g = product_of(field, random_matrix_factors(field, rng))
                 factors = matrix_factor(g)
@@ -110,6 +132,15 @@ class TestMatrixFactor:
                     assert d1 != d2
                 for _, h in pairs:
                     assert not h.coeff(0) and not h.is_zero()
+
+    def test_sparse_high_degree_peels_in_time_with_the_terms(self):
+        # the anchor search walks the exponents present, not all 10^6 below the top
+        g = parse_polymat(QQ, "1, t^1000000 ; 0, 1")
+        start = time.perf_counter()
+        factors = matrix_factor(g)
+        elapsed = time.perf_counter() - start
+        assert factors == [ShearFactor(ProjPoint.infinity(QQ), QQ.one, 1000000)]
+        assert elapsed < 0.5, "budget 0.5 s, took %.3f s" % elapsed
 
     def test_merges_same_direction_runs(self):
         delta = ProjPoint.of(QQ, 1, 1)
@@ -148,9 +179,8 @@ class TestLineMatrix:
     def test_image_direction(self):
         delta = ProjPoint.of(QQ, 3, 1)
         m = line_matrix(delta, Poly1.monomial(QQ, 2, Fraction(1)))
-        diff = m - PolyMat2.identity(QQ)
-        col = (diff.e00.coeff(2), diff.e10.coeff(2))
-        assert delta.contains(col)
+        col = ((m.e00 - Poly1.one(QQ)).coeff(2), m.e10.coeff(2))
+        assert ProjPoint.of(QQ, *col) == delta
 
 
 def random_poly1(field, rng, max_deg=4, low=0):
@@ -188,7 +218,8 @@ def pingpong_via_matrix(pairs, sample):
     for delta, h in pairs:
         g = g * line_matrix(delta, h)
     assert matrix_recompose(field, pairs) == g
-    u0, u1 = g.act(tuple(Poly1.constant(field, v) for v in sample.vector()))
+    a, b = sample.vector()
+    u0, u1 = g.e00.scale(a) + g.e01.scale(b), g.e10.scale(a) + g.e11.scale(b)
     expected_degree = sum(h.degree() for _, h in pairs)
     deg = max(u0.degree(), u1.degree())
     if deg is NEG_INF:
@@ -203,7 +234,7 @@ class TestRankOneKernel:
     def test_left_update_is_the_left_product(self, field):
         rng = random.Random(101)
         for delta, h, g in kernel_cases(field, rng):
-            assert _shear_left(delta, h, g) == line_matrix(delta, h) * g
+            assert _shear_left(delta, h, g) == entrywise_product(line_matrix(delta, h), g)
 
     @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
     def test_right_update_is_the_right_product(self, field):
@@ -231,6 +262,34 @@ class TestRankOneKernel:
             while sample == pairs[-1][0]:
                 sample = random_proj_point(field, rng)
             assert pingpong_check(pairs, sample) == pingpong_via_matrix(pairs, sample)
+
+
+class TestFusedProduct:
+    @pytest.mark.parametrize("field", KERNEL_FIELDS + (F2,), ids=KERNEL_IDS + ("fp2",))
+    def test_product_and_det_match_the_entrywise_reference(self, field):
+        rng = random.Random(127)
+        zero, one, tt = Poly1.zero(field), Poly1.one(field), Poly1.gen(field)
+        mats = [PolyMat2.identity(field), PolyMat2(field, zero, zero, zero, zero),
+                PolyMat2(field, zero, tt, one, zero),
+                line_matrix(random_proj_point(field, rng), random_poly1(field, rng, low=1))]
+        mats += [PolyMat2(field, *(random_poly1(field, rng) for _ in range(4))) for _ in range(6)]
+        for m in mats:
+            assert m.det() == m.e00 * m.e11 - m.e01 * m.e10
+            for n in mats:
+                assert m * n == entrywise_product(m, n)
+
+    @pytest.mark.parametrize("field", (QQ, F5, F2), ids=("q", "fp5", "fp2"))
+    def test_products_of_400_term_pairs_take_the_packed_path(self, field, monkeypatch):
+        rng = random.Random(131)
+        m, n = (PolyMat2(field, *(Poly1(field, {e: field.random_nonzero(rng) for e in range(20)})
+                                  for _ in range(4))) for _ in range(2))
+        packed = []
+        kronecker_mul = poly._kronecker_mul
+        monkeypatch.setattr(poly, "_kronecker_mul", lambda a, b: packed.append(1) or kronecker_mul(a, b))
+        product, det = m * n, m.det()
+        assert len(packed) == 10  # two 20 x 20 products per entry and two for det
+        assert product == entrywise_product(m, n)
+        assert det == m.e00 * m.e11 - m.e01 * m.e10
 
 
 class TestShearDictionary:
