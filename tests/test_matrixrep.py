@@ -25,12 +25,12 @@ from tameplane import (
     shear_recompose,
     to_matrix,
 )
+from tameplane import poly
 from tameplane.matrixrep import (
     FactorizationInvariantError,
     PingPongResult,
     _shear_left,
 )
-from tameplane import poly
 from tameplane.poly import NEG_INF
 from tameplane.sampling import (
     random_matrix_factors,
@@ -277,6 +277,8 @@ class TestFusedProduct:
             assert m.det() == m.e00 * m.e11 - m.e01 * m.e10
             for n in mats:
                 assert m * n == entrywise_product(m, n)
+        with pytest.raises(TypeError):  # numerators of two fields never mix
+            mats[0] * PolyMat2.identity(F5 if field is QQ else QQ)
 
     @pytest.mark.parametrize("field", (QQ, F5, F2), ids=("q", "fp5", "fp2"))
     def test_products_of_400_term_pairs_take_the_packed_path(self, field, monkeypatch):
