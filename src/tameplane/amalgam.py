@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2
+from .poly import Poly1, Poly2, Powers
 from .automorphisms import (
     AffineAuto,
     ElemAuto,
@@ -178,34 +178,23 @@ class WordType(Enum):
 
 def word_type(word: AmalgamWord) -> WordType:
     kinds = word.factor_kinds()
-    if not kinds:
-        return WordType.TAIL_ONLY
-    first = kinds[0] == "affine"
-    last = kinds[-1] == "affine"
-    if first and last:
-        return WordType.AFFINE_AFFINE
-    if not first and not last:
-        return WordType.SHEAR_SHEAR
-    if first:
-        return WordType.AFFINE_SHEAR
-    return WordType.SHEAR_AFFINE
+    return WordType("%s_%s" % (kinds[0], kinds[-1])) if kinds else WordType.TAIL_ONLY
 
 
 # -- factorization ------------------------------------------------------------
 
 
-def _peel(powers: list, deg: int, target: Poly2):
+def _peel(powers: Powers, deg: int, target: Poly2):
     """The exponent d and nonzero scalar c with c * top(l^d) == target, for
     l = powers[1] and target a form of degree deg, or None if there are none.
 
-    powers caches l^0, l^1, ... and is extended in place up to l^d.
+    powers is the caller's ladder of l, kept across the steps along one l, so
+    each power of l is made once.
     """
     dl = powers[1].total_degree()
     if dl < 1 or deg % dl:
         return None
     d = deg // dl
-    while len(powers) <= d:
-        powers.append(powers[-1] * powers[1])
     # top(l^d) = top(l)^d has degree d * dl = deg
     top = powers[d].form(deg)
     probe = next(iter(top.keys()))
@@ -232,14 +221,14 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     atoms: list = []
     p, q = auto.p, auto.q
     swap = AffineAuto(f, ((f.zero, f.one), (f.one, f.zero)))
-    powers = [Poly2.one(f), p]
+    powers = Powers(p)
     dp, dq = p.total_degree(), q.total_degree()
     while max(dp, dq) > 1:
         peel = None if dp > dq else _peel(powers, dq, q.form(dq))
         if peel is None and dp >= dq:
             atoms.append(swap)
             p, q, dp, dq = q, p, dq, dp
-            powers = [Poly2.one(f), p]
+            powers = Powers(p)
             peel = _peel(powers, dq, q.form(dq))
         if peel is None:
             raise NotAnAutomorphism("degree reduction stuck at degrees (%s, %s)" % (dp, dq))
@@ -430,7 +419,7 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
             # l is invariant while the peel stays on one direction
             delta = new_delta
             a, b = delta.vector()
-            powers = [Poly2.one(field), p.scale(b) - q.scale(a)]
+            powers = Powers(p.scale(b) - q.scale(a))
         peel = _peel(powers, deg, top_q if b else top_p)
         if peel is None:
             raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)

@@ -35,6 +35,9 @@ slots.  Smaller products and coefficients in K(z) stay on the dict loop.
 The degree of the zero polynomial is ``NEG_INF`` so that degree
 comparisons and products behave uniformly.
 
+Powers.  ``Powers(base)`` is the one power ladder, a dict e -> base**e filled
+on lookup: a monomial is squared, O(log e) products; other bases step, kept.
+
 >>> from tameplane.scalars import QQ
 >>> t = Poly1.gen(QQ)
 >>> ((t + 1) ** 2).items()
@@ -111,6 +114,23 @@ def _kronecker_mul(a: dict, b: dict) -> dict | None:
         if chunk != bias:
             out[k] = int.from_bytes(chunk, "little") - half
     return out
+
+
+class Powers(dict):
+    """base**e for each e looked up, cached: a dict seeded with {0: one, 1: base}."""
+
+    def __init__(self, base):
+        super().__init__({0: base.one(base.field), 1: base})
+
+    def __missing__(self, e: int):
+        base = self[1]
+        if len(base._num) <= 1:
+            value = self[e] = base ** e
+        else:  # every power below the top is kept, so the keys are 0..len-1
+            value = self[len(self) - 1]
+            for k in range(len(self), e + 1):
+                value = self[k] = value * base
+        return value
 
 
 def over_lcm(pairs: dict) -> tuple:
@@ -468,19 +488,9 @@ class Poly1(_SparsePoly):
 
     def substitute(self, value: _SparsePoly) -> _SparsePoly:
         """Plug a Poly1 or a Poly2 in for the variable; the result has its kind."""
-
-        def scaled_powers():
-            pw = value.one(self.field)
-            last_e = 0
-            for e, c in sorted(self._num.items()):
-                if e and not last_e:
-                    pw, last_e = value, 1
-                for _ in range(e - last_e):
-                    pw = pw * value
-                last_e = e
-                yield c, pw
-
-        return value._lincomb(self.field, scaled_powers(), self._den)
+        powers = Powers(value)
+        return value._lincomb(self.field, ((c, powers[e]) for e, c in sorted(self._num.items())),
+                              self._den)
 
     def substitute_affine(self, a, b) -> Poly1:
         """self(a t + b) for scalars a and b, by an in-place Taylor shift of
@@ -492,12 +502,17 @@ class Poly1(_SparsePoly):
         by d^(n-e), shifted by B and scaled by A^e, over d^n times the stored
         denominator.  O(n^2) ring operations and no intermediate polynomial."""
         field = self.field
-        if not self._num:
-            return self
-        an, ad = field.lift(field.of(a))
-        bn, bd = field.lift(field.of(b))
-        n = max(self._num)
-        zero = field.lift(field.zero)[0]
+        a, lift = field.of(a), field.lift
+        an, ad = lift(a)
+        bn, bd = lift(field.of(b))
+        n = max(self._num, default=0)
+        if not bn:  # no shift: numerator e is v A^e d^(n-e), A^e lifted from a^e (so
+            # F_p residues stay reduced), for the terms present only
+            nums = {e: v * lift(a ** e)[0] for e, v in self._num.items()}
+            if ad != 1:  # as d below
+                nums = {e: v * ad ** (n - e) for e, v in nums.items()}
+            return Poly1._normalized(field, nums, self._den * ad ** n)
+        zero = lift(field.zero)[0]
         c = [self._num.get(e, zero) for e in range(n + 1)]
         d = ad * bd
         if d != 1:  # d is 1 except over Q, so K(z) numerators never meet an int
@@ -505,10 +520,9 @@ class Poly1(_SparsePoly):
             for e in range(n - 1, -1, -1):
                 c[e] *= w
                 w *= d
-        if bn:
-            for i in range(n):
-                for j in range(n - 1, i - 1, -1):
-                    c[j] += bn * c[j + 1]
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] += bn * c[j + 1]
         w = an
         for e in range(1, n + 1):
             c[e] *= w
@@ -600,16 +614,9 @@ class Poly2(_SparsePoly):
     def substitute(self, u: Poly2, v: Poly2) -> Poly2:
         """self with u plugged in for the first variable and v for the second.
 
-        Powers of u and v are cached because compositions reuse them heavily.
+        Powers of u and v are cached, one ``Powers`` each: compositions reuse them.
         """
-        if not self._num:
-            return Poly2.zero(self.field)
-        pu: list[Poly2] = [Poly2.one(self.field)]
-        pv: list[Poly2] = [Poly2.one(self.field)]
-        for _ in range(max(i for i, _ in self._num)):
-            pu.append(pu[-1] * u)
-        for _ in range(max(j for _, j in self._num)):
-            pv.append(pv[-1] * v)
+        pu, pv = Powers(u), Powers(v)
         return Poly2._lincomb(self.field, ((c, pu[i] * pv[j] if i and j else pu[i] if i else pv[j])
                                            for (i, j), c in self._num.items()), self._den)
 

@@ -104,8 +104,11 @@ class PrimeFieldElement:
 
     Instances are interned per field: there is one element per residue,
     created the first time that residue is needed, and ops look it up in the
-    field's ``_elems`` table instead of allocating, which matters in
-    polynomial inner loops.  ``PrimeFieldElement(F, v)`` is ``F.of(v)``.
+    field's ``_elems`` table instead of allocating.  Polynomials hold int
+    residues, so this serves the element-valued side: coefficient reads
+    (``ratio``), scalar arithmetic in the atoms and the matrix peel, and
+    parsing; equal elements are one object, which ``__eq__`` checks first.
+    ``PrimeFieldElement(F, v)`` is ``F.of(v)``.
     """
 
     __slots__ = ("field", "value")

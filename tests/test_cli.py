@@ -89,6 +89,30 @@ class TestExpressionCommands:
         assert code == 0
         assert out == "x + y^2 + 6*x^2*y + 9*x^4, y + 3*x^2\n"
 
+    # one-term inputs with a huge exponent: every power of a monomial is a
+    # squaring and a substitution of a scaled variable touches the terms
+    # present only, so each call takes milliseconds; budget 2 s a call
+    SPARSE_EXPONENT_CALLS = [
+        (("from-matrix", "1, t^100000000 ; 0, 1"), "x - y^100000001, y\n"),
+        (("to-matrix", "x, y + x^100000000"), "1, 0 ; t^99999999, 1\n"),
+        (("compose", "x^100000000, y", "-x, y"), "x^100000000, y\n"),
+        (("compose", "x^100000000, y", "0, y"), "0, y\n"),
+        (("factor", "x, y + x^100000000"), "shear: x, y + x^100000000\ntail: x, y\n"),
+        (("nf", "x, y + x^100000000"), "shear: x, y + x^100000000\ntail: x, y\n"),
+        (("invert", "x, y + x^100000000"), "x, y - x^100000000\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, want", [
+        pytest.param(argv, want, id=" ".join(argv)) for argv, want in
+        SPARSE_EXPONENT_CALLS + [((argv[0], "--verify", *argv[1:]), want)
+                                 for argv, want in SPARSE_EXPONENT_CALLS if argv[0] != "compose"]])
+    def test_sparse_huge_exponents_within_budget(self, capsys, argv, want):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        assert (code, out, err) == (0, want, "")
+        assert elapsed < 2.0, "%.2fs of 2s budget" % elapsed
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):

@@ -7,6 +7,7 @@ multiply is checked against the dict loop, which is its reference.
 
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -428,6 +429,72 @@ class TestAffineSubstitute:
         assert polys[0].substitute_affine(c, c).is_zero()
         assert polys[1].substitute_affine(c, c) == polys[1]
         assert polys[2].substitute_affine(one, zero) == polys[2]
+
+    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_zero_shift_matches_substitute_of_a_t(self, field, data):
+        # sparse f: with b = 0 only the terms present are scaled
+        f = data.draw(st.dictionaries(st.integers(0, 12), nonzero_scalars(field), max_size=4).map(
+            lambda terms: Poly1(field, terms)))
+        a = data.draw(nonzero_scalars(field))
+        got, want = f.substitute_affine(a, field.zero), f.substitute(Poly1.monomial(field, 1, a))
+        assert (got._num, got._den) == (want._num, want._den)
+
+    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
+    def test_zero_shift_of_a_huge_exponent_is_immediate(self, field):
+        one = field.one
+        f = Poly1(field, {10 ** 8: one, 3: one + one})
+        for a in (one, -one):
+            t0 = time.perf_counter()
+            got = f.substitute_affine(a, field.zero)
+            assert time.perf_counter() - t0 < 0.5
+            want = f.substitute(Poly1.monomial(field, 1, a))
+            assert (got._num, got._den) == (want._num, want._den)
+
+
+class TestPowers:
+    """poly.Powers(b)[e] is b ** e: squared for a base of at most one term,
+    stepped one product at a time and kept for any other."""
+
+    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
+    def test_lookups_in_any_order_equal_pow(self, field):
+        c = field.of(3)
+        bases = (Poly1.zero(field), Poly1.constant(field, c), Poly1.monomial(field, 3, c),
+                 Poly1(field, {0: c, 2: field.one}), Poly2.zero(field), Poly2.constant(field, c),
+                 Poly2.monomial(field, 1, 2, c), Poly2.x(field) + Poly2.y(field).scale(c))
+        for base in bases:
+            powers = poly.Powers(base)
+            for e in (*range(8, -1, -1), *range(9)):
+                assert powers[e] == base ** e, (base, e)
+
+    def test_binomial_costs_one_product_per_new_exponent(self, monkeypatch):
+        calls = []
+        raw_mul = poly._SparsePoly._raw_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return raw_mul(a, b)
+
+        base = Poly2.x(QQ) + Poly2.y(QQ)
+        monkeypatch.setattr(poly._SparsePoly, "_raw_mul", counting)
+        powers = poly.Powers(base)
+        for e, products in ((5, 4), (5, 4), (3, 4), (1, 4), (0, 4), (8, 7)):
+            powers[e]
+            assert len(calls) == products, e
+
+    def test_monomial_is_squared(self, monkeypatch):
+        calls = []
+        raw_mul = poly._SparsePoly._raw_mul
+
+        def counting(a, b):
+            calls.append(1)
+            return raw_mul(a, b)
+
+        base = Poly1.monomial(QQ, 1, QQ.of(-1))
+        monkeypatch.setattr(poly._SparsePoly, "_raw_mul", counting)
+        assert poly.Powers(base)[10 ** 8] == Poly1.monomial(QQ, 10 ** 8, QQ.one)
+        assert len(calls) <= 2 * (10 ** 8).bit_length()
 
 
 class TestCalculus:
