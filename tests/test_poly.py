@@ -408,8 +408,11 @@ class TestAffineSubstitute:
     @settings(max_examples=40, deadline=None)
     def test_matches_generic_substitute(self, field, data):
         one, zero = field.one, field.zero
+        # sparse f up to degree 12 too: with b = 0 only the terms present are scaled
         f = data.draw(st.one_of(poly1(field, max_deg=6), scalars(field).map(
-            lambda c: Poly1.constant(field, c))))
+            lambda c: Poly1.constant(field, c)), st.dictionaries(
+                st.integers(0, 12), nonzero_scalars(field), max_size=4).map(
+                lambda terms: Poly1(field, terms))))
         a = data.draw(st.one_of(st.sampled_from([one, -one]), nonzero_scalars(field)))
         b = data.draw(st.one_of(st.just(zero), scalars(field)))
         got, want = f.substitute_affine(a, b), _affine_reference(f, a, b)
@@ -429,17 +432,6 @@ class TestAffineSubstitute:
         assert polys[0].substitute_affine(c, c).is_zero()
         assert polys[1].substitute_affine(c, c) == polys[1]
         assert polys[2].substitute_affine(one, zero) == polys[2]
-
-    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_zero_shift_matches_substitute_of_a_t(self, field, data):
-        # sparse f: with b = 0 only the terms present are scaled
-        f = data.draw(st.dictionaries(st.integers(0, 12), nonzero_scalars(field), max_size=4).map(
-            lambda terms: Poly1(field, terms)))
-        a = data.draw(nonzero_scalars(field))
-        got, want = f.substitute_affine(a, field.zero), f.substitute(Poly1.monomial(field, 1, a))
-        assert (got._num, got._den) == (want._num, want._den)
 
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
     def test_zero_shift_of_a_huge_exponent_is_immediate(self, field):
@@ -468,7 +460,9 @@ class TestPowers:
             for e in (*range(8, -1, -1), *range(9)):
                 assert powers[e] == base ** e, (base, e)
 
-    def test_binomial_costs_one_product_per_new_exponent(self, monkeypatch):
+    @staticmethod
+    def count_products(monkeypatch) -> list:
+        """A list that gains one item per polynomial product from now on."""
         calls = []
         raw_mul = poly._SparsePoly._raw_mul
 
@@ -476,24 +470,20 @@ class TestPowers:
             calls.append(1)
             return raw_mul(a, b)
 
-        base = Poly2.x(QQ) + Poly2.y(QQ)
         monkeypatch.setattr(poly._SparsePoly, "_raw_mul", counting)
-        powers = poly.Powers(base)
+        return calls
+
+    def test_binomial_costs_one_product_per_new_exponent(self, monkeypatch):
+        powers = poly.Powers(Poly2.x(QQ) + Poly2.y(QQ))
+        calls = self.count_products(monkeypatch)
         for e, products in ((5, 4), (5, 4), (3, 4), (1, 4), (0, 4), (8, 7)):
             powers[e]
             assert len(calls) == products, e
 
     def test_monomial_is_squared(self, monkeypatch):
-        calls = []
-        raw_mul = poly._SparsePoly._raw_mul
-
-        def counting(a, b):
-            calls.append(1)
-            return raw_mul(a, b)
-
-        base = Poly1.monomial(QQ, 1, QQ.of(-1))
-        monkeypatch.setattr(poly._SparsePoly, "_raw_mul", counting)
-        assert poly.Powers(base)[10 ** 8] == Poly1.monomial(QQ, 10 ** 8, QQ.one)
+        powers = poly.Powers(Poly1.monomial(QQ, 1, QQ.of(-1)))
+        calls = self.count_products(monkeypatch)
+        assert powers[10 ** 8] == Poly1.monomial(QQ, 10 ** 8, QQ.one)
         assert len(calls) <= 2 * (10 ** 8).bit_length()
 
 
