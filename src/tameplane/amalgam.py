@@ -50,6 +50,8 @@ from .automorphisms import (
     apply_line_shear,
     as_affine,
 )
+from .ratfunc import field_from_spec
+from .textio import ParseError, field_spec, format_poly1, format_scalar, parse_poly1, parse_scalar
 
 
 def in_borel(auto: PlaneAuto) -> bool:
@@ -456,8 +458,6 @@ _VERSION = 1
 
 
 def word_to_json(word: AmalgamWord) -> str:
-    from .textio import field_spec, format_poly1, format_scalar
-
     def scalar(s) -> str:
         return format_scalar(word.field, s)
 
@@ -487,9 +487,6 @@ def word_from_json(text: str) -> AmalgamWord:
     Degenerate atoms (a singular matrix, a zero scaling) are well formed
     here and are rejected when the word is normalized.
     """
-    from .ratfunc import field_from_spec
-    from .textio import ParseError, parse_poly1, parse_scalar
-
     try:
         doc = json.loads(text)
     except ValueError as exc:

@@ -42,14 +42,13 @@ class NotAnAutomorphism(ValueError):
 class PlaneAuto:
     """An endomorphism of the plane given by the images of x and y."""
 
-    __slots__ = ("p", "q", "_hash")
+    __slots__ = ("p", "q")
 
     def __init__(self, p: Poly2, q: Poly2):
         if p.field != q.field:
             raise ValueError("components over different fields")
         self.p = p
         self.q = q
-        self._hash = None
 
     @property
     def field(self):
@@ -92,9 +91,7 @@ class PlaneAuto:
         return isinstance(other, PlaneAuto) and self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.p, self.q))
-        return self._hash
+        return hash((self.p, self.q))
 
     def __repr__(self):
         return "PlaneAuto(%r, %r)" % (self.p, self.q)

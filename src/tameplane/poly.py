@@ -36,7 +36,8 @@ The degree of the zero polynomial is ``NEG_INF`` so that degree
 comparisons and products behave uniformly.
 
 Powers.  ``Powers(base)`` is the one power ladder, a dict e -> base**e filled
-on lookup: a monomial is squared, O(log e) products; other bases step, kept.
+on lookup: a monomial is raised in closed form, (c m)^e = c^e m^e, one field
+power and no product; other bases step, kept.
 
 >>> from tameplane.scalars import QQ
 >>> t = Poly1.gen(QQ)
@@ -117,7 +118,8 @@ def _kronecker_mul(a: dict, b: dict) -> dict | None:
 
 
 class Powers(dict):
-    """base**e for each e looked up, cached: a dict seeded with {0: one, 1: base}."""
+    """base**e for each e looked up, cached: a dict seeded with {0: one, 1: base};
+    a base of at most one term is raised by ``**``, which makes no product."""
 
     def __init__(self, base):
         super().__init__({0: base.one(base.field), 1: base})
@@ -148,7 +150,7 @@ def over_lcm(pairs: dict) -> tuple:
 class _SparsePoly:
     """Key-shape-independent arithmetic on numerators over one denominator."""
 
-    __slots__ = ("field", "_num", "_den", "_hash")
+    __slots__ = ("field", "_num", "_den")
 
     _CONST_KEY: object  # the key of the constant term, set by each subclass
 
@@ -157,7 +159,6 @@ class _SparsePoly:
         lift, of = field.lift, field.of
         self.field = field
         self._num, self._den = over_lcm({k: lift(of(c)) for k, c in terms.items()} if terms else {})
-        self._hash = None
 
     @classmethod
     def _make(cls, field, nums: dict, den: int = 1):
@@ -166,7 +167,6 @@ class _SparsePoly:
         p.field = field
         p._num = nums
         p._den = den
-        p._hash = None
         return p
 
     @classmethod
@@ -175,7 +175,6 @@ class _SparsePoly:
         p = object.__new__(cls)
         p.field = field
         p._num, p._den = field.normalize(nums, den)
-        p._hash = None
         return p
 
     @classmethod
@@ -343,6 +342,9 @@ class _SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if len(self._num) == 1:  # (c m)^n = c^n m^n: one field power, no product
+            (k, c), = self._num.items()
+            return self._monomial(self.field, self._key_times(k, n), self.field.ratio(c, self._den) ** n)
         return power(self.one(self.field), self, n)
 
     # -- comparisons ------------------------------------------------------
@@ -354,9 +356,7 @@ class _SparsePoly:
         return self._den == o._den and self._num == o._num
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, self._den, tuple(sorted(self._num.items()))))
-        return self._hash
+        return hash((self.field, self._den, tuple(sorted(self._num.items()))))
 
 
 class Poly1(_SparsePoly):
@@ -364,6 +364,10 @@ class Poly1(_SparsePoly):
 
     __slots__ = ()
     _CONST_KEY = 0
+
+    @staticmethod
+    def _key_times(k: int, n: int) -> int:
+        return k * n
 
     @classmethod
     def gen(cls, field) -> Poly1:
@@ -555,6 +559,10 @@ class Poly2(_SparsePoly):
 
     __slots__ = ()
     _CONST_KEY = (0, 0)
+
+    @staticmethod
+    def _key_times(k: tuple, n: int) -> tuple:
+        return k[0] * n, k[1] * n
 
     @classmethod
     def x(cls, field) -> Poly2:

@@ -7,8 +7,9 @@ Building an element from any num/den runs a Euclidean gcd in K[z] (von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 3).  These results are
 reduced by construction and skip it: negation (-num/den keeps the factors);
 add, sub and mul of two polynomial elements (a monic constant denominator is
-exactly 1, so the result is a polynomial over 1); and ``inverse()`` (den/num
-is coprime too, so only num is scaled to be monic), which division uses.
+exactly 1, so the result is a polynomial over 1); ``inverse()`` (den/num
+is coprime too, so only num is scaled to be monic), which division uses; and
+``**``, num^n/den^n with den^n monic.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly1
-from .scalars import QQ, PrimeField, power
+from .scalars import QQ, PrimeField
 
 
 class RationalFunction:
@@ -120,7 +121,7 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self.field.one, self, n)
+        return RationalFunction._coprime(self.field, self.num ** n, self.den ** n)
 
     def __bool__(self):
         return not self.num.is_zero()

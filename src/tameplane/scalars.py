@@ -18,8 +18,9 @@ over den to the canonical form (over Q no zeros, den > 0 and
 gcd(den, *nums) = 1; over F_p residues in [1, p) over 1), and
 ``ratio(num, den)`` is the element num/den.
 
-``power`` is the one exponentiation-by-squaring loop; polynomials, K(z)
-elements and ``RationalMatrix`` raise to powers through it.
+``power`` is the one exponentiation-by-squaring loop, for polynomials of two
+or more terms and ``RationalMatrix``; a one-term polynomial raises its
+coefficient and a K(z) element its numerator and denominator instead.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def _is_prime(n: int) -> bool:
 
 def power(one, x, n: int):
     """x**n for n >= 0 by repeated squaring from ``one``, for any associative
-    ``*``; each caller handles its own negative exponents."""
+    ``*``; each caller handles its own negative exponents.  Polynomials call
+    it for bases of two or more terms only."""
     out = one
     while n:
         if n & 1:
@@ -116,61 +118,44 @@ class PrimeFieldElement:
     def __new__(cls, field: PrimeField, value: int):
         return field._elems[value % field.p]
 
-    def __add__(self, other):
-        f = self.field
+    def _residue(self, other):
+        """The residue of an int or of an element of this field; None for any
+        other operand, which the operators answer with NotImplemented."""
         if type(other) is PrimeFieldElement:
-            if other.field is not f:
+            if other.field is not self.field:
                 raise ValueError("mixed prime fields")
-            return f._elems[(self.value + other.value) % f.p]
+            return other.value
         if isinstance(other, int):
-            return f._elems[(self.value + other) % f.p]
-        return NotImplemented
+            return other % self.field.p
+        return None
+
+    def __add__(self, other):
+        f, r = self.field, self._residue(other)
+        return NotImplemented if r is None else f._elems[(self.value + r) % f.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        f = self.field
-        if type(other) is PrimeFieldElement:
-            if other.field is not f:
-                raise ValueError("mixed prime fields")
-            return f._elems[(self.value - other.value) % f.p]
-        if isinstance(other, int):
-            return f._elems[(self.value - other) % f.p]
-        return NotImplemented
+        f, r = self.field, self._residue(other)
+        return NotImplemented if r is None else f._elems[(self.value - r) % f.p]
 
     def __rsub__(self, other):
-        f = self.field
-        if isinstance(other, int):
-            return f._elems[(other - self.value) % f.p]
-        return NotImplemented
+        f, r = self.field, self._residue(other)
+        return NotImplemented if r is None else f._elems[(r - self.value) % f.p]
 
     def __mul__(self, other):
-        f = self.field
-        if type(other) is PrimeFieldElement:
-            if other.field is not f:
-                raise ValueError("mixed prime fields")
-            return f._elems[(self.value * other.value) % f.p]
-        if isinstance(other, int):
-            return f._elems[(self.value * other) % f.p]
-        return NotImplemented
+        f, r = self.field, self._residue(other)
+        return NotImplemented if r is None else f._elems[self.value * r % f.p]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        f = self.field
-        if type(other) is PrimeFieldElement:
-            if other.field is not f:
-                raise ValueError("mixed prime fields")
-            return f._elems[(self.value * f._inv(other.value)) % f.p]
-        if isinstance(other, int):
-            return f._elems[(self.value * f._inv(other % f.p)) % f.p]
-        return NotImplemented
+        f, r = self.field, self._residue(other)
+        return NotImplemented if r is None else f._elems[self.value * f._inv(r) % f.p]
 
     def __rtruediv__(self, other):
-        f = self.field
-        if isinstance(other, int):
-            return f._elems[(other * f._inv(self.value)) % f.p]
-        return NotImplemented
+        f, r = self.field, self._residue(other)
+        return NotImplemented if r is None else f._elems[r * f._inv(self.value) % f.p]
 
     def __pow__(self, n: int):
         f = self.field

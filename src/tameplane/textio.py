@@ -22,10 +22,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .automorphisms import PlaneAuto
 from .linear import PolyMat2
 from .poly import Poly1, Poly2
 from .ratfunc import RationalFunction, RationalFunctionField
-from .scalars import QQ, PrimeField, PrimeFieldElement
+from .scalars import QQ, PrimeField
 
 
 class ParseError(ValueError):
@@ -84,29 +85,17 @@ def _tokenize(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# evaluator helpers: values are int | scalar | Poly1 | Poly2
-
-def _as_constant(field, v, pos: int):
-    """Reduce ``v`` to a field scalar, or complain at ``pos``."""
-    if isinstance(v, (Poly1, Poly2)):
-        if v.is_constant():
-            return v.constant_term()
-        raise ParseError("divisor must be constant", pos)
-    if isinstance(v, int):
-        return field.of(v)
-    return v
-
+# evaluator helpers: values are field elements | Poly1 | Poly2
 
 def _divide(field, a, b, pos: int):
-    divisor = _as_constant(field, b, pos)
-    if not divisor:
+    if isinstance(b, (Poly1, Poly2)):
+        if not b.is_constant():
+            raise ParseError("divisor must be constant", pos)
+        b = b.constant_term()
+    if not b:
         raise ParseError("division by zero", pos)
-    inv = field.one / divisor
-    if isinstance(a, (Poly1, Poly2)):
-        return a.scale(inv)
-    if isinstance(a, int):
-        return field.of(a) * inv
-    return a * inv
+    inv = field.one / b
+    return a.scale(inv) if isinstance(a, (Poly1, Poly2)) else a * inv
 
 
 # Parentheses and unary signs nest the parser's recursion, five frames per
@@ -198,7 +187,7 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.next()
         if kind == "int":
-            return value
+            return self.field.of(value)
         if kind == "name":
             try:
                 return self.variables[value]
@@ -247,8 +236,6 @@ def _run(field, tokens: list, names: dict, kind):
     parser = _Parser(field, tokens, variables)
     value = parser.expression()
     parser.expect_end()
-    if isinstance(value, int):
-        value = field.of(value)
     if kind is None or isinstance(value, kind):
         return value
     return kind.constant(field, value)
@@ -276,8 +263,6 @@ def parse_poly2(field, text: str) -> Poly2:
 
 def parse_auto(field, text: str):
     """A plane map literal: two comma-separated x,y-polynomials."""
-    from .automorphisms import PlaneAuto
-
     tokens = _tokenize(text)
     groups = _split_top_level(tokens, ",")
     if len(groups) != 2:
@@ -317,14 +302,12 @@ def format_scalar(field, value) -> str:
         if value.den.degree() == 0:
             return num
         return "(%s)/(%s)" % (num, format_poly1(value.den, "z"))
-    if isinstance(value, PrimeFieldElement):
-        return str(value.value)
     return str(value)
 
 
 def _split_sign(field, value):
     """(is_negative, absolute value); only plain rationals have a canonical sign."""
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
         return value < 0, -value if value < 0 else value
     return False, value
 

@@ -114,6 +114,17 @@ class TestExpressionCommands:
         assert elapsed < 2.0, "%.2fs of 2s budget" % elapsed
 
 
+    # an int literal is a field element, so its power is one power mod p
+    @pytest.mark.parametrize("spec, want", [("fp:5", "3*x, y\n"), ("fp:5-of-z", "3*x, y\n"),
+                                            ("fp:1000003", "197617*x, y\n")])
+    def test_literal_power_within_budget(self, capsys, spec, want):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "--field", spec, "compose", "3^30000001*x, y", "x, y")
+        elapsed = time.perf_counter() - t0
+        assert (code, out, err) == (0, want, "")
+        assert elapsed < 2.0, "%.2fs of 2s budget" % elapsed
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, capsys):
         code, _, err = run(capsys, "compose", "x, y+")

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tameplane import NEG_INF, Poly1, Poly2, QQ, parse_auto
 from tameplane import poly
+from tameplane.scalars import power
 
 from conftest import F1000003, F5, F_M61, QZ, nonzero_scalars, poly1, poly2, scalars
 
@@ -446,8 +447,9 @@ class TestAffineSubstitute:
 
 
 class TestPowers:
-    """poly.Powers(b)[e] is b ** e: squared for a base of at most one term,
-    stepped one product at a time and kept for any other."""
+    """poly.Powers(b)[e] is b ** e: a one-term base is raised in closed form,
+    (c m)^e = c^e m^e with no product, and any other base is stepped one
+    product at a time and kept."""
 
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
     def test_lookups_in_any_order_equal_pow(self, field):
@@ -480,11 +482,25 @@ class TestPowers:
             powers[e]
             assert len(calls) == products, e
 
-    def test_monomial_is_squared(self, monkeypatch):
+    def test_monomial_power_makes_no_product(self, monkeypatch):
         powers = poly.Powers(Poly1.monomial(QQ, 1, QQ.of(-1)))
         calls = self.count_products(monkeypatch)
         assert powers[10 ** 8] == Poly1.monomial(QQ, 10 ** 8, QQ.one)
-        assert len(calls) <= 2 * (10 ** 8).bit_length()
+        assert calls == []
+
+    @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
+    def test_one_term_powers_match_squaring_without_products(self, field, monkeypatch):
+        c = field.of(3)
+        for m in (Poly1.monomial(field, 3, c), Poly1.constant(field, -c),
+                  Poly2.monomial(field, 1, 2, c), Poly2.monomial(field, 0, 4, field.one)):
+            exponents = (0, 1, 2, 5, 13, 64)
+            want = {n: power(m.one(field), m, n) for n in exponents}
+            calls = self.count_products(monkeypatch)
+            powers = poly.Powers(m)
+            for n in exponents:
+                assert m ** n == want[n] and powers[n] == want[n], (m, n)
+            assert calls == [], m
+            monkeypatch.undo()
 
 
 class TestCalculus:

@@ -162,6 +162,15 @@ def test_prime_field_elements_coerce_plain_ints(name, a, b):
     assert type(got) is type(F5.one) and got == F5.of(want)
 
 
+@pytest.mark.parametrize("other", [Fraction(1, 2), 0.5, "2"], ids=repr)
+@pytest.mark.parametrize("name", sorted(INT_OPERATIONS))
+def test_prime_field_elements_refuse_other_operands(name, other):
+    # one operand check serves every operator: only ints and elements of
+    # the same field are taken, on either side
+    with pytest.raises(TypeError):
+        INT_OPERATIONS[name](F5.of(2), other)
+
+
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
 def test_mixed_prime_fields_raise(op):
     with pytest.raises(ValueError, match="mixed prime fields"):
@@ -272,8 +281,8 @@ class TestLargePrimeField:
 
 
 class TestPower:
-    """scalars.power against repeated multiplication on every type that
-    raises to powers through it."""
+    """scalars.power and ``**`` against repeated multiplication, on
+    polynomials of two or more terms, K(z) elements and matrices."""
 
     @staticmethod
     def repeated(one, x, n):

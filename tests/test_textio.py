@@ -147,6 +147,7 @@ class TestFieldsOfSpecs:
     @pytest.mark.parametrize("spec,text,back", [
         ("q", "-7/3", "-7/3"),
         ("fp:5", "9", "4"),
+        ("fp:5", "3^100000001", "3"),  # a literal's power is a field power
         ("q-of-z", "(1 + z^2)/(2*z)", "(1/2 + 1/2*z^2)/(z)"),
         ("fp:3-of-z", "z + 4", "1 + z"),
     ])
