@@ -113,7 +113,6 @@ class TestExpressionCommands:
         assert (code, out, err) == (0, want, "")
         assert elapsed < 2.0, "%.2fs of 2s budget" % elapsed
 
-
     # an int literal is a field element, so its power is one power mod p
     @pytest.mark.parametrize("spec, want", [("fp:5", "3*x, y\n"), ("fp:5-of-z", "3*x, y\n"),
                                             ("fp:1000003", "197617*x, y\n")])

@@ -491,16 +491,16 @@ class TestPowers:
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
     def test_one_term_powers_match_squaring_without_products(self, field, monkeypatch):
         c = field.of(3)
-        for m in (Poly1.monomial(field, 3, c), Poly1.constant(field, -c),
-                  Poly2.monomial(field, 1, 2, c), Poly2.monomial(field, 0, 4, field.one)):
-            exponents = (0, 1, 2, 5, 13, 64)
-            want = {n: power(m.one(field), m, n) for n in exponents}
-            calls = self.count_products(monkeypatch)
+        bases = (Poly1.monomial(field, 3, c), Poly1.constant(field, -c),
+                 Poly2.monomial(field, 1, 2, c), Poly2.monomial(field, 0, 4, field.one))
+        exponents = (0, 1, 2, 5, 13, 64)
+        want = [[power(m.one(field), m, n) for n in exponents] for m in bases]
+        calls = self.count_products(monkeypatch)
+        for m, powers_of_m in zip(bases, want):
             powers = poly.Powers(m)
-            for n in exponents:
-                assert m ** n == want[n] and powers[n] == want[n], (m, n)
-            assert calls == [], m
-            monkeypatch.undo()
+            for n, w in zip(exponents, powers_of_m):
+                assert m ** n == w and powers[n] == w, (m, n)
+        assert calls == []
 
 
 class TestCalculus:
