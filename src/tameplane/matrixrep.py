@@ -14,22 +14,22 @@ vector u by the rank-one update h (w . u) v, so peeling and recomposing
 apply factors column by column and ping-pong to one vector, one Poly1
 product per vector, never as a full 2x2 polynomial-matrix product.
 
-Peeling reads numerators, not field elements: each step takes the four
-entries over the lcm of their denominators and v, w over their own, tests
-every zero through ``field.normalize`` (F_p products are unreduced ints),
-walks only the exponents present, and builds elements only for the step's
-direction and scalar.
+Peeling is Euclid's algorithm in K[t], one reduced letter per step: by
+Nagao's theorem SL2(K[t]) = SL2(K) *_{B(K)} B(K[t]) (H. Nagao, J. Inst.
+Polytech. Osaka City Univ. 1959; J.-P. Serre, *Trees*, ch. II 1.6) the
+group is an amalgam, so a member has one reduced word and its top
+coefficient names the first letter's line.  One Poly1 division then gives
+that letter's parameter, which walks only the exponents present.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .amalgam import free_reduce, shear_decompose
+from .amalgam import shear_decompose
 from .automorphisms import PlaneAuto
 from .linear import PolyMat2, ProjPoint, nil_factors
-from .poly import NEG_INF, Poly1, over_lcm
+from .poly import NEG_INF, Poly1
 from .textio import format_poly1
 
 
@@ -88,62 +88,45 @@ def _validate_group_member(g: PolyMat2) -> None:
         raise NotInMatrixGroup("value at t = 0 is not the identity")
 
 
-def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
-    """Peel g into shear factors, product left to right.
+def matrix_reduced_word(g: PolyMat2) -> tuple:
+    """The reduced word of g: (direction, parameter) pairs with parameters
+    vanishing at 0, adjacent directions distinct, product left to right.
 
-    Each step removes the top degree: the top coefficient matrix lies in a
-    single line's image, the step size is the gap down to the last
-    coefficient outside that line, and the scalar matches exactly; any
-    mismatch raises FactorizationInvariantError.  Each step's inverse
-    factor is applied to g as a rank-one update of its two columns.
+    Each step peels the first letter g = (id + h e_delta) g' with one
+    division: delta is the image of the top coefficient, b = w^T g = w^T g'
+    and a = u^T g = u^T g' + h b with u^T v = 1, and h is the quotient of an
+    entry of a by the entry of b of top degree, its constant term dropped.
+    The degree must drop at every letter and the remainder must be id; any
+    failure raises FactorizationInvariantError.
     """
     _validate_group_member(g)
     field = g.field
-    normalize, lift, zero = field.normalize, field.lift, field.lift(field.zero)[0]
-    factors: list[ShearFactor] = []
+    word = []
     while (deg := g.degree()) >= 1:
-        den = math.lcm(*[e._den for e in g.entries()])
-        n00, n01, n10, n11 = nums = [e._num if e._den == den else {
-            k: v * (den // e._den) for k, v in e._num.items()} for e in g.entries()]
-        t00, t01, t10, t11 = top = [n.get(deg, zero) for n in nums]
-        if normalize({0: t00 * t11 - t01 * t10}, 1)[0]:
-            raise FactorizationInvariantError("top coefficient %r is invertible" % (g.coeff(deg),))
-        # canonical numerators hold no zeros, so a present key is a nonzero one
-        delta = ProjPoint.of(field, *((t00, t10) if deg in n00 or deg in n10 else (t01, t11)))
-        (v, vd), (w, wd) = (over_lcm({i: lift(x) for i, x in enumerate(vec)})
-                            for vec in nil_factors(delta))
-        v0, v1, w0, w1 = v.get(0, zero), v.get(1, zero), w.get(0, zero), w.get(1, zero)
-        if normalize({0: w0 * t00 + w1 * t10, 1: w0 * t01 + w1 * t11}, 1)[0]:
-            raise FactorizationInvariantError("top coefficient image is not one line")
-        for n in sorted({*n00, *n01, *n10, *n11}, reverse=True)[1:]:
-            if r := normalize({0: w0 * n00.get(n, zero) + w1 * n10.get(n, zero),
-                               1: w0 * n01.get(n, zero) + w1 * n11.get(n, zero)}, 1)[0]:
-                break
-        else:
-            raise FactorizationInvariantError("no anchor coefficient below degree %d" % deg)
-        # b = e_delta times the anchor coefficient = v (r0, r1), over vd wd den
-        r0, r1 = r.get(0, zero), r.get(1, zero)
-        b = normalize(dict(enumerate((v0 * r0, v0 * r1, v1 * r0, v1 * r1))), 1)[0]
-        e = min(b, default=None)  # c = top_e / b_e, the match by cross-multiplying
-        c = None if e is None else field.of(top[e] * (vd * wd)) / field.of(b[e])
-        if not c:
-            raise FactorizationInvariantError("anchor produced a zero scalar")
-        if normalize({f: t * b[e] - top[e] * b.get(f, zero) for f, t in enumerate(top)}, 1)[0]:
-            raise FactorizationInvariantError("top coefficient is not a multiple of the anchor")
-        step = ShearFactor(delta, c, deg - n)
-        g = _shear_left(delta, Poly1.monomial(field, deg - n, -c), g)
+        e00, e01, e10, e11 = g.entries()
+        c0, c1 = (e00, e10) if max(e00.degree(), e10.degree()) == deg else (e01, e11)
+        delta = ProjPoint.of(field, c0.coeff(deg), c1.coeff(deg))
+        (v0, v1), (w0, w1) = nil_factors(delta)
+        b = (e00.scale(w0) + e10.scale(w1), e01.scale(w0) + e11.scale(w1))
+        a = (e00, e01) if delta.at_infinity else (e10, e11)
+        j = 0 if b[0].degree() >= b[1].degree() else 1
+        h = divmod(a[j], b[j])[0].drop_below(1)
+        s0, s1 = h * b[0], h * b[1]
+        g = PolyMat2(field, e00 - s0.scale(v0), e01 - s1.scale(v0),
+                     e10 - s0.scale(v1), e11 - s1.scale(v1))
         if g.degree() >= deg:
             raise FactorizationInvariantError("degree did not drop at degree %d" % deg)
-        factors.append(step)
+        word.append((delta, h))
     if not g.is_identity():
         raise FactorizationInvariantError("constant remainder %r is not the identity" % (g,))
-    return factors
+    return tuple(word)
 
 
-def matrix_reduced_word(g: PolyMat2) -> tuple:
-    """The reduced word of g: (direction, parameter) pairs with parameters
-    vanishing at 0, adjacent directions distinct, product left to right."""
-    return free_reduce([fac.pair() for fac in matrix_factor(g)])
+def matrix_factor(g: PolyMat2) -> list[ShearFactor]:
+    """g as monomial shear factors, product left to right: the letters of
+    its reduced word, each split into its terms from the top degree down."""
+    return [ShearFactor(delta, c, k) for delta, h in matrix_reduced_word(g)
+            for k, c in reversed(h.items())]
 
 
 def matrix_recompose(field, pairs) -> PolyMat2:

@@ -71,7 +71,10 @@ def _tokenize(text: str) -> list:
             continue
         m = _TOKEN.match(text, pos)
         if m.group(1) is not None:
-            out.append(("int", int(m.group(1)), m.start(1)))
+            try:
+                out.append(("int", int(m.group(1)), m.start(1)))
+            except ValueError:  # past the interpreter's limit on digits per int()
+                raise ParseError("integer literal too long", m.start(1)) from None
         elif m.group(2) is not None:
             out.append(("name", m.group(2), m.start(2)))
         else:

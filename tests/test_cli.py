@@ -144,6 +144,8 @@ class TestExitCodes:
             ("compose", deep + ", y"),
             ("compose", "-" * 1000 + "x, y"),
             ("from-matrix", "1, " + deep.replace("x", "t") + " ; 0, 1"),
+            ("--field", "fp:5", "compose", "7" * 5000 + "*x, y", "x, y"),
+            ("--field", "fp:5", "compose", "x^" + "7" * 5000 + ", y", "x, y"),
         ):
             code, _, err = run(capsys, *argv)
             assert code == 2 and "parse error" in err, argv

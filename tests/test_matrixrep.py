@@ -25,7 +25,8 @@ from tameplane import (
     shear_recompose,
     to_matrix,
 )
-from tameplane import poly
+from tameplane import matrixrep, poly
+from tameplane.linear import nil_factors
 from tameplane.matrixrep import (
     FactorizationInvariantError,
     PingPongResult,
@@ -103,8 +104,8 @@ class TestWorkedExample:
 
 class TestMatrixFactor:
     def test_degree_strictly_decreases_during_peeling(self):
-        # over F_2 the lifted row w of (1 : 1) is (1, 1), so two unit
-        # numerators give the anchor row value 2, zero only once reduced
+        # over F_2 the row w of (1 : 1) is (1, 1), so b = w^T g adds two
+        # unit residues into 2, which is zero only once reduced
         rng = random.Random(61)
         for field in (QQ, F5, F2, F3):
             for _ in range(20):
@@ -132,15 +133,29 @@ class TestMatrixFactor:
                     assert d1 != d2
                 for _, h in pairs:
                     assert not h.coeff(0) and not h.is_zero()
+        # multi-term letters: the word comes back exactly, and the factors
+        # are its letters split into monomials from the top degree down
+        for field in KERNEL_FIELDS + (F2, F3):
+            for _ in range(20):
+                pairs = random_reduced_word(field, rng)
+                g = matrix_recompose(field, pairs)
+                assert matrix_reduced_word(g) == tuple(pairs)
+                assert matrix_factor(g) == monomial_factors(pairs)
 
     def test_sparse_high_degree_peels_in_time_with_the_terms(self):
-        # the anchor search walks the exponents present, not all 10^6 below the top
-        g = parse_polymat(QQ, "1, t^1000000 ; 0, 1")
-        start = time.perf_counter()
-        factors = matrix_factor(g)
-        elapsed = time.perf_counter() - start
-        assert factors == [ShearFactor(ProjPoint.infinity(QQ), QQ.one, 1000000)]
-        assert elapsed < 0.5, "budget 0.5 s, took %.3f s" % elapsed
+        # each letter's division walks the exponents present, not all 10^6 below the top
+        tt, inf = Poly1.gen(QQ), ProjPoint.infinity(QQ)
+        big = tt ** 1000000
+        sparse = big - tt ** 999999 + tt ** 2
+        words = ([(inf, big)], [(inf, big + tt.scale(QQ.of(3)))],
+                 [(inf, sparse), (ProjPoint.of(QQ, 0, 1), big), (ProjPoint.of(QQ, 2, 1), sparse)])
+        for pairs in words:
+            g = matrix_recompose(QQ, pairs)
+            start = time.perf_counter()
+            factors = matrix_factor(g)
+            elapsed = time.perf_counter() - start
+            assert factors == monomial_factors(pairs)
+            assert elapsed < 0.5, "budget 0.5 s, took %.3f s" % elapsed
 
     def test_merges_same_direction_runs(self):
         delta = ProjPoint.of(QQ, 1, 1)
@@ -152,6 +167,24 @@ class TestMatrixFactor:
         assert word[0][0] == delta
         tt = Poly1.gen(QQ)
         assert word[0][1] == tt.scale(QQ.of(2)) - tt ** 3
+
+
+def random_reduced_word(field, rng):
+    """1-4 (direction, parameter) pairs, adjacent directions distinct, each
+    parameter 1-3 nonzero terms of degree 1 to 5."""
+    pairs = []
+    for _ in range(rng.randint(1, 4)):
+        delta = random_proj_point(field, rng)
+        if not pairs or pairs[-1][0] != delta:
+            exps = rng.sample(range(1, 6), rng.randint(1, 3))
+            pairs.append((delta, Poly1(field, {e: field.random_nonzero(rng) for e in exps})))
+    return pairs
+
+
+def monomial_factors(pairs):
+    """The letters (delta, h) split into monomial factors, top degree first."""
+    return [ShearFactor(delta, h.coeff(k), k)
+            for delta, h in pairs for k in sorted(h.keys(), reverse=True)]
 
 
 class TestShearFactorPair:
@@ -370,6 +403,26 @@ class TestPingPong:
 
 
 class TestInvariantGuards:
+    def test_non_members_past_the_membership_check_raise(self, monkeypatch):
+        # with the up-front check off, the degree-drop and identity-remainder
+        # checks still refuse each non-member instead of looping or returning;
+        # every peel step reads one nil_factors, so counting them bounds the loop
+        steps = []
+
+        def counted_nil_factors(delta):
+            steps.append(delta)
+            assert len(steps) <= 10, "peeling loops"
+            return nil_factors(delta)
+
+        monkeypatch.setattr(matrixrep, "_validate_group_member", lambda g: None)
+        monkeypatch.setattr(matrixrep, "nil_factors", counted_nil_factors)
+        cases = [(QQ, "1 + t, 0 ; 0, 1"), (QQ, "1, 1 ; 0, 1"), (QQ, "1 + t, t ; t, 1 + t"),
+                 (QQ, "1 + t^2, t ; 0, 1"), (QQ, "2, t ; 0, 1/2"), (F5, "1 + t, 0 ; 0, 1 + 4*t")]
+        for field, text in cases:
+            steps.clear()
+            with pytest.raises(FactorizationInvariantError):
+                matrix_reduced_word(parse_polymat(field, text))
+
     def test_every_member_factors(self):
         # membership (det 1, id at 0) is exactly factorability; a matrix
         # assembled from dense multi-term line matrices still peels cleanly

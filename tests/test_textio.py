@@ -116,6 +116,11 @@ class TestGrammar:
         with pytest.raises(ParseError) as info:
             parse_poly1(QQ, "t ^ t")
         assert info.value.position == 4
+        # past the interpreter's limit on digits per int(): a literal, an exponent
+        for text, position in (("7" * 5000 + "*x, y", 0), ("x^" + "7" * 5000 + ", y", 2)):
+            with pytest.raises(ParseError, match="integer literal too long") as info:
+                parse_auto(F5, text)
+            assert info.value.position == position
 
     def test_nesting_is_capped_at_the_offending_token(self):
         assert parse_poly1(QQ, "(" * 150 + "t" + ")" * 150) == parse_poly1(QQ, "t")
