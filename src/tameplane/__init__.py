@@ -23,9 +23,7 @@ from .automorphisms import (
     classify,
     compose_all,
     line_shear,
-    scaled_shear,
     shear_in_y,
-    swap_map,
 )
 from .amalgam import (
     AmalgamWord,

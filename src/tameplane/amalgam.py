@@ -106,22 +106,6 @@ class AmalgamWord:
         """Multiply the word back out into a plane map."""
         return _multiply_out(self.field, (*self.factors, self.tail))
 
-    def is_reduced(self) -> bool:
-        """Factors alternate in kind, each a genuine representative, and
-        neither representative kind is triangular."""
-        kinds = self.factor_kinds()
-        for a, b in zip(kinds, kinds[1:]):
-            if a == b:
-                return False
-        f = self.field
-        for g in self.factors:
-            if isinstance(g, AffineAuto):
-                if g != AffineAuto(f, ((f.zero, f.one), (f.one, g.m[1][1]))):
-                    return False
-            elif g != ElemAuto.shear(f, g.f) or g.f.degree() <= 1 or g.f.valuation() < 2:
-                return False
-        return self.tail.is_lower_triangular()
-
 
 def _multiply_out(field, atoms) -> PlaneAuto:
     """The plane map atoms[0] o atoms[1] o ..., applied from the left, last

@@ -337,9 +337,6 @@ class AutoProfile:
     triangular: bool
     degree: object
 
-    def tangent_to_identity(self) -> bool:
-        return self.fixes_origin and self.identity_differential
-
 
 def classify(auto: PlaneAuto) -> AutoProfile:
     f = auto.field
@@ -382,18 +379,6 @@ def apply_line_shear(delta: ProjPoint, f: Poly1, p: Poly2, q: Poly2) -> tuple[Po
     a, b = delta.vector()
     fs = f.substitute(p.scale(b) - q.scale(a))
     return p + fs.scale(a), q + fs.scale(b)
-
-
-def scaled_shear(field, n: int, z, a) -> PlaneAuto:
-    """(z x, z^{-1} y + a x^{n-1}), the weight-n twisted family."""
-    z = field.of(z)
-    a = field.of(a)
-    x, y = Poly2.x(field), Poly2.y(field)
-    return PlaneAuto(x.scale(z), y.scale(field.one / z) + Poly2.monomial(field, n - 1, 0, a))
-
-
-def swap_map(field) -> PlaneAuto:
-    return PlaneAuto(Poly2.y(field), Poly2.x(field))
 
 
 def scaling(field, s0, s1) -> PlaneAuto:

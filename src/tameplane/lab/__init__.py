@@ -1,19 +1,12 @@
 """Desk-scale verification suites: exact matrix logs, p-group central
-series, digit scans, and generator relations."""
+series, digit scans, and generator relations.  The brute-force oracles
+that cross-check them (enumeration of the p-groups, power sums, cyclic
+modules, the matrix exponential) live in the tests, in ``tests/oracles.py``."""
 
 from types import ModuleType as _ModuleType
 
 from .digits import DigitViolation, digit_lemma_scan, digits, rotated_value
-from .pgroup import (
-    DEFAULT_ALGEBRA_BOUND,
-    DEFAULT_WORK_BOUND,
-    PGroup,
-    cyclic_module_is_free,
-    nilpotency_index_by_enumeration,
-    pgroup_nilpotency_index,
-    power_sum_identity,
-    scalar_power_sum,
-)
+from .pgroup import DEFAULT_WORK_BOUND, PGroup, pgroup_nilpotency_index
 from .relations import (
     addswap_linear,
     halving_homothety,
@@ -28,7 +21,6 @@ from .unipotent import (
     euler_phi,
     is_unipotent,
     log_scaling_check,
-    matrix_exp,
     quasi_unipotent_order,
     unipotent_log,
 )

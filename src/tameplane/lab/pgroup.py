@@ -14,19 +14,18 @@ commutators with E-elements constrain only f, and the W's are
 translation invariant by induction.)  W_i is kept as the kernel of an
 rref constraint matrix C_i: C_0 is the identity, C_i is the rref of the
 rows of C_(i-1)(sigma_e - 1) over the generators e of E, and T_i is the
-set of u with C_(i-1)(sigma_u - 1) = 0.  Enumeration survives only as a
-cross-check oracle for tiny cases.
+set of u with C_(i-1)(sigma_u - 1) = 0.  No group law is needed: the
+test suite's enumeration oracle (``tests/oracles.py``) multiplies
+elements itself and shares only the module arithmetic below.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from ..poly import Poly1
-from ..scalars import PrimeField, _is_prime
+from ..scalars import _is_prime
 
 DEFAULT_WORK_BOUND = 200_000
-DEFAULT_ALGEBRA_BOUND = 27
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +59,8 @@ def _rref(rows: list, p: int) -> list:
 
 
 class PGroup:
-    """The semidirect product of E = F_p^r with its group algebra."""
+    """The semidirect product of E = F_p^r with its group algebra, held
+    as the points of E and the module arithmetic on coefficient tables."""
 
     def __init__(self, p: int, r: int):
         if not _is_prime(p):
@@ -72,14 +72,10 @@ class PGroup:
         self.q = p ** r
         self.points = list(product(range(p), repeat=r))
         self.index = {u: i for i, u in enumerate(self.points)}
-        self.zero_u = (0,) * r
-        self.zero_table = (0,) * self.q
         self._shift_perm = {
             u: tuple(self.index[self.table_add(w, u)] for w in self.points)
             for u in self.points
         }
-
-    # -- module arithmetic -----------------------------------------------
 
     def shift(self, table, v):
         """The translation action: e^w -> e^(w+v), applied to a table."""
@@ -100,47 +96,12 @@ class PGroup:
         out[self.index[w]] = 1
         return tuple(out)
 
-    # -- group law ---------------------------------------------------------
 
-    @property
-    def identity(self):
-        return (self.zero_u, self.zero_table)
+def _check_bound(p: int, r: int, bound: int) -> None:
+    """Raise ValueError if the group order q * p**q, with q = p**r,
+    exceeds bound.
 
-    def mul(self, g, h):
-        (u, f), (v, g2) = g, h
-        return (self.table_add(u, v), self.table_add(self.shift(f, v), g2))
-
-    def inv(self, g):
-        u, f = g
-        nu = self.table_neg(u)
-        return (nu, self.table_neg(self.shift(f, nu)))
-
-    def commutator(self, g, h):
-        return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))
-
-    def generators(self) -> list:
-        gens = []
-        for j in range(self.r):
-            e_j = tuple(1 if i == j else 0 for i in range(self.r))
-            gens.append((e_j, self.zero_table))
-        gens.append((self.zero_u, self.basis_table(self.zero_u)))
-        return gens
-
-    def elements(self):
-        for u in self.points:
-            for table in product(range(self.p), repeat=self.q):
-                yield (u, table)
-
-    @property
-    def order(self) -> int:
-        return self.q * self.p ** self.q
-
-
-def _check_bound(p: int, r: int, bound: int, name: str, order: bool = False) -> None:
-    """Raise ValueError if q = p**r exceeds bound, or with ``order`` if the
-    group order q * p**q does.
-
-    The power grows one factor of p at a time and the check fails as soon
+    The order grows one factor of p at a time and the check fails as soon
     as it passes the bound, so a huge p or r costs at most log2(bound) + 1
     multiplications.  p < 2 and r < 1 are left to the callers' own checks.
     """
@@ -151,19 +112,18 @@ def _check_bound(p: int, r: int, bound: int, name: str, order: bool = False) -> 
         for _ in range(steps):
             size *= p
             if size > bound:
-                raise ValueError("%s bound exceeded for (p, r) = (%d, %d)" % (name, p, r))
+                raise ValueError("work bound exceeded for (p, r) = (%d, %d)" % (p, r))
         return size
 
     q = times_p(1, r)
-    if order:
-        times_p(q, q)
+    times_p(q, q)
 
 
 def pgroup_nilpotency_index(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND) -> int:
     """Length of the ascending central series of the group above,
     computed structurally (each term as a subgroup-of-E times a subspace
     of the module)."""
-    _check_bound(p, r, work_bound, "work", order=True)
+    _check_bound(p, r, work_bound)
     group = PGroup(p, r)
     q = group.q
 
@@ -190,77 +150,3 @@ def pgroup_nilpotency_index(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND
         t_size, constraints = new_t_size, new_constraints
         if t_size == q and not constraints:
             return index
-
-
-def nilpotency_index_by_enumeration(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND) -> int:
-    """Oracle: the same series length by listing every group element."""
-    _check_bound(p, r, work_bound, "work", order=True)
-    group = PGroup(p, r)
-    gens = group.generators()
-    all_elements = list(group.elements())
-    center = {group.identity}
-    index = 0
-    while len(center) < group.order:
-        index += 1
-        center = {
-            g for g in all_elements
-            if all(group.commutator(g, x) in center for x in gens)
-        }
-    return index
-
-
-# ---------------------------------------------------------------------------
-# power sums in F_p[x_1..x_r]
-
-
-def power_sum_identity(p: int, r: int, algebra_bound: int = DEFAULT_ALGEBRA_BOUND) -> bool:
-    """Whether the sum of u^(q-1) over all u in span(x_1..x_r) equals the
-    product of the nonzero u, in F_p[x_1..x_r] with q = p^r."""
-    _check_bound(p, r, algebra_bound, "algebra")
-    q = p ** r
-    field = PrimeField(p)
-    # x_i is encoded as t^(q^i) (Kronecker substitution).  Every monomial
-    # that arises has total degree at most q - 1, so each of its exponents
-    # is below q and the encoding is injective.
-    lhs = Poly1.zero(field)
-    rhs = Poly1.one(field)
-    for u in product(range(p), repeat=r):
-        form = Poly1(field, {q ** i: field.of(c) for i, c in enumerate(u)})
-        if form:
-            lhs = lhs + form ** (q - 1)
-            rhs = rhs * form
-    return lhs == rhs
-
-
-def scalar_power_sum(p: int, n: int) -> int:
-    """Sum of c^n over all c in F_p, reduced mod p (0^0 counted as 1)."""
-    return sum(pow(c, n, p) for c in range(p)) % p
-
-
-# ---------------------------------------------------------------------------
-# cyclic modules over the group algebra
-
-
-def cyclic_module_is_free(p: int, r: int, table,
-                          algebra_bound: int = DEFAULT_ALGEBRA_BOUND) -> bool:
-    """Whether the translates of the element with the given coefficient
-    table span the whole group algebra freely (trivial annihilator).
-
-    Also evaluates the sufficient criterion "the sum of all translates is
-    nonzero" and raises if the two ever disagree in the forbidden
-    direction (criterion positive but annihilator nontrivial)."""
-    _check_bound(p, r, algebra_bound, "algebra")
-    group = PGroup(p, r)
-    f = tuple(v % p for v in table)
-    if len(f) != group.q:
-        raise ValueError("coefficient table must have length %d" % group.q)
-    total = group.zero_table
-    for u in group.points:
-        total = group.table_add(total, group.shift(f, u))
-    criterion = any(total)
-    # g -> g f is invertible exactly when the translates of f are independent
-    free = len(_rref([group.shift(f, w) for w in group.points], p)) == group.q
-    if criterion and not free:
-        raise RuntimeError(
-            "translate-sum criterion held but the annihilator is nontrivial")
-    return free

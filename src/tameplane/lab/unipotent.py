@@ -38,12 +38,6 @@ class RationalMatrix:
     def zero(cls, n: int) -> RationalMatrix:
         return cls([[0] * n for _ in range(n)])
 
-    @classmethod
-    def diagonal(cls, values) -> RationalMatrix:
-        values = list(values)
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __mul__(self, other: RationalMatrix) -> RationalMatrix:
         if self.n != other.n:
             raise ValueError("size mismatch")
@@ -112,10 +106,6 @@ class RationalMatrix:
             coeffs[n - k] = Fraction(ck)
             m = am + RationalMatrix.identity(n).scale(ck)
         return Poly1(QQ, coeffs)
-
-    def det(self):
-        chi0 = self.charpoly().coeff(0)
-        return chi0 if self.n % 2 == 0 else -chi0
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and other.n == self.n
@@ -191,22 +181,6 @@ def unipotent_log(u: RationalMatrix) -> RationalMatrix:
         acc = acc - power.scale(Fraction(1, m))
         power = power * nilpart
         m += 1
-    return acc
-
-
-def matrix_exp(a: RationalMatrix) -> RationalMatrix:
-    """Finite exponential series; requires nilpotent input."""
-    if not (a ** a.n).is_zero():
-        raise ValueError("matrix is not nilpotent")
-    acc = RationalMatrix.identity(a.n)
-    power = a
-    factorial = 1
-    m = 1
-    while not power.is_zero():
-        acc = acc + power.scale(Fraction(1, factorial))
-        m += 1
-        factorial *= m
-        power = power * a
     return acc
 
 

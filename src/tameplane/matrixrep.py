@@ -83,8 +83,8 @@ def _validate_group_member(g: PolyMat2) -> None:
     det = g.det()
     if det != Poly1.one(g.field):
         raise NotInMatrixGroup("determinant %s is not 1" % format_poly1(det))
-    e00, e01, e10, e11 = g.entries()  # a constant term 1 is a numerator equal to _den
-    if 0 in e01._num or 0 in e10._num or (e00._num.get(0), e11._num.get(0)) != (e00._den, e11._den):
+    f = g.field
+    if tuple(e.coeff(0) for e in g.entries()) != (f.one, f.zero, f.zero, f.one):
         raise NotInMatrixGroup("value at t = 0 is not the identity")
 
 

@@ -102,38 +102,3 @@ def random_matrix_factors(field, rng: random.Random, max_factors: int = 5,
         factors.append(ShearFactor(random_proj_point(field, rng),
                                    field.random_nonzero(rng, height), 1))
     return factors
-
-
-def random_origin_special_borel(field, rng: random.Random,
-                                height: int = 6) -> PlaneAuto:
-    """A nonidentity map (x, y) -> (z1 x, y/z1 + c x): lower triangular
-    linear with determinant one, fixing the origin."""
-    while True:
-        z1 = field.random_nonzero(rng, height)
-        c = field.random_element(rng, height)
-        g = ElemAuto(field, z1, field.zero, field.one / z1,
-                     Poly1.monomial(field, 1, c))
-        if not g.is_identity():
-            return g.to_plane()
-
-
-def random_congruence_borel(funcfield, rng: random.Random, max_deg: int = 2,
-                            height: int = 4) -> PlaneAuto:
-    """A nonidentity map (x + u, y + v + w x) with u, v, w nonunit
-    multiples of the function-field variable, so it is the identity at
-    z = 0 and lower triangular."""
-    base = funcfield.base
-    gen = funcfield.gen
-
-    def small():
-        deg = rng.randint(0, max_deg)
-        poly = Poly1(base, {e: base.random_element(rng, height) for e in range(deg + 1)})
-        return funcfield.of(poly) * gen
-
-    while True:
-        w = small()
-        m = ((funcfield.one, funcfield.zero), (w, funcfield.one))
-        shift = (small(), small())
-        g = AffineAuto(funcfield, m, shift).to_plane()
-        if not g.is_identity():
-            return g

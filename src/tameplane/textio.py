@@ -20,6 +20,7 @@ back to an equal value; the round trip is pinned by tests.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .automorphisms import PlaneAuto
@@ -305,7 +306,21 @@ def format_scalar(field, value) -> str:
         if value.den.degree() == 0:
             return num
         return "(%s)/(%s)" % (num, format_poly1(value.den, "z"))
-    return str(value)
+    return _decimal(value, "coefficient")
+
+
+def _decimal(value, what: str) -> str:
+    """str(value), with Python's refusal of an integer longer than
+    sys.get_int_max_str_digits() reworded as a domain error of this program."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError("%s too long to print (over %d digits)"
+                         % (what, sys.get_int_max_str_digits())) from None
+
+
+def _power(var: str, e: int) -> str:
+    return var if e == 1 else "%s^%s" % (var, _decimal(e, "exponent"))
 
 
 def _split_sign(field, value):
@@ -348,7 +363,7 @@ def format_poly1(p: Poly1, var: str = "t") -> str:
         return "0"
     parts = []
     for e, c in sorted(p.items()):
-        mono = "" if e == 0 else (var if e == 1 else "%s^%d" % (var, e))
+        mono = "" if e == 0 else _power(var, e)
         parts.append(_term_text(p.field, c, mono))
     return _join_terms(parts)
 
@@ -361,9 +376,9 @@ def format_poly2(p: Poly2) -> str:
     for (i, j), c in sorted(p.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1])):
         pieces = []
         if i:
-            pieces.append("x" if i == 1 else "x^%d" % i)
+            pieces.append(_power("x", i))
         if j:
-            pieces.append("y" if j == 1 else "y^%d" % j)
+            pieces.append(_power("y", j))
         parts.append(_term_text(p.field, c, "*".join(pieces)))
     return _join_terms(parts)
 

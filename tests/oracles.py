@@ -1,0 +1,222 @@
+"""Independent oracles the tests check the library against.
+
+None of this is called by the package, the CLI or the benchmark: each
+function recomputes, by brute force or by a second route, something the
+library computes another way, or draws the inputs of an acceptance
+criterion.  The p-group enumeration keeps its own group law and shares
+only the module arithmetic of ``PGroup`` (``shift``, ``table_add``,
+``table_neg``, ``basis_table``) with the structural computation it checks.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+from tameplane import AffineAuto, ElemAuto, PlaneAuto, Poly1, PrimeField
+from tameplane.lab.pgroup import DEFAULT_WORK_BOUND, PGroup, _check_bound, _rref
+from tameplane.lab.unipotent import RationalMatrix
+
+DEFAULT_ALGEBRA_BOUND = 27
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: the p-groups by enumeration
+
+
+class PGroupLaw(PGroup):
+    """PGroup with the group law (u, f) * (v, g) = (u + v, shift(f, v) + g)
+    and a listing of every element."""
+
+    @property
+    def identity(self):
+        return ((0,) * self.r, (0,) * self.q)
+
+    def mul(self, g, h):
+        (u, f), (v, g2) = g, h
+        return (self.table_add(u, v), self.table_add(self.shift(f, v), g2))
+
+    def inv(self, g):
+        u, f = g
+        nu = self.table_neg(u)
+        return (nu, self.table_neg(self.shift(f, nu)))
+
+    def commutator(self, g, h):
+        return self.mul(self.mul(g, h), self.mul(self.inv(g), self.inv(h)))
+
+    def generators(self) -> list:
+        zero_u, zero_table = self.identity
+        gens = []
+        for j in range(self.r):
+            e_j = tuple(1 if i == j else 0 for i in range(self.r))
+            gens.append((e_j, zero_table))
+        gens.append((zero_u, self.basis_table(zero_u)))
+        return gens
+
+    def elements(self):
+        for u in self.points:
+            for table in product(range(self.p), repeat=self.q):
+                yield (u, table)
+
+    @property
+    def order(self) -> int:
+        return self.q * self.p ** self.q
+
+
+def nilpotency_index_by_enumeration(p: int, r: int, work_bound: int = DEFAULT_WORK_BOUND) -> int:
+    """The length of the ascending central series by listing every group
+    element."""
+    _check_bound(p, r, work_bound)
+    group = PGroupLaw(p, r)
+    gens = group.generators()
+    all_elements = list(group.elements())
+    center = {group.identity}
+    index = 0
+    while len(center) < group.order:
+        index += 1
+        center = {
+            g for g in all_elements
+            if all(group.commutator(g, x) in center for x in gens)
+        }
+    return index
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: power sums in F_p[x_1..x_r] and cyclic modules
+
+
+def _check_algebra_bound(p: int, r: int, bound: int) -> None:
+    """Raise ValueError if q = p**r exceeds bound, before q is formed."""
+    size = 1
+    for _ in range(r if p >= 2 else 0):
+        size *= p
+        if size > bound:
+            raise ValueError("algebra bound exceeded for (p, r) = (%d, %d)" % (p, r))
+
+
+def power_sum_identity(p: int, r: int, algebra_bound: int = DEFAULT_ALGEBRA_BOUND) -> bool:
+    """Whether the sum of u^(q-1) over all u in span(x_1..x_r) equals the
+    product of the nonzero u, in F_p[x_1..x_r] with q = p^r."""
+    _check_algebra_bound(p, r, algebra_bound)
+    q = p ** r
+    field = PrimeField(p)
+    # x_i is encoded as t^(q^i) (Kronecker substitution).  Every monomial
+    # that arises has total degree at most q - 1, so each of its exponents
+    # is below q and the encoding is injective.
+    lhs = Poly1.zero(field)
+    rhs = Poly1.one(field)
+    for u in product(range(p), repeat=r):
+        form = Poly1(field, {q ** i: field.of(c) for i, c in enumerate(u)})
+        if form:
+            lhs = lhs + form ** (q - 1)
+            rhs = rhs * form
+    return lhs == rhs
+
+
+def scalar_power_sum(p: int, n: int) -> int:
+    """Sum of c^n over all c in F_p, reduced mod p (0^0 counted as 1)."""
+    return sum(pow(c, n, p) for c in range(p)) % p
+
+
+def cyclic_module_is_free(p: int, r: int, table,
+                          algebra_bound: int = DEFAULT_ALGEBRA_BOUND) -> bool:
+    """Whether the translates of the element with the given coefficient
+    table span the whole group algebra freely (trivial annihilator).
+
+    Also evaluates the sufficient criterion "the sum of all translates is
+    nonzero" and raises if the two ever disagree in the forbidden
+    direction (criterion positive but annihilator nontrivial)."""
+    _check_algebra_bound(p, r, algebra_bound)
+    group = PGroup(p, r)
+    f = tuple(v % p for v in table)
+    if len(f) != group.q:
+        raise ValueError("coefficient table must have length %d" % group.q)
+    total = (0,) * group.q
+    for u in group.points:
+        total = group.table_add(total, group.shift(f, u))
+    criterion = any(total)
+    # g -> g f is invertible exactly when the translates of f are independent
+    free = len(_rref([group.shift(f, w) for w in group.points], p)) == group.q
+    if criterion and not free:
+        raise RuntimeError(
+            "translate-sum criterion held but the annihilator is nontrivial")
+    return free
+
+
+# ---------------------------------------------------------------------------
+# matrix logs: the exponential that undoes unipotent_log
+
+
+def matrix_exp(a: RationalMatrix) -> RationalMatrix:
+    """Finite exponential series; requires nilpotent input."""
+    if not (a ** a.n).is_zero():
+        raise ValueError("matrix is not nilpotent")
+    acc = RationalMatrix.identity(a.n)
+    power = a
+    factorial = 1
+    m = 1
+    while not power.is_zero():
+        acc = acc + power.scale(Fraction(1, factorial))
+        m += 1
+        factorial *= m
+        power = power * a
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# amalgam words
+
+
+def is_reduced(word) -> bool:
+    """Factors alternate in kind, each a genuine representative, and
+    neither representative kind is triangular."""
+    kinds = word.factor_kinds()
+    for a, b in zip(kinds, kinds[1:]):
+        if a == b:
+            return False
+    f = word.field
+    for g in word.factors:
+        if isinstance(g, AffineAuto):
+            if g != AffineAuto(f, ((f.zero, f.one), (f.one, g.m[1][1]))):
+                return False
+        elif g != ElemAuto.shear(f, g.f) or g.f.degree() <= 1 or g.f.valuation() < 2:
+            return False
+    return word.tail.is_lower_triangular()
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: triangular maps for the Borel escape
+
+
+def random_origin_special_borel(field, rng: random.Random,
+                                height: int = 6) -> PlaneAuto:
+    """A nonidentity map (x, y) -> (z1 x, y/z1 + c x): lower triangular
+    linear with determinant one, fixing the origin."""
+    while True:
+        z1 = field.random_nonzero(rng, height)
+        c = field.random_element(rng, height)
+        g = ElemAuto(field, z1, field.zero, field.one / z1,
+                     Poly1.monomial(field, 1, c))
+        if not g.is_identity():
+            return g.to_plane()
+
+
+def random_congruence_borel(funcfield, rng: random.Random, max_deg: int = 2,
+                            height: int = 4) -> PlaneAuto:
+    """A nonidentity map (x + u, y + v + w x) with u, v, w nonunit
+    multiples of the function-field variable, so it is the identity at
+    z = 0 and lower triangular."""
+    base = funcfield.base
+    gen = funcfield.gen
+
+    def small():
+        deg = rng.randint(0, max_deg)
+        poly = Poly1(base, {e: base.random_element(rng, height) for e in range(deg + 1)})
+        return funcfield.of(poly) * gen
+
+    while True:
+        w = small()
+        m = ((funcfield.one, funcfield.zero), (w, funcfield.one))
+        shift = (small(), small())
+        g = AffineAuto(funcfield, m, shift).to_plane()
+        if not g.is_identity():
+            return g

@@ -19,9 +19,7 @@ from tameplane import (
     classify,
     compose_all,
     line_shear,
-    scaled_shear,
     shear_in_y,
-    swap_map,
     word_from_json,
     word_to_json,
 )
@@ -30,6 +28,8 @@ from tameplane.sampling import random_affine, random_elementary, random_tame_aut
 from tameplane.textio import format_auto, parse_auto
 
 from conftest import F5, poly1
+
+SWAP = AffineAuto(QQ, ((0, 1), (1, 0))).to_plane()
 
 
 def rand_autos(field, seed, count, max_factors=4, budget=8):
@@ -41,7 +41,7 @@ def rand_autos(field, seed, count, max_factors=4, budget=8):
 class TestComposition:
     def test_composition_order_is_right_to_left(self):
         # apply the shear first, then the swap
-        s = swap_map(QQ)
+        s = SWAP
         u = parse_auto(QQ, "x, y + x^2")
         assert format_auto(s.compose(u)) == "y + x^2, x"
         assert format_auto(u.compose(s)) == "y, x + y^2"
@@ -76,7 +76,7 @@ class TestJacobian:
         assert u.jacobian() == Poly2.one(QQ)
 
     def test_swap_has_jacobian_minus_one(self):
-        assert swap_map(QQ).jacobian() == Poly2.constant(QQ, Fraction(-1))
+        assert SWAP.jacobian() == Poly2.constant(QQ, Fraction(-1))
 
     def test_noninvertible_map_has_nonconstant_jacobian(self):
         g = PlaneAuto(Poly2.monomial(QQ, 2, 0, Fraction(1)), Poly2.y(QQ))
@@ -89,18 +89,18 @@ class TestClassify:
         assert profile.affine and profile.triangular
         assert profile.identity_differential and profile.special
         assert not profile.fixes_origin
-        assert not profile.tangent_to_identity()
+        assert not (profile.fixes_origin and profile.identity_differential)
         assert profile.degree == 1
 
     def test_swap_is_not_special(self):
-        profile = classify(swap_map(QQ))
+        profile = classify(SWAP)
         assert profile.affine and not profile.special  # det = -1
         assert profile.fixes_origin and not profile.identity_differential
 
     def test_shear_profile(self):
         profile = classify(parse_auto(QQ, "x, y + x^2"))
         assert profile.elementary and not profile.affine
-        assert profile.tangent_to_identity()
+        assert profile.fixes_origin and profile.identity_differential
         assert profile.degree == 2
 
     def test_degenerate_map_is_flagged(self):
@@ -119,7 +119,8 @@ class TestClassify:
             g = aff.to_plane()
             gi = aff.inverse().to_plane()
             conj = compose_all(g, inner, gi)
-            assert classify(conj).tangent_to_identity()
+            profile = classify(conj)
+            assert profile.fixes_origin and profile.identity_differential
 
 
 class TestViews:
@@ -287,7 +288,11 @@ class TestScaledShearFamily:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_twisted_product_law(self, n):
         def phi(z, a):
-            return scaled_shear(QQ, n, QQ.of(z), QQ.of(a) / QQ.of(z))
+            # (z x, y/z + (a/z) x^(n-1))
+            z = QQ.of(z)
+            x, y = Poly2.x(QQ), Poly2.y(QQ)
+            return PlaneAuto(x.scale(z),
+                             y.scale(QQ.one / z) + Poly2.monomial(QQ, n - 1, 0, QQ.of(a) / z))
 
         assert phi(2, 0).compose(phi(1, 1)) == phi(2, 1)
         assert phi(1, 1).compose(phi(2, 0)) == phi(2, 2 ** n)

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from tameplane import QQ, cli, to_matrix, vdk_factor
 from tameplane.cli import main
 from tameplane.textio import parse_auto
+
+TOO_LONG = "%%s too long to print (over %d digits)" % sys.get_int_max_str_digits()
 
 
 def run(capsys, *argv):
@@ -225,6 +228,12 @@ class TestExitCodes:
         (("factor", "x + y, x + y"), "affine remainder is singular"),
         (("to-matrix", "x + x^2, y"), "line shear peel stuck at degree 2"),
         (("to-matrix", "x + x^2*y, y"), "line shear peel stuck at degree 3"),
+        # the result is exact but one of its integers is past Python's int-to-text limit
+        (("compose", "x^20000, y", "2*x, y"), TOO_LONG % "coefficient"),
+        (("--format", "jsonl", "compose", "x^20000, y", "2*x, y"), TOO_LONG % "coefficient"),
+        (("factor", "x, y + 7^6000*x^2"), TOO_LONG % "coefficient"),
+        (("--format", "jsonl", "factor", "x, y + 7^6000*x^2"), TOO_LONG % "coefficient"),
+        (("compose", "x^1%s, y" % ("0" * 3000), "x^1%s, y" % ("0" * 3000)), TOO_LONG % "exponent"),
     ])
     def test_refused_maps_print_where_the_peel_stopped(self, capsys, argv, message):
         assert run(capsys, *argv) == (3, "", "domain error: %s\n" % message)

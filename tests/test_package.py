@@ -31,7 +31,7 @@ EXPORTED = {
         "QQ", "PrimeField", "RationalFunctionField", "field_from_spec", "NEG_INF", "Poly1",
         "Poly2", "PolyMat2", "ProjPoint", "AffineAuto", "ElemAuto", "NotAnAutomorphism",
         "PlaneAuto", "as_affine", "as_elementary", "classify", "compose_all", "line_shear",
-        "scaled_shear", "shear_in_y", "swap_map", "AmalgamWord", "WordType",
+        "shear_in_y", "AmalgamWord", "WordType",
         "borel_escape_witness", "conjugate_to_corner", "free_reduce", "in_borel", "invert",
         "normal_form", "shear_decompose", "shear_recompose", "vdk_factor", "word_from_json",
         "word_of_atoms", "word_to_json", "word_type", "NotInMatrixGroup", "PingPongResult",
@@ -41,13 +41,11 @@ EXPORTED = {
         "parse_auto", "parse_poly1", "parse_poly2", "parse_polymat", "parse_scalar",
     },
     "tameplane.lab": {
-        "CheckRecord", "DEFAULT_ALGEBRA_BOUND", "DEFAULT_WORK_BOUND", "DigitViolation",
-        "LogScalingResult", "PGroup", "RationalMatrix", "Report", "addswap_linear",
-        "cyclic_module_is_free", "cyclotomic", "digit_lemma_scan", "digits", "euler_phi",
-        "halving_homothety", "is_unipotent", "log_scaling_check", "matrix_exp",
-        "nilpotency_index_by_enumeration", "pgroup_nilpotency_index", "power_sum_identity",
-        "quasi_unipotent_order", "relations_report", "rotated_value", "scalar_power_sum",
-        "square_shear", "unipotent_log",
+        "CheckRecord", "DEFAULT_WORK_BOUND", "DigitViolation", "LogScalingResult", "PGroup",
+        "RationalMatrix", "Report", "addswap_linear", "cyclotomic", "digit_lemma_scan",
+        "digits", "euler_phi", "halving_homothety", "is_unipotent", "log_scaling_check",
+        "pgroup_nilpotency_index", "quasi_unipotent_order", "relations_report",
+        "rotated_value", "square_shear", "unipotent_log",
     },
 }
 
