@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, over_lcm
+from .poly import Poly1, Poly2, Powers, over_lcm
 
 
 class NotAnAutomorphism(ValueError):
@@ -59,11 +59,9 @@ class PlaneAuto:
         return cls(Poly2.x(field), Poly2.y(field))
 
     def compose(self, other: PlaneAuto) -> PlaneAuto:
-        """self o other (other acts first)."""
-        return PlaneAuto(
-            self.p.substitute(other.p, other.q),
-            self.q.substitute(other.p, other.q),
-        )
+        """self o other (other acts first); one power ladder per component of other."""
+        pu, pv = Powers(other.p), Powers(other.q)
+        return PlaneAuto(self.p.substitute(pu, pv), self.q.substitute(pu, pv))
 
     def evaluate(self, point):
         a, b = point
@@ -325,17 +323,17 @@ def as_elementary(auto: PlaneAuto) -> ElemAuto | None:
 
 @dataclass
 class AutoProfile:
-    """Classification flags for a polynomial plane map."""
+    """Classification flags of a plane map, in the order ``tameplane classify`` prints them."""
 
-    jacobian: Poly2
-    invertible_jacobian: bool
-    special: bool
-    fixes_origin: bool
-    identity_differential: bool
+    degree: object
     affine: bool
     elementary: bool
     triangular: bool
-    degree: object
+    fixes_origin: bool
+    identity_differential: bool
+    special: bool
+    invertible_jacobian: bool
+    jacobian: Poly2
 
 
 def classify(auto: PlaneAuto) -> AutoProfile:

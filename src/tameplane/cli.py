@@ -8,7 +8,9 @@ The scalar backend is global (--field q | fp:<p> | q-of-z | fp:<p>-of-z),
 output is plain text or line-delimited JSON (--format), and every random
 draw is seeded (--seed), so identical invocations print identical bytes.
 The environment variable TAMEPLANE_WORK_BOUND overrides the p-group work
-bound.
+bound.  The lab suites live in ``tameplane.lab.suites``, which the first
+``lab`` command imports: the other commands load neither the lab nor
+``tameplane.sampling``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
-import random
 import sys
 
 from .amalgam import (
@@ -29,19 +29,9 @@ from .amalgam import (
     word_from_json,
     word_to_json,
 )
-from .automorphisms import AffineAuto, classify, compose_all
-from .lab import (
-    DEFAULT_WORK_BOUND,
-    Report,
-    digit_lemma_scan,
-    log_scaling_check,
-    pgroup_nilpotency_index,
-    relations_report,
-)
-from .lab.unipotent import RationalMatrix
-from .matrixrep import from_matrix, pingpong_check, to_matrix
+from .automorphisms import classify, compose_all
+from .matrixrep import from_matrix, to_matrix
 from .ratfunc import field_from_spec
-from .sampling import random_matrix_factors, random_proj_point
 from .textio import (
     ParseError,
     format_auto,
@@ -67,6 +57,11 @@ def _emit(args, command: str, result, extra: dict | None = None) -> None:
         print(result if isinstance(result, str) else json.dumps(result))
 
 
+def _verify_failed(what: str) -> int:
+    print("verification failed: " + what, file=sys.stderr)
+    return EXIT_CHECK_FAILED
+
+
 # ---------------------------------------------------------------------------
 # expression commands
 
@@ -81,8 +76,7 @@ def _cmd_invert(field, args) -> int:
     auto = parse_auto(field, args.auto)
     inverse = invert(auto)
     if args.verify and not auto.compose(inverse).is_identity():
-        print("verification failed: composite is not the identity", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _verify_failed("composite is not the identity")
     _emit(args, "invert", format_auto(inverse))
     return EXIT_OK
 
@@ -99,17 +93,7 @@ def _cmd_jacobian(field, args) -> int:
 
 def _cmd_classify(field, args) -> int:
     profile = classify(parse_auto(field, args.auto))
-    flags = {
-        "degree": profile.degree,
-        "affine": profile.affine,
-        "elementary": profile.elementary,
-        "triangular": profile.triangular,
-        "fixes_origin": profile.fixes_origin,
-        "identity_differential": profile.identity_differential,
-        "special": profile.special,
-        "invertible_jacobian": profile.invertible_jacobian,
-        "jacobian": format_poly2(profile.jacobian),
-    }
+    flags = dict(vars(profile), jacobian=format_poly2(profile.jacobian))
     if args.format == "jsonl":
         _emit(args, "classify", flags)
     else:
@@ -122,29 +106,20 @@ def _cmd_classify(field, args) -> int:
 # word and matrix commands
 
 
-def _word_lines(word: AmalgamWord) -> list:
-    lines = []
-    for factor in word.factors:
-        kind = "affine" if isinstance(factor, AffineAuto) else "shear"
-        lines.append("%s: %s" % (kind, format_auto(factor.to_plane())))
-    lines.append("tail: %s" % format_auto(word.tail.to_plane()))
-    return lines
-
-
 def _emit_word(args, command: str, word: AmalgamWord) -> None:
     if args.format == "jsonl":
         _emit(args, command, json.loads(word_to_json(word)))
     else:
-        _emit(args, command, "\n".join(_word_lines(word)))
+        atoms = (*zip(word.factor_kinds(), word.factors), ("tail", word.tail))
+        _emit(args, command, "\n".join("%s: %s" % (kind, format_auto(atom.to_plane()))
+                                       for kind, atom in atoms))
 
 
 def _cmd_factor(field, args) -> int:
     auto = parse_auto(field, args.auto)
     word = vdk_factor(auto)
     if args.verify and word.recompose() != auto:
-        print("verification failed: word does not recompose to the input",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _verify_failed("word does not recompose to the input")
     _emit_word(args, "factor", word)
     return EXIT_OK
 
@@ -157,9 +132,7 @@ def _cmd_nf(field, args) -> int:
         word = vdk_factor(parse_auto(field, args.input))
     reduced = normal_form(word)
     if args.verify and reduced.recompose() != word.recompose():
-        print("verification failed: normal form changed the element",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _verify_failed("normal form changed the element")
     _emit_word(args, "nf", reduced)
     return EXIT_OK
 
@@ -168,8 +141,7 @@ def _cmd_to_matrix(field, args) -> int:
     auto = parse_auto(field, args.auto)
     matrix = to_matrix(auto)
     if args.verify and shear_recompose(field, from_matrix(matrix)) != auto:
-        print("verification failed: matrix does not round trip", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _verify_failed("matrix does not round trip")
     _emit(args, "to-matrix", format_polymat(matrix))
     return EXIT_OK
 
@@ -179,9 +151,7 @@ def _cmd_from_matrix(field, args) -> int:
     pairs = from_matrix(matrix)
     auto = shear_recompose(field, pairs)
     if args.verify and to_matrix(pairs) != matrix:
-        print("verification failed: word does not rebuild the matrix",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _verify_failed("word does not rebuild the matrix")
     _emit(args, "from-matrix", format_auto(auto))
     return EXIT_OK
 
@@ -190,94 +160,17 @@ def _cmd_from_matrix(field, args) -> int:
 # lab suites
 
 
-def _print_report(args, report: Report) -> int:
-    if args.format == "jsonl":
-        text = report.jsonl()
-        if text:
-            print(text)
-    else:
-        for line in report.text_lines():
-            print(line)
-        print("%d checks, %d failures" % (len(report.records), len(report.failures())))
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
-
-
-def _lab_pingpong(field, args) -> Report:
-    rng = random.Random(args.seed)
-    report = Report()
-    for check, max_factors, size in (("single_factor_lands_on_line", 1, "trials"),
-                                     ("reduced_words_move_samples", 4, "words")):
-        count = getattr(args, size)
-        failures = 0
-        for _ in range(count):
-            factors = random_matrix_factors(field, rng, max_factors=max_factors, deg_cap=3)
-            pairs = [f.pair() for f in factors]
-            sample = random_proj_point(field, rng)
-            while sample == pairs[-1][0]:
-                sample = random_proj_point(field, rng)
-            if not pingpong_check(pairs, sample).ok:
-                failures += 1
-        report.add(check, 0, failures, **{size: count})
-    return report
-
-
-def _lab_pgroup(field, args) -> Report:
-    text = os.environ.get("TAMEPLANE_WORK_BOUND", str(DEFAULT_WORK_BOUND))
-    try:
-        bound = int(text)
-    except ValueError:
-        raise ParseError("TAMEPLANE_WORK_BOUND must be an integer, got %r" % text) from None
-    report = Report()
-    got = pgroup_nilpotency_index(args.p, args.r, work_bound=bound)
-    report.add("nilpotency_index", args.p * args.r, got, p=args.p, r=args.r)
-    return report
-
-
-def _lab_digits(field, args) -> Report:
-    report = Report()
-    violations = digit_lemma_scan(args.p, args.N)
-    report.add("digit_scan_counterexamples", 0, len(violations), p=args.p, N=args.N)
-    return report
-
-
-def _lab_logscale(field, args) -> Report:
-    rng = random.Random(args.seed)
-    report = Report()
-    u = RationalMatrix([[1, 1], [0, 1]])
-    h = RationalMatrix([[2, 0], [0, 1]])
-    report.add("shear_doubling_scales_log", True, bool(log_scaling_check(h, u, 1)))
-    for i in range(args.trials):
-        while True:
-            g = RationalMatrix([[rng.randint(-3, 3) for _ in range(2)]
-                                for _ in range(2)])
-            try:
-                gi = g.inverse()
-                break
-            except ValueError:
-                continue
-        ok = bool(log_scaling_check(g * h * gi, g * u * gi, 1))
-        report.add("conjugated_instance", True, ok, trial=i)
-    return report
-
-
 def _cmd_lab(field, args) -> int:
-    # each suite with the sizes it reads; a size below 1 would pass vacuously
-    suites = {
-        "pingpong": (_lab_pingpong, ("trials", "words")),
-        "relations": (_lab_relations, ("trials",)),
-        "pgroup": (_lab_pgroup, ()),
-        "digits": (_lab_digits, ("N",)),
-        "logscale": (_lab_logscale, ("trials",)),
-    }
-    suite, sizes = suites[args.suite]
-    for size in sizes:
-        if getattr(args, size) < 1:
-            raise ValueError("--%s must be at least 1, got %d" % (size, getattr(args, size)))
-    return _print_report(args, suite(field, args))
+    from .lab.suites import run  # the lab loads on the first lab command
+    return run(field, args)
 
 
-def _lab_relations(field, args) -> Report:
-    return relations_report(word_trials=args.trials, seed=args.seed)
+def __getattr__(name):
+    """The suite functions ``_lab_<suite>``, read from ``tameplane.lab.suites``."""
+    if name.startswith("_lab_"):
+        from .lab import suites
+        return getattr(suites, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser unchanged (each call fills a fresh
     namespace), so one parser serves every ``main`` call in a process.  It
     holds no handler: ``main`` looks up ``_cmd_<command>`` by name on each
-    call, as ``_cmd_lab`` does for the suites."""
+    call, as ``lab.suites.run`` does for the suites."""
     parser = argparse.ArgumentParser(
         prog="tameplane",
         description="Exact plane polynomial automorphism calculator.")

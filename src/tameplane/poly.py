@@ -509,6 +509,8 @@ class Poly1(_SparsePoly):
         a, lift = field.of(a), field.lift
         an, ad = lift(a)
         bn, bd = lift(field.of(b))
+        if not bn and an == ad:  # a = 1, b = 0: the identity, as in ``scale``
+            return self
         n = max(self._num, default=0)
         if not bn:  # no shift: numerator e is v A^e d^(n-e), A^e lifted from a^e (so
             # F_p residues stay reduced), for the terms present only
@@ -619,12 +621,13 @@ class Poly2(_SparsePoly):
 
     # -- substitution and calculus ---------------------------------------
 
-    def substitute(self, u: Poly2, v: Poly2) -> Poly2:
+    def substitute(self, u: Poly2 | Powers, v: Poly2 | Powers) -> Poly2:
         """self with u plugged in for the first variable and v for the second.
 
-        Powers of u and v are cached, one ``Powers`` each: compositions reuse them.
+        u and v may be ``Powers`` ladders, which ``PlaneAuto.compose`` shares between components.
         """
-        pu, pv = Powers(u), Powers(v)
+        pu = u if isinstance(u, Powers) else Powers(u)
+        pv = v if isinstance(v, Powers) else Powers(v)
         return Poly2._lincomb(self.field, ((c, pu[i] * pv[j] if i and j else pu[i] if i else pv[j])
                                            for (i, j), c in self._num.items()), self._den)
 

@@ -3,13 +3,13 @@
 Elements are reduced fractions of ``Poly1`` values in the variable z with a
 monic denominator, so equality and hashing are structural.
 
-Building an element from any num/den runs a Euclidean gcd in K[z] (von zur
-Gathen & Gerhard, *Modern Computer Algebra*, ch. 3).  These results are
-reduced by construction and skip it: negation (-num/den keeps the factors);
-add, sub and mul of two polynomial elements (a monic constant denominator is
-exactly 1, so the result is a polynomial over 1); ``inverse()`` (den/num
-is coprime too, so only num is scaled to be monic), which division uses; and
-``**``, num^n/den^n with den^n monic.
+Building an element from num/den runs a Euclidean gcd in K[z] (von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 3).  A zero num gives 0/1,
+and these results are reduced by construction, so they skip it: negation
+(-num/den keeps the factors); add, sub and mul of two polynomial elements (a
+monic constant denominator is exactly 1, so the result is a polynomial over
+1); ``inverse()`` (den/num is coprime too, so only num is scaled to be
+monic), which division uses; and ``**``, num^n/den^n with den^n monic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ class RationalFunction:
     def __init__(self, field: RationalFunctionField, num: Poly1, den: Poly1):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if den.degree() > 0:  # a nonzero constant is prime to every num
+        if num.is_zero():  # 0/den is 0/1, with no gcd
+            den = Poly1.one(den.field)
+        elif den.degree() > 0:  # a nonzero constant is prime to every num
             g = num.gcd(den)
             if g.degree() > 0:
                 num = num.exact_div(g)

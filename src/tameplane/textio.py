@@ -361,11 +361,8 @@ def format_poly1(p: Poly1, var: str = "t") -> str:
     """Canonical text, terms in ascending degree."""
     if p.is_zero():
         return "0"
-    parts = []
-    for e, c in sorted(p.items()):
-        mono = "" if e == 0 else _power(var, e)
-        parts.append(_term_text(p.field, c, mono))
-    return _join_terms(parts)
+    return _join_terms([_term_text(p.field, c, _power(var, e) if e else "")
+                        for e, c in sorted(p.items())])
 
 
 def format_poly2(p: Poly2) -> str:

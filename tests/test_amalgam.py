@@ -35,7 +35,6 @@ from tameplane import (
     word_type,
 )
 from tameplane.amalgam import _affine_candidates
-from tameplane.ratfunc import RationalFunctionField
 from tameplane.sampling import random_shear_pairs, random_tame_atoms, random_tame_auto
 from tameplane.textio import ParseError, format_auto, parse_auto
 

@@ -10,7 +10,6 @@ from tameplane import (
     AffineAuto,
     AmalgamWord,
     ElemAuto,
-    NotAnAutomorphism,
     PlaneAuto,
     Poly1,
     Poly2,

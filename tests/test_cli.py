@@ -1,11 +1,14 @@
 """End-to-end command line behavior, run in process."""
 
 import json
+import os
+import subprocess
 import sys
 import time
 
 import pytest
 
+import tameplane
 from tameplane import QQ, cli, to_matrix, vdk_factor
 from tameplane.cli import main
 from tameplane.textio import parse_auto
@@ -366,6 +369,49 @@ class TestSharedParser:
         cli.build_parser()
         monkeypatch.setattr(cli, "_cmd_jacobian", lambda field, args: cli.EXIT_CHECK_FAILED)
         assert run(capsys, "jacobian", "x, y") == (1, "", "")
+
+
+def fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(tameplane.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LAB_MODULES = "[m for m in ('tameplane.lab', 'tameplane.sampling') if m in sys.modules]"
+
+
+class TestColdStart:
+    """The expression commands never load the lab suites or their sampler;
+    the first ``lab`` command of a process does."""
+
+    def test_importing_the_cli_loads_neither_lab_nor_sampling(self):
+        out = fresh_interpreter("import sys, tameplane.cli\nprint(%s)" % LAB_MODULES)
+        assert out == "[]\n"
+
+    def test_lab_after_compose_prints_the_same_in_one_process(self):
+        out = fresh_interpreter(
+            "import sys\n"
+            "from tameplane.cli import main\n"
+            "codes = [main(['compose', 'x, y + x^2', 'x, y + x^2'])]\n"
+            "print(%s)\n"
+            "codes.append(main(['lab', 'digits']))\n"
+            "print(codes, %s)\n" % (LAB_MODULES, LAB_MODULES))
+        assert out == ("x, y + 2*x^2\n"
+                       "[]\n"
+                       "digit_scan_counterexamples p=2 N=4 expected=0 got=0 pass\n"
+                       "1 checks, 0 failures\n"
+                       "[0, 0] ['tameplane.lab', 'tameplane.sampling']\n")
+
+    def test_suite_functions_are_read_through_the_cli(self):
+        from tameplane.lab import suites
+
+        assert cli._lab_digits is suites._lab_digits
+        with pytest.raises(AttributeError):
+            cli._cmd_frobnicate
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from tameplane import QQ, compose_all, invert, vdk_factor
+from tameplane import compose_all, invert, vdk_factor
 from tameplane.lab.relations import (
     addswap_linear,
     halving_homothety,

@@ -8,7 +8,6 @@ import pytest
 
 from tameplane import (
     NotInMatrixGroup,
-    PlaneAuto,
     Poly1,
     PolyMat2,
     PrimeField,
@@ -21,7 +20,6 @@ from tameplane import (
     matrix_recompose,
     matrix_reduced_word,
     pingpong_check,
-    shear_decompose,
     shear_recompose,
     to_matrix,
 )

@@ -14,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from tameplane import NEG_INF, Poly1, Poly2, QQ, parse_auto
+from tameplane import NEG_INF, PlaneAuto, Poly1, Poly2, QQ, parse_auto
 from tameplane import poly
 from tameplane.scalars import power
 
@@ -432,7 +432,9 @@ class TestAffineSubstitute:
                 assert (got._num, got._den) == (want._num, want._den), (f, a, b)
         assert polys[0].substitute_affine(c, c).is_zero()
         assert polys[1].substitute_affine(c, c) == polys[1]
-        assert polys[2].substitute_affine(one, zero) == polys[2]
+        # a = 1, b = 0 is the identity: the polynomial itself, as scale(1) gives
+        for f in polys:
+            assert f.substitute_affine(one, zero) is f and f.scale(one) is f
 
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
     def test_zero_shift_of_a_huge_exponent_is_immediate(self, field):
@@ -464,12 +466,13 @@ class TestPowers:
 
     @staticmethod
     def count_products(monkeypatch) -> list:
-        """A list that gains one item per polynomial product from now on."""
+        """A list that gains one item per polynomial product from now on: the
+        type of its left factor."""
         calls = []
         raw_mul = poly._SparsePoly._raw_mul
 
         def counting(a, b):
-            calls.append(1)
+            calls.append(type(a))
             return raw_mul(a, b)
 
         monkeypatch.setattr(poly._SparsePoly, "_raw_mul", counting)
@@ -501,6 +504,20 @@ class TestPowers:
             for n, w in zip(exponents, powers_of_m):
                 assert m ** n == w and powers[n] == w, (m, n)
         assert calls == []
+
+    def test_compose_makes_each_power_of_the_inner_map_once(self, field, monkeypatch):
+        x, y, c = Poly2.x(field), Poly2.y(field), field.of(3)
+        outer = PlaneAuto(x ** 3 + y ** 2 + (x * y).scale(c), x ** 2 + y ** 3)
+        inner = PlaneAuto(x + y ** 2, y.scale(c) + x)
+        # each component substituted on its own, one ladder per call
+        want = [outer.p.substitute(inner.p, inner.q), outer.q.substitute(inner.p, inner.q)]
+        calls = self.count_products(monkeypatch)
+        got = outer.compose(inner)
+        assert [(g._num, g._den) for g in (got.p, got.q)] == [(w._num, w._den) for w in want]
+        # u^2, u^3, v^2, v^3 once each, and the one u*v of the term c*x*y;
+        # a ladder per component made u^2 and v^2 twice (over K(z) the
+        # coefficients' own Poly1 products are not counted)
+        assert calls.count(Poly2) == 5
 
 
 class TestCalculus:

@@ -126,6 +126,20 @@ def test_function_field_results_are_reduced(field, data):
         assert got.num.gcd(got.den) == one, name
 
 
+@pytest.mark.parametrize("field", (QZ, F5Z), ids=("q-of-z", "fp:5-of-z"))
+def test_zero_numerator_is_zero_over_one_without_a_gcd(field, monkeypatch):
+    z = field.gen
+    a = (z * z + field.one) / (z * z * z + z + field.one)
+    gcds = []
+    gcd = Poly1.gcd
+    monkeypatch.setattr(Poly1, "gcd", lambda p, q: gcds.append(q) or gcd(p, q))
+    for got in (a - a, a * field.zero, RationalFunction(field, Poly1.zero(field.base), a.den)):
+        assert (got.num, got.den) == (field.zero.num, field.zero.den) == (
+            Poly1.zero(field.base), Poly1.one(field.base))
+        assert got == field.zero and hash(got) == hash(field.zero)
+    assert gcds == []
+
+
 def test_division_by_zero_raises(field):
     with pytest.raises(ZeroDivisionError):
         field.one / field.zero

@@ -22,7 +22,7 @@ from tameplane import (
     parse_scalar,
 )
 
-from conftest import F5, FIELDS, QZ, poly1, poly2, scalars
+from conftest import F5, QZ, poly1, poly2
 
 
 class TestCanonicalText:
