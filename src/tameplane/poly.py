@@ -509,7 +509,7 @@ class Poly1(_SparsePoly):
         a, lift = field.of(a), field.lift
         an, ad = lift(a)
         bn, bd = lift(field.of(b))
-        if not bn and an == ad:  # a = 1, b = 0: the identity, as in ``scale``
+        if not bn and a == field.one:  # the identity, as ``scale`` has for c == 1
             return self
         n = max(self._num, default=0)
         if not bn:  # no shift: numerator e is v A^e d^(n-e), A^e lifted from a^e (so
