@@ -374,7 +374,8 @@ class TestSharedParser:
 def fresh_interpreter(code: str) -> str:
     """Stdout of ``code`` run by a new interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(tameplane.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -407,6 +408,7 @@ class TestColdStart:
                        "[0, 0] ['tameplane.lab', 'tameplane.sampling']\n")
 
     def test_suite_functions_are_read_through_the_cli(self):
+        # perfbench/tracer.py wraps the suites by these names on the cli module
         from tameplane.lab import suites
 
         assert cli._lab_digits is suites._lab_digits
