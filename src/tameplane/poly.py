@@ -330,12 +330,16 @@ class _SparsePoly:
         n, d = self.field.lift(self.field.of(c))
         if not n:
             return self.zero(self.field)
-        # polynomials are immutable, so self can be shared; n == d is c == 1
-        # and n == -d is c == -1 (never over F_p, whose n is a residue)
-        if n == d:
+        # polynomials are immutable, so self can be shared.  Over Q and F_p, n == d
+        # is c == 1 and n == -d is c == -1 (never over F_p, whose n is a residue);
+        # over K(z), d is the int 1 and n is c, compared with one as an element
+        if type(n) is int:
+            if n == d:
+                return self
+            if n == -d:
+                return -self
+        elif n == self.field.one:
             return self
-        if n == -d:
-            return -self
         return self._normalized(self.field, {k: v * n for k, v in self._num.items()},
                                 self._den * d)
 

@@ -97,6 +97,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        one = self.field.one
+        if self is one or o is one:  # 1 c is c: x, y and t carry this one
+            return o if self is one else self
         if self._both_polynomials(o):
             return RationalFunction._coprime(self.field, self.num * o.num, self.den)
         return RationalFunction(self.field, self.num * o.num, self.den * o.den)
@@ -123,6 +126,8 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
+        if self is self.field.one:
+            return self
         return RationalFunction._coprime(self.field, self.num ** n, self.den ** n)
 
     def __bool__(self):

@@ -5,7 +5,9 @@ One grammar serves every entry point: integer and rational literals
 are legal depends on what is being parsed), ``+ - * ^``, parentheses, and
 unary minus.  ``/`` is accepted whenever the divisor is a nonzero
 constant, which covers rational literals and function-field scalars such
-as ``(z + 1)/(z^2)``.
+as ``(z + 1)/(z^2)``.  Over K(z), literals and z are evaluated in K[z], and
+a value is lifted to K(z) once, where it meets x, y, t, an element of K(z)
+or a division by a polynomial in z.
 
 Canonical printing orders monomials by ascending total degree, then by
 ascending power of ``y``, writes every product with an explicit ``*``,
@@ -57,7 +59,7 @@ def field_spec(field) -> str:
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(.))")
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_]\w*)|(\S)")
 
 _OPS = set("+-*/^(),;")
 
@@ -65,41 +67,38 @@ _OPS = set("+-*/^(),;")
 def _tokenize(text: str) -> list:
     """Produce (kind, value, position) triples; kinds: int, name, op, end."""
     out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m.group(1) is not None:
+    for m in _TOKEN.finditer(text):  # blanks match no group and are skipped
+        group, value, pos = m.lastindex, m.group(), m.start()
+        if group == 1:
             try:
-                out.append(("int", int(m.group(1)), m.start(1)))
+                out.append(("int", int(value), pos))
             except ValueError:  # past the interpreter's limit on digits per int()
-                raise ParseError("integer literal too long", m.start(1)) from None
-        elif m.group(2) is not None:
-            out.append(("name", m.group(2), m.start(2)))
+                raise ParseError("integer literal too long", pos) from None
+        elif group == 2:
+            out.append(("name", value, pos))
+        elif value in _OPS:
+            out.append(("op", value, pos))
         else:
-            ch = m.group(3)
-            if ch not in _OPS:
-                raise ParseError("unexpected character %r" % ch, m.start(3))
-            out.append(("op", ch, m.start(3)))
-        pos = m.end()
+            raise ParseError("unexpected character %r" % value, pos)
     out.append(("end", None, len(text)))
     return out
 
 
 # ---------------------------------------------------------------------------
-# evaluator helpers: values are field elements | Poly1 | Poly2
+# evaluator helpers: values are field elements | Poly1 | Poly2 | K[z] values
+
+_POLY = (Poly1, Poly2)
+
 
 def _divide(field, a, b, pos: int):
-    if isinstance(b, (Poly1, Poly2)):
+    if isinstance(b, _POLY):
         if not b.is_constant():
             raise ParseError("divisor must be constant", pos)
         b = b.constant_term()
     if not b:
         raise ParseError("division by zero", pos)
     inv = field.one / b
-    return a.scale(inv) if isinstance(a, (Poly1, Poly2)) else a * inv
+    return a.scale(inv) if isinstance(a, _POLY) else a * inv
 
 
 # Parentheses and unary signs nest the parser's recursion, five frames per
@@ -112,6 +111,7 @@ class _Parser:
 
     def __init__(self, field, tokens: list, variables: dict):
         self.field = field
+        self.scalars = getattr(field, "base", field)  # K over K(z), else the field
         self.tokens = tokens
         self.variables = variables
         self.i = 0
@@ -133,11 +133,10 @@ class _Parser:
     def expression(self):
         value = self.term()
         while True:
-            kind, op, _pos = self.peek()
+            kind, op, pos = self.peek()
             if kind == "op" and op in "+-":
                 self.next()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+                value = self.binary(op, value, self.term(), pos)
             else:
                 return value
 
@@ -145,14 +144,30 @@ class _Parser:
         value = self.factor()
         while True:
             kind, op, pos = self.peek()
-            if kind == "op" and op == "*":
+            if kind == "op" and op in "*/":
                 self.next()
-                value = value * self.factor()
-            elif kind == "op" and op == "/":
-                self.next()
-                value = _divide(self.field, value, self.factor(), pos)
+                value = self.binary(op, value, self.factor(), pos)
             else:
                 return value
+
+    def binary(self, op: str, a, b, pos: int):
+        field = self.field
+        if self.scalars is not field:  # over K(z), lift where the levels differ
+            # level: 0 for a K[z] value, 1 for an element of K(z), 2 for x, y or t
+            la = 0 if getattr(a, "field", None) is not field else 2 if isinstance(a, _POLY) else 1
+            lb = 0 if getattr(b, "field", None) is not field else 2 if isinstance(b, _POLY) else 1
+            if op == "/" and not (la or lb or isinstance(b, Poly1) and b.degree() > 0):
+                field = self.scalars  # a K[z] value over a constant stays in K[z]
+            elif op == "/":
+                a, b = a if la else field.of(a), b if lb else field.of(b)
+            elif la < lb:  # the lower operand takes the other's kind, so
+                # that no operator falls back to the reflected one
+                a = type(b).constant(field, a) if lb == 2 else field.of(a)
+            elif lb < la:
+                b = type(a).constant(field, b) if la == 2 else field.of(b)
+        if op == "/":
+            return _divide(field, a, b, pos)
+        return a * b if op == "*" else a + b if op == "+" else a - b
 
     def factor(self):
         # every parenthesis and unary sign passes through here once more
@@ -191,7 +206,7 @@ class _Parser:
     def atom(self):
         kind, value, pos = self.next()
         if kind == "int":
-            return self.field.of(value)
+            return self.scalars.of(value)
         if kind == "name":
             try:
                 return self.variables[value]
@@ -236,13 +251,13 @@ def _run(field, tokens: list, names: dict, kind):
     """
     variables = dict(names)
     if isinstance(field, RationalFunctionField):
-        variables.setdefault("z", field.gen)
+        variables.setdefault("z", Poly1.gen(field.base))
     parser = _Parser(field, tokens, variables)
     value = parser.expression()
     parser.expect_end()
-    if kind is None or isinstance(value, kind):
-        return value
-    return kind.constant(field, value)
+    if kind is None:
+        return field.of(value)  # over K(z), the one lift of a K[z] value
+    return value if isinstance(value, kind) and value.field is field else kind.constant(field, value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ only the module arithmetic of ``PGroup`` (``shift``, ``table_add``,
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 from tameplane import AffineAuto, ElemAuto, PlaneAuto, Poly1, PrimeField
 from tameplane.lab.pgroup import DEFAULT_WORK_BOUND, PGroup, _check_bound, _rref
 from tameplane.lab.unipotent import RationalMatrix
+from tameplane.textio import ParseError
 
 DEFAULT_ALGEBRA_BOUND = 27
 
@@ -220,3 +222,36 @@ def random_congruence_borel(funcfield, rng: random.Random, max_deg: int = 2,
         g = AffineAuto(funcfield, m, shift).to_plane()
         if not g.is_identity():
             return g
+
+
+# ---------------------------------------------------------------------------
+# text: the tokenizer as a per-character loop
+
+_LOOP_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(.))")
+
+
+def tokenize_by_character(text: str) -> list:
+    """(kind, value, position) triples, as ``textio._tokenize`` gives them:
+    blanks skipped one ``str.isspace`` character at a time, one match per token."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _LOOP_TOKEN.match(text, pos)
+        if m.group(1) is not None:
+            try:
+                out.append(("int", int(m.group(1)), m.start(1)))
+            except ValueError:
+                raise ParseError("integer literal too long", m.start(1)) from None
+        elif m.group(2) is not None:
+            out.append(("name", m.group(2), m.start(2)))
+        else:
+            ch = m.group(3)
+            if ch not in "+-*/^(),;":
+                raise ParseError("unexpected character %r" % ch, m.start(3))
+            out.append(("op", ch, m.start(3)))
+        pos = m.end()
+    out.append(("end", None, len(text)))
+    return out

@@ -357,6 +357,17 @@ class TestShearDictionary:
             b = shear_recompose(QQ, random_shear_pairs(QQ, rng, degree_budget=6))
             assert to_matrix(a.compose(b)) == to_matrix(a) * to_matrix(b)
 
+    def test_three_pairs_of_the_function_field_cliff_recompose_within_budget(self):
+        # the reproducer of the known q-of-z cliff: four pairs, of which the
+        # first three recompose to 190 + 190 terms; all four do not finish
+        pairs = from_matrix(product_of(QZ, random_matrix_factors(QZ, random.Random(11),
+                                                                 max_factors=4)))
+        start = time.perf_counter()
+        auto = shear_recompose(QZ, pairs[:3])
+        elapsed = time.perf_counter() - start
+        assert (len(pairs), len(auto.p.terms), len(auto.q.terms)) == (4, 190, 190)
+        assert elapsed < 5.0, "budget 5 s, took %.3f s" % elapsed
+
     def test_rejects_maps_not_tangent_to_identity(self):
         for bad in ("2*x, y", "x + 1, y", "y, x"):
             with pytest.raises(ValueError):

@@ -140,6 +140,31 @@ def test_zero_numerator_is_zero_over_one_without_a_gcd(field, monkeypatch):
     assert gcds == []
 
 
+@pytest.mark.parametrize("field", (QZ, F5Z), ids=("q-of-z", "fp:5-of-z"))
+def test_scaling_by_a_unit_coerces_no_int(field, monkeypatch):
+    z, one = field.gen, field.one
+    p = Poly2.x(field).scale(z) + Poly2.y(field) * Poly2.y(field).scale(z + one)
+    q = Poly1.gen(field).scale(z) + Poly1.constant(field, one / z)
+    negatives = (-p, -q)
+    coerced = []
+    of = RationalFunctionField.of
+    monkeypatch.setattr(RationalFunctionField, "of",
+                        lambda self, v: coerced.append(type(v)) or of(self, v))
+    for poly, negative in zip((p, q), negatives):
+        assert poly.scale(one) is poly
+        assert poly.scale(-one) == negative
+    assert int not in coerced
+
+
+@pytest.mark.parametrize("field", (QZ, F5Z), ids=("q-of-z", "fp:5-of-z"))
+def test_one_times_an_element_is_that_element(field):
+    # x, y and t carry the element one, so products with it build nothing
+    z, one = field.gen, field.one
+    a = (z * z + one) / (z + one)
+    assert one * a is a and a * one is a and one * one is one
+    assert one ** 7 is one
+
+
 def test_division_by_zero_raises(field):
     with pytest.raises(ZeroDivisionError):
         field.one / field.zero

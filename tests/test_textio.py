@@ -1,7 +1,7 @@
 """Parsing and canonical printing of scalars, polynomials, maps, matrices."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from tameplane import (
     ParseError,
@@ -21,8 +21,13 @@ from tameplane import (
     parse_polymat,
     parse_scalar,
 )
+from tameplane.ratfunc import RationalFunction
+from tameplane.textio import _tokenize
 
 from conftest import F5, QZ, poly1, poly2
+from oracles import tokenize_by_character
+
+F5Z = field_from_spec("fp:5-of-z")
 
 
 class TestCanonicalText:
@@ -159,3 +164,94 @@ class TestFieldsOfSpecs:
     def test_examples(self, spec, text, back):
         field = field_from_spec(spec)
         assert format_scalar(field, parse_scalar(field, text)) == back
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# digits, letters, the operators, other punctuation, a Unicode digit, and
+# blanks that str.isspace accepts but a plain " " test would not
+_TOKEN_ALPHABET = list("0123456789xyztAZ_+-*/^(),;.$é٣") + [" ", "\t", "\n", "\x0b", "\x1c", "\u2003"]
+
+
+@given(st.text(alphabet=st.sampled_from(_TOKEN_ALPHABET), max_size=40))
+@settings(max_examples=400)
+@example("x + 1  ")
+@example("\u2003x\x1c*\x0b٣٣ ")
+@example("x ^ " + "7" * 5000 + " ")
+@example("2 $ x")
+def test_tokenizer_matches_the_per_character_loop(text):
+    # tokens and positions, or the error message and position, are the loop's
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(tokenize_by_character, text)
+
+
+@pytest.mark.parametrize("field", (QZ, F5Z), ids=("q-of-z", "fp:5-of-z"))
+class TestFunctionFieldScalars:
+    """Over K(z), literals and z are evaluated in K[z] and lifted into K(z)
+    once; every value still equals the one built from RationalFunctions."""
+
+    def test_values_equal_the_rational_function_ones(self, field):
+        z, one, x = field.gen, field.one, Poly2.x(field)
+        expected = {
+            "x/z": x.scale(one / z),
+            "z*x": x.scale(z),
+            "x*z": x.scale(z),
+            "(1/z)*z*x": x,
+            "(z^2 + 1)/(2*z)*x^2": (x * x).scale((z * z + one) / (field.of(2) * z)),
+            "7*z": Poly2.constant(field, field.of(7) * z),
+            "z^3000*x/z^2999": x.scale(z),
+        }
+        for text, want in expected.items():
+            got = parse_poly2(field, text)
+            assert got == want, text
+            # no K[z] value is left inside a coefficient
+            assert all(type(c) is RationalFunction and c.field is field for c in got.terms.values())
+        if field is F5Z:  # 7 is reduced mod 5 before it meets z
+            assert format_poly2(parse_poly2(field, "7*z")) == "2*z"
+
+    def test_each_parser_returns_its_kind_over_the_function_field(self, field):
+        z = field.gen
+        got = parse_scalar(field, "(z^2 + 1)/(2*z) - z")
+        assert type(got) is RationalFunction and got.field is field
+        assert got == (z * z + field.one) / (field.of(2) * z) - z
+        assert parse_scalar(field, "3") == field.of(3) and type(parse_scalar(field, "3")) is RationalFunction
+        for parse, kind in ((parse_poly1, Poly1), (parse_poly2, Poly2)):
+            c = parse(field, "z")
+            assert type(c) is kind and c.field is field and c.is_constant()
+            assert c == kind.constant(field, z)
+        m = parse_polymat(field, "z, 1/z ; 0, t*z")
+        assert all(e.field is field for e in m.entries())
+        assert m.entries()[3] == Poly1.gen(field).scale(z)
+
+    def test_division_errors_keep_their_messages_and_positions(self, field):
+        for text, message, position in (
+                ("x/(z - z)", "division by zero", 1),
+                ("x/x", "divisor must be constant", 1),
+                ("z/(z-z)", "division by zero", 1),
+                ("1/0 + x", "division by zero", 1),
+                ("x + (z^2 + 1)/(0*z)", "division by zero", 13),
+                ("(1/z)/(x - x)", "division by zero", 5)):
+            with pytest.raises(ParseError) as info:
+                parse_poly2(field, text)
+            assert str(info.value) == "%s (at position %d)" % (message, position)
+
+    def test_a_map_literal_builds_one_element_per_coefficient(self, field, monkeypatch):
+        built = []
+        init, coprime = RationalFunction.__init__, RationalFunction._coprime.__func__
+        monkeypatch.setattr(RationalFunction, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        monkeypatch.setattr(RationalFunction, "_coprime",
+                            classmethod(lambda cls, *args: built.append(1) or coprime(cls, *args)))
+        # a cli-mix invert input, and a map with squares and a mixed product
+        for text in ("1/2 + 2*z - 5/3*z^2 + (3/2 + 13/2*z + 5*z^2 + z^3)*x + (1 + 28/3*z - z^3)*y, "
+                     "-11/6 + 7/6*z + 2/3*z^2 + (1/3 + 9/2*z + 4*z^2 + z^3)*x"
+                     " + (7/6 + 19/3*z + z^2 - z^3)*y",
+                     "x + (-1 + 2*z^2)*x^2 + (2 - 4*z^2)*x*y + (-1 + 2*z^2)*y^2, "
+                     "y + (-1 + 2*z^2)*x^2 + (2 - 4*z^2)*x*y + (-1 + 2*z^2)*y^2"):
+            built.clear()
+            auto = parse_auto(field, text)
+            assert 0 < len(built) <= len(auto.p.terms) + len(auto.q.terms)
