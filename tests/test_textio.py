@@ -175,7 +175,8 @@ def _tokens_or_error(tokenize, text):
 
 # digits, letters, the operators, other punctuation, a Unicode digit, and
 # blanks that str.isspace accepts but a plain " " test would not
-_TOKEN_ALPHABET = list("0123456789xyztAZ_+-*/^(),;.$é٣") + [" ", "\t", "\n", "\x0b", "\x1c", "\u2003"]
+_TOKEN_ALPHABET = list("0123456789xyztAZ_+-*/^(),;.$é٣") + [
+    " ", "\t", "\n", "\x0b", "\x1c", "\u2003"]
 
 
 @given(st.text(alphabet=st.sampled_from(_TOKEN_ALPHABET), max_size=40))
@@ -209,7 +210,8 @@ class TestFunctionFieldScalars:
             got = parse_poly2(field, text)
             assert got == want, text
             # no K[z] value is left inside a coefficient
-            assert all(type(c) is RationalFunction and c.field is field for c in got.terms.values())
+            assert all(type(c) is RationalFunction and c.field is field
+                       for c in got.terms.values())
         if field is F5Z:  # 7 is reduced mod 5 before it meets z
             assert format_poly2(parse_poly2(field, "7*z")) == "2*z"
 
@@ -218,7 +220,8 @@ class TestFunctionFieldScalars:
         got = parse_scalar(field, "(z^2 + 1)/(2*z) - z")
         assert type(got) is RationalFunction and got.field is field
         assert got == (z * z + field.one) / (field.of(2) * z) - z
-        assert parse_scalar(field, "3") == field.of(3) and type(parse_scalar(field, "3")) is RationalFunction
+        three = parse_scalar(field, "3")
+        assert type(three) is RationalFunction and three == field.of(3)
         for parse, kind in ((parse_poly1, Poly1), (parse_poly2, Poly2)):
             c = parse(field, "z")
             assert type(c) is kind and c.field is field and c.is_constant()
