@@ -3,15 +3,17 @@
 Every automorphism with constant nonzero jacobian factors through the affine
 and triangular subgroups.  This module computes such a factorization by
 degree reduction, normalizes it into the unique reduced word over fixed
-coset representatives, and builds on that normal form: inversion, word
-shape classification, conjugation into a prescribed shape, escape witnesses
-from the triangular subgroup.
+coset representatives, and builds on that normal form: word shape
+classification, conjugation into a prescribed shape, escape witnesses from
+the triangular subgroup.  Inversion needs no normal form: it inverts the
+degree reduction's own atoms and multiplies them out in reverse order.
 
 The normal form is one push-down loop over the atoms of a product.  The
 triangular tail absorbs each atom in turn; while the result is not
 triangular, it merges into the last representative when the two have the
-same kind, and otherwise splits as a new representative times a
-triangular tail.
+same kind, and otherwise splits, in closed form, as a new representative
+times a triangular tail.  A word that is already reduced is unique, so it
+is returned as it is.
 
 Maps tangent to the identity decompose more finely, into shears along
 projective directions, and that decomposition does not go through the
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, Powers
+from .poly import Poly1, Poly2, Powers, over_lcm
 from .automorphisms import (
     AffineAuto,
     ElemAuto,
@@ -60,31 +62,34 @@ def in_borel(auto: PlaneAuto) -> bool:
     return aff is not None and aff.is_lower_triangular()
 
 
-def _split_affine(g: AffineAuto) -> tuple[AffineAuto, ElemAuto]:
-    """g = rep o b with rep a coset representative and b triangular."""
+def _split_affine(g: AffineAuto) -> tuple[AffineAuto, AffineAuto]:
+    """g = rep o r with rep = ((0, 1), (1, lam)), lam = d / b for m = ((a, b), (c, d)),
+    and r = ((-lam, 1), (1, 0)) o g triangular, on g's numerators over den * ld."""
     f = g.field
     if g.is_lower_triangular():
         raise ValueError("affine map already triangular")
-    lam = g._entry(3) / g._entry(1)
-    rep = AffineAuto(f, ((f.zero, f.one), (f.one, lam)))
-    b = AffineAuto(f, ((-lam, f.one), (f.one, f.zero))).compose(g)
-    if not b.is_lower_triangular():
-        raise AssertionError("affine split left a non-triangular remainder")
-    return rep, ElemAuto.from_affine(b)
+    a, b, c, d, u, v = g._block()
+    ln, ld = f.lift(f.ratio(d, 1) / f.ratio(b, 1))
+    nums = {0: c, 2: a, 3: b, 4: v, 5: u}
+    if ld != 1:  # only over Q, so K(z) numerators meet no int
+        nums = {k: n * ld for k, n in nums.items()}
+    nums[0] -= ln * a
+    nums[4] -= ln * u
+    rep = AffineAuto._make(f, *over_lcm({1: f.lift(f.one), 2: f.lift(f.one), 3: (ln, ld)}))
+    return rep, AffineAuto._make(f, *f.normalize(nums, g._den * ld))
 
 
 def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
-    """g = rep o b with rep = (x, y + g~(x)), g~ without constant or linear part."""
+    """g = rep o b with rep = (x, y + h~(x)): for f(x) = h(z1 x + t0) and
+    h = h0 + h1 u + h~(u), b = (z1 x + t0, z2 y + h1 z1 x + h0 + h1 t0)."""
     f = g.field
     if g.f.degree() <= 1:
         raise ValueError("shear already triangular")
     iz1 = f.one / g.z1
-    gtilde = g.f.substitute_affine(iz1, -g.t0 * iz1).drop_below(2)
-    rep = ElemAuto.shear(f, gtilde)
-    b = ElemAuto.shear(f, -gtilde).compose(g)
-    if b.f.degree() > 1:
-        raise AssertionError("shear split left a nonlinear remainder")
-    return rep, b
+    h = g.f.substitute_affine(iz1, -g.t0 * iz1)
+    h0, h1 = h.coeff(0), h.coeff(1)
+    b = ElemAuto(f, g.z1, g.t0, g.z2, Poly1(f, {1: h1 * g.z1, 0: h0 + h1 * g.t0}))
+    return ElemAuto.shear(f, h.drop_below(2)), b
 
 
 @dataclass(frozen=True)
@@ -117,8 +122,27 @@ def _multiply_out(field, atoms) -> PlaneAuto:
 
 
 def normal_form(word: AmalgamWord) -> AmalgamWord:
-    """Canonicalize a word; idempotent, and invariant under recomposition."""
+    """Canonicalize a word; idempotent, and invariant under recomposition.
+    A reduced word is unique, so it is returned as it is."""
+    if _in_normal_form(word):
+        return word
     return word_of_atoms(word.field, (*word.factors, word.tail))
+
+
+def _in_normal_form(word: AmalgamWord) -> bool:
+    """Is the word reduced: alternating representatives, each exactly as the
+    conventions above write it, then a triangular invertible tail?"""
+    f, tail = word.field, word.tail
+    kinds = [type(g) for g in word.factors]
+    return (all(a is not b for a, b in zip(kinds, kinds[1:])) and all(_is_rep(f, g) for g in word.factors)
+            and type(tail) is ElemAuto and tail.is_lower_triangular() and tail.is_invertible())
+
+
+def _is_rep(f, g) -> bool:
+    if type(g) is AffineAuto:  # entries 1 and 2 are one, and only lam (entry 3) is beside them
+        one = f.lift(f.one)[0] if g._den == 1 else g._den
+        return g._num.keys() <= {1, 2, 3} and g._num.get(1) == g._num.get(2) == one
+    return type(g) is ElemAuto and g.z1 == g.z2 == f.one and not g.t0 and bool(g.f) and g.f.valuation() >= 2
 
 
 def word_of_atoms(field, atoms) -> AmalgamWord:
@@ -190,21 +214,16 @@ def _peel(powers: Powers, deg: int, target: Poly2):
     return d, c
 
 
-def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
-    """Factor a tame automorphism into the reduced amalgam word.
+def _vdk_atoms(auto: PlaneAuto) -> list:
+    """The degree reduction's atoms, auto = atoms[0] o atoms[1] o ...
 
-    Each pass swaps or left-multiplies by (x, y - c x^k) to lower deg q,
-    and records the inverse as a factor: the swap or (x, y + c x^k).  That
-    multiply is the line-shear peel along (0 : 1), with l = p.
-
-    No jacobian is computed: every degree-reduction step applies an
-    automorphism, so reaching an invertible affine end certifies the input.
-    Any other input (a nonconstant or zero jacobian, or (x + x^p, y) in
-    characteristic p) gets degree reduction stuck or leaves a singular
-    affine remainder, and both raise NotAnAutomorphism.
+    Each pass swaps or left-multiplies by (x, y - c x^k) to lower deg q, and
+    the inverse, the swap or (x, y + c x^k), is a factor.  That multiply is
+    the line-shear peel along (0 : 1), with l = p; the monomials peeled
+    between two swaps commute, so each run of them makes one shear.
     """
     f = auto.field
-    atoms: list = []
+    atoms: list = [{}]  # a dict gathers one run's monomials, k -> c, until it becomes a shear
     p, q = auto.p, auto.q
     swap = AffineAuto(f, ((f.zero, f.one), (f.one, f.zero)))
     powers = Powers(p)
@@ -212,28 +231,40 @@ def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
     while max(dp, dq) > 1:
         peel = None if dp > dq else _peel(powers, dq, q.form(dq))
         if peel is None and dp >= dq:
-            atoms.append(swap)
+            atoms += [swap, {}]
             p, q, dp, dq = q, p, dq, dp
             powers = Powers(p)
             peel = _peel(powers, dq, q.form(dq))
         if peel is None:
             raise NotAnAutomorphism("degree reduction stuck at degrees (%s, %s)" % (dp, dq))
         k, c = peel
-        atoms.append(ElemAuto.shear(f, Poly1.monomial(f, k, c)))
+        atoms[-1][k] = c
         q = q - powers[k].scale(c)
         dq = q.total_degree()
     ending = as_affine(PlaneAuto(p, q))
     if ending is None:
         raise NotAnAutomorphism("affine remainder is singular")
-    atoms.append(ending)
-    return word_of_atoms(f, atoms)
+    return [ElemAuto.shear(f, Poly1(f, a)) if type(a) is dict else a for a in atoms if a != {}] + [ending]
+
+
+def vdk_factor(auto: PlaneAuto) -> AmalgamWord:
+    """Factor a tame automorphism into the reduced amalgam word, the normal
+    form of the degree reduction's atoms.
+
+    No jacobian is computed: every degree-reduction step applies an
+    automorphism, so reaching an invertible affine end certifies the input.
+    Any other input (a nonconstant or zero jacobian, or (x + x^p, y) in
+    characteristic p) gets degree reduction stuck or leaves a singular
+    affine remainder, and both raise NotAnAutomorphism.
+    """
+    return word_of_atoms(auto.field, _vdk_atoms(auto))
 
 
 def invert(auto: PlaneAuto) -> PlaneAuto:
-    """The inverse automorphism, through the amalgam factorization."""
-    word = vdk_factor(auto)
-    atoms = (*word.factors, word.tail)
-    return _multiply_out(word.field, [atom.inverse() for atom in reversed(atoms)])
+    """The inverse automorphism: the degree reduction's atoms, inverted and
+    multiplied out in reverse order.  The inverse map is unique, so it needs
+    no normal form; non-automorphisms raise as in ``vdk_factor``."""
+    return _multiply_out(auto.field, [atom.inverse() for atom in reversed(_vdk_atoms(auto))])
 
 
 # -- conjugation into a prescribed shape --------------------------------------

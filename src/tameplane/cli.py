@@ -129,9 +129,11 @@ def _cmd_nf(field, args) -> int:
         text = sys.stdin.read() if args.input == "-" else args.input
         word = word_from_json(text)
     else:
-        word = vdk_factor(parse_auto(field, args.input))
+        auto = parse_auto(field, args.input)
+        word = vdk_factor(auto)
     reduced = normal_form(word)
-    if args.verify and reduced.recompose() != word.recompose():
+    # text input is checked against the parsed map, so a wrong factorization fails too
+    if args.verify and reduced.recompose() != (word.recompose() if args.json else auto):
         return _verify_failed("normal form changed the element")
     _emit_word(args, "nf", reduced)
     return EXIT_OK

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from itertools import product
 
-from tameplane import AffineAuto, ElemAuto, PlaneAuto, Poly1, PrimeField
+from tameplane import AffineAuto, ElemAuto, PlaneAuto, Poly1, PrimeField, compose_all, vdk_factor
 from tameplane.lab.pgroup import DEFAULT_WORK_BOUND, PGroup, _check_bound, _rref
 from tameplane.lab.unipotent import RationalMatrix
 from tameplane.textio import ParseError
@@ -183,6 +183,13 @@ def is_reduced(word) -> bool:
         elif g != ElemAuto.shear(f, g.f) or g.f.degree() <= 1 or g.f.valuation() < 2:
             return False
     return word.tail.is_lower_triangular()
+
+
+def invert_through_normal_form(auto: PlaneAuto) -> PlaneAuto:
+    """The inverse by a second route: the atoms of the reduced word, each
+    inverted, composed as plane maps in reverse order."""
+    word = vdk_factor(auto)
+    return compose_all(*(atom.inverse().to_plane() for atom in reversed((*word.factors, word.tail))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tameplane import (
     AffineAuto,
@@ -17,7 +18,9 @@ from tameplane import (
     PrimeField,
     ProjPoint,
     QQ,
+    RationalFunctionField,
     WordType,
+    amalgam,
     borel_escape_witness,
     compose_all,
     conjugate_to_corner,
@@ -34,12 +37,19 @@ from tameplane import (
     word_to_json,
     word_type,
 )
-from tameplane.amalgam import _affine_candidates
+from tameplane.amalgam import _affine_candidates, _in_normal_form, _split_affine, _split_elem, _vdk_atoms
 from tameplane.sampling import random_shear_pairs, random_tame_atoms, random_tame_auto
 from tameplane.textio import ParseError, format_auto, parse_auto
 
-from conftest import F2, F5, QZ
-from oracles import is_reduced, random_congruence_borel, random_origin_special_borel
+from conftest import F2, F5, FIELDS, QZ, nonzero_scalars, poly1, scalars
+from oracles import (
+    invert_through_normal_form,
+    is_reduced,
+    random_congruence_borel,
+    random_origin_special_borel,
+)
+
+F5Z = RationalFunctionField(F5)
 
 
 class TestInvert:
@@ -59,6 +69,22 @@ class TestInvert:
         for bad in ("x^2, y", "x, x", "x + y, x + y"):
             with pytest.raises(NotAnAutomorphism):
                 invert(parse_auto(QQ, bad))
+
+    @pytest.mark.parametrize("field", [QQ, F5, QZ, F5Z], ids=["q", "fp5", "q-of-z", "fp5-of-z"])
+    def test_agrees_with_the_inverse_through_the_normal_form(self, field):
+        rng = random.Random(59)
+        for _ in range(8):
+            g = random_tame_auto(field, rng, max_factors=4, degree_budget=6)
+            assert invert(g) == invert_through_normal_form(g)
+            # one shear per run of peels along one l, so the kinds alternate
+            atoms = _vdk_atoms(g)
+            assert all(type(a) is not type(b) for a, b in zip(atoms, atoms[1:]))
+
+    def test_inverts_the_peel_without_normalizing(self, monkeypatch):
+        def refuse(field, atoms):
+            raise AssertionError("invert pushed a word down")
+        monkeypatch.setattr(amalgam, "word_of_atoms", refuse)
+        assert format_auto(invert(parse_auto(QQ, "y + x^2 + x^3, x"))) == "y, x - y^2 - y^3"
 
 
 class TestVdkFactor:
@@ -132,9 +158,10 @@ class TestVdkFactor:
         ("x + y, x + y", "affine remainder is singular"),
     ])
     def test_refusals_name_where_reduction_stopped(self, text, message):
-        with pytest.raises(NotAnAutomorphism) as info:
-            vdk_factor(parse_auto(QQ, text))
-        assert str(info.value) == message
+        for fn in (vdk_factor, invert):
+            with pytest.raises(NotAnAutomorphism) as info:
+                fn(parse_auto(QQ, text))
+            assert str(info.value) == message
 
 
 class TestNormalForm:
@@ -186,12 +213,101 @@ class TestNormalForm:
                 word_of_atoms(QQ, [*word.factors, bad, word.tail])
             with pytest.raises(error):
                 normal_form(AmalgamWord(QQ, (*word.factors, bad), tail))
+        # a bad tail goes to the push-down too, which refuses it
+        for bad, error in (
+            (ElemAuto(QQ, 1, 0, 0, Poly1.zero(QQ)), NotAnAutomorphism),
+            (PlaneAuto.identity(QQ), TypeError),
+        ):
+            with pytest.raises(error):
+                normal_form(AmalgamWord(QQ, word.factors, bad))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp5", "q-of-z"])
+    def test_reduced_words_are_their_own_normal_form(self, field):
+        rng = random.Random(61)
+        for _ in range(12):
+            atoms = random_tame_atoms(field, rng, max_factors=4, degree_budget=6)
+            for word in (word_of_atoms(field, atoms),
+                         vdk_factor(compose_all(*(a.to_plane() for a in atoms)))):
+                assert _in_normal_form(word) and is_reduced(word)
+                assert normal_form(word) is word
+
+    def test_structural_check_agrees_with_the_oracle_on_mangled_words(self):
+        rng = random.Random(67)
+        f = QQ
+        x2 = Poly1.monomial(f, 2, f.one)
+        mangles = [
+            AffineAuto(f, ((0, 2), (1, 0))),
+            AffineAuto(f, ((0, 1), (1, 3)), (1, 0)),
+            ElemAuto.shear(f, x2 + Poly1.gen(f)),
+            ElemAuto(f, 2, 0, 1, x2),
+        ]
+        checked = 0
+        for _ in range(30):
+            word = word_of_atoms(f, random_tame_atoms(f, rng))
+            shuffled = list(word.factors)
+            rng.shuffle(shuffled)
+            cut = rng.randint(0, len(word))
+            candidates = [AmalgamWord(f, tuple(shuffled), word.tail)]
+            candidates += [AmalgamWord(f, (*word.factors[:cut], bad, *word.factors[cut:]), word.tail)
+                           for bad in mangles]
+            for w in candidates:
+                assert _in_normal_form(w) == is_reduced(w)
+                out = normal_form(w)
+                assert is_reduced(out) and out.recompose() == w.recompose()
+                if not is_reduced(w):
+                    checked += 1
+                    assert out == word_of_atoms(f, [*w.factors, w.tail])
+        assert checked >= 4 * 30
 
     def test_adjacent_affine_factors_are_not_reduced(self):
         swap = AffineAuto(QQ, ((0, 1), (1, 0)))
         tail = ElemAuto.identity(QQ)
         assert is_reduced(AmalgamWord(QQ, (swap,), tail))
         assert not is_reduced(AmalgamWord(QQ, (swap, swap), tail))
+
+
+@st.composite
+def nontriangular_affines(draw, field):
+    a, c, d, u, v = (draw(scalars(field)) for _ in range(5))
+    b = draw(nonzero_scalars(field))
+    assume(a * d - b * c)
+    return AffineAuto(field, ((a, b), (c, d)), (u, v))
+
+
+@st.composite
+def nonlinear_elementaries(draw, field):
+    z1, z2 = draw(nonzero_scalars(field)), draw(nonzero_scalars(field))
+    f = draw(poly1(field, max_deg=4).filter(lambda f: f.degree() >= 2))
+    return ElemAuto(field, z1, draw(scalars(field)), z2, f)
+
+
+class TestSplits:
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp5", "q-of-z"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_affine_split(self, field, data):
+        g = data.draw(nontriangular_affines(field))
+        rep, b = _split_affine(g)
+        assert rep.compose(b) == g
+        assert rep == AffineAuto(field, ((0, 1), (1, rep.m[1][1])))
+        assert b.is_lower_triangular()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp5", "q-of-z"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_elementary_split(self, field, data):
+        g = data.draw(nonlinear_elementaries(field))
+        rep, b = _split_elem(g)
+        assert rep.compose(b) == g
+        assert rep == ElemAuto.shear(field, rep.f) and rep.f.valuation() >= 2
+        assert b.is_lower_triangular()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp5", "q-of-z"])
+    def test_triangular_input_is_refused(self, field):
+        with pytest.raises(ValueError):
+            _split_affine(AffineAuto(field, ((2, 0), (1, 3)), (1, 1)))
+        with pytest.raises(ValueError):
+            _split_elem(ElemAuto(field, 2, 1, 3, Poly1(field, {1: 1, 0: 2})))
 
 
 class TestWordShapes:

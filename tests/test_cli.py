@@ -267,6 +267,10 @@ class TestExitCodes:
         (("from-matrix", "1, t ; t, 1 + t^2"), "to_matrix",
          lambda pairs: to_matrix(pairs[1:]),
          "word does not rebuild the matrix"),
+        # nf --verify checks the parsed map, so a wrong factorization fails too
+        (("nf", "y + x^2, x"), "vdk_factor",
+         lambda auto: vdk_factor(parse_auto(QQ, "y, x")),
+         "normal form changed the element"),
     ])
     def test_failed_verification_is_1(self, capsys, monkeypatch, argv, name, fake, message):
         # a wrong result from the library must be caught by --verify
