@@ -30,7 +30,6 @@ from .amalgam import (
     WordType,
     borel_escape_witness,
     conjugate_to_corner,
-    free_reduce,
     in_borel,
     invert,
     normal_form,

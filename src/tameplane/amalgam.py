@@ -20,12 +20,14 @@ projective directions, and that decomposition does not go through the
 amalgam word: ``shear_decompose`` peels line shears straight off the map,
 one top-degree monomial at a time.
 
-Both factorizations share one peel step (``_peel``): take c l^d u off the
-pair (p, q), along a direction u = (a, b), where l = b p - a q.  The peel
-leaves l unchanged, since it moves the pair along u only, so the powers of
-l serve every step along one direction.  ``vdk_factor`` is the peel along
-(0 : 1), where l = p, with a swap of the components whenever deg p > deg q
-or the tied degrees leave q unpeelable.
+Both factorizations take c l^d u off the pair (p, q), along a direction
+u = (a, b), where l = b p - a q; that leaves l unchanged, so the powers of
+l serve every step along one direction.  The degree reduction (``_peel``
+on whole polynomials) is the peel along (0 : 1), where l = p, with a swap
+of the components whenever deg p > deg q or the tied degrees leave q
+unpeelable.  ``shear_decompose`` peels in place on the graded numerators
+of the one component that moves; the degree reduction ran slower on such a
+state (ROADMAP item 17), so the two loops are separate.
 
 Coset representative conventions (right factor acts first everywhere):
 
@@ -39,6 +41,7 @@ Coset representative conventions (right factor acts first everywhere):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -387,22 +390,6 @@ def borel_escape_witness(
 # -- decomposition into line shears -------------------------------------------
 
 
-def free_reduce(pairs) -> tuple:
-    """Merge adjacent shears along equal directions, dropping cancellations."""
-    out: list = []
-    for delta, f in pairs:
-        if f.is_zero():
-            continue
-        if out and out[-1][0] == delta:
-            merged = out[-1][1] + f
-            out.pop()
-            if not merged.is_zero():
-                out.append((delta, merged))
-        else:
-            out.append((delta, f))
-    return tuple(out)
-
-
 def shear_decompose(auto: PlaneAuto) -> tuple:
     """Write a map tangent to the identity as a product of line shears.
 
@@ -418,40 +405,74 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     of F is c top(l)^d u, read off as direction u, exponent d and scalar c,
     and F - c l^d u is again a product of line shears, of lower degree.
     A tangent map that is not an automorphism gets the peel stuck.
+
+    Along one direction only one component m moves: q for u = (a, 1), with
+    p = l + a q following it, and p at infinity, where q stays.  A run of
+    peels holds m alone, as numerators bucketed by total degree over one
+    denominator, grown by an lcm only when a step brings a new factor: the
+    top form is one bucket, c is read at d times the lex-largest key of
+    top(l), c l^d is subtracted in place, and the peel is exact iff the top
+    bucket empties.  The run ends when deg m <= deg l; its monomials make
+    one parameter.  The direction read next is new unless the map is no
+    automorphism: a top form along u vanishes on l at the probe but not on
+    m, so no c top(l)^d matches it.
     """
     field = auto.field
     one, zero = field.one, field.zero
     if not (auto.fixes_origin() and auto.linear_part() == ((one, zero), (zero, one))):
         raise ValueError("map is not tangent to the identity at the origin")
+    lift, normalize, ratio = field.lift, field.normalize, field.ratio
     p, q = auto.p, auto.q
-    dp, dq = p.total_degree(), q.total_degree()
-    delta = None
-    pairs: list = []
-    while (deg := max(dp, dq)) > 1:
-        top_p = p.form(deg) if dp == deg else Poly2.zero(field)
-        top_q = q.form(deg) if dq == deg else Poly2.zero(field)
-        probe = next(iter((top_p or top_q).keys()))
-        new_delta = ProjPoint.of(field, top_p.coeff(*probe), top_q.coeff(*probe))
-        if new_delta != delta:
-            # l is invariant while the peel stays on one direction
-            delta = new_delta
-            a, b = delta.vector()
-            powers = Powers(p.scale(b) - q.scale(a))
-        peel = _peel(powers, deg, top_q if b else top_p)
-        if peel is None:
+    pairs = []
+    while (deg := max(p.total_degree(), q.total_degree())) > 1:
+        probe = next(k for f in (p, q) for k in f._num if k[0] + k[1] == deg)
+        delta = ProjPoint.of(field, p.coeff(*probe), q.coeff(*probe))
+        if pairs and delta == pairs[-1][0]:
             raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
-        d, c = peel
-        step = powers[d].scale(c)
-        p, q = p - step.scale(a), q - step.scale(b)
-        dp, dq = p.total_degree(), q.total_degree()
-        # a drop also forces d >= 2: with d = 1 the top of l would vanish
-        if max(dp, dq) >= deg:
-            raise NotAnAutomorphism("line shear peel did not lower degree %d" % deg)
-        pairs.append((delta, Poly1.monomial(field, d, c)))
+        a, b = delta.vector()
+        l = p.scale(b) - q.scale(a)
+        dl = l.total_degree()
+        lead = max(k for k in l._num if k[0] + k[1] == dl)
+        powers = Powers(l)
+        m = q if b else p
+        den, g = m._den, {}
+        for k, v in m._num.items():
+            g.setdefault(k[0] + k[1], {})[k] = v
+        terms = {}
+        while deg > dl or not terms:  # with deg l = deg, the one step tried refuses
+            d = deg // dl if not deg % dl else 0
+            key = (d * lead[0], d * lead[1]) if d else None
+            top = g[deg]
+            if key not in top:
+                raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
+            power = powers[d]
+            c = ratio(top[key], den) / ratio(power._num[key], power._den)
+            n, sd = lift(c)
+            sd *= power._den
+            if den % sd:
+                r = sd // math.gcd(den, sd)
+                den *= r
+                g = {e: {k: v * r for k, v in t.items()} for e, t in g.items()}
+            if den != sd:
+                n = n * (den // sd)
+            for k, v in power._num.items():
+                t = g.setdefault(k[0] + k[1], {})
+                s = t.get(k)
+                t[k] = -(v * n) if s is None else s - v * n
+            for e in range(d, deg + 1):
+                if t := normalize(g.pop(e, {}), 1)[0]:
+                    g[e] = t
+            if deg in g:
+                raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
+            terms[d] = c
+            deg = max(g)
+        m = Poly2._normalized(field, {k: v for t in g.values() for k, v in t.items()}, den)
+        p, q = (l + m.scale(a), m) if b else (m, q)
+        pairs.append((delta, Poly1(field, terms)))
     auto = PlaneAuto(p, q)
     if not auto.is_identity():
         raise AssertionError("remainder %r after line shear peeling" % (auto,))
-    return free_reduce(pairs)
+    return tuple(pairs)
 
 
 def shear_recompose(field, pairs) -> PlaneAuto:

@@ -63,10 +63,6 @@ class PlaneAuto:
         pu, pv = Powers(other.p), Powers(other.q)
         return PlaneAuto(self.p.substitute(pu, pv), self.q.substitute(pu, pv))
 
-    def evaluate(self, point):
-        a, b = point
-        return (self.p.evaluate(a, b), self.q.evaluate(a, b))
-
     def max_degree(self):
         return max(self.p.total_degree(), self.q.total_degree())
 

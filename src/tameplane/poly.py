@@ -489,11 +489,6 @@ class Poly1(_SparsePoly):
 
     # -- substitution and calculus ---------------------------------------
 
-    def evaluate(self, point):
-        """The sum of c * point**e over the terms, at a scalar of the field."""
-        total = sum((c * point ** e for e, c in self._num.items()), self.field.zero)
-        return total if self._den == 1 else total / self._den
-
     def substitute(self, value: _SparsePoly) -> _SparsePoly:
         """Plug a Poly1 or a Poly2 in for the variable; the result has its kind."""
         powers = Powers(value)
@@ -634,13 +629,6 @@ class Poly2(_SparsePoly):
         pv = v if isinstance(v, Powers) else Powers(v)
         return Poly2._lincomb(self.field, ((c, pu[i] * pv[j] if i and j else pu[i] if i else pv[j])
                                            for (i, j), c in self._num.items()), self._den)
-
-    def evaluate(self, a, b):
-        """The sum of c * a**i * b**j over the terms."""
-        a = self.field.of(a)
-        b = self.field.of(b)
-        total = sum((c * a ** i * b ** j for (i, j), c in self._num.items()), self.field.zero)
-        return total if self._den == 1 else total / self._den
 
     def partial_x(self) -> Poly2:
         return Poly2._normalized(

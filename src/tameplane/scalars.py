@@ -259,10 +259,6 @@ class PrimeField:
         # num is a stored residue and den is 1
         return self._elems[num]
 
-    def elements(self):
-        """Every element, in residue order 0, 1, ..., p - 1."""
-        return (self._elems[v] for v in range(self.p))
-
     def random_element(self, rng, height: int = 0) -> PrimeFieldElement:
         # height is ignored; every residue is equally small
         return self._elems[rng.randrange(self.p)]

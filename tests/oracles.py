@@ -165,24 +165,70 @@ def matrix_exp(a: RationalMatrix) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# amalgam words
+# evaluation at points, and the elements of F_p
+
+
+def evaluate_poly1(p, point):
+    """The sum of c * point**e over the terms of a Poly1, at a scalar of its field."""
+    total = sum((c * point ** e for e, c in p._num.items()), p.field.zero)
+    return total if p._den == 1 else total / p._den
+
+
+def evaluate_poly2(p, a, b):
+    """The sum of c * a**i * b**j over the terms of a Poly2."""
+    a, b = p.field.of(a), p.field.of(b)
+    total = sum((c * a ** i * b ** j for (i, j), c in p._num.items()), p.field.zero)
+    return total if p._den == 1 else total / p._den
+
+
+def evaluate_auto(auto: PlaneAuto, point) -> tuple:
+    return evaluate_poly2(auto.p, *point), evaluate_poly2(auto.q, *point)
+
+
+def prime_field_elements(field: PrimeField):
+    """Every element of F_p, in residue order 0, 1, ..., p - 1."""
+    return (field.of(v) for v in range(field.p))
+
+
+# ---------------------------------------------------------------------------
+# amalgam words and line shears
 
 
 def is_reduced(word) -> bool:
     """Factors alternate in kind, each a genuine representative, and
-    neither representative kind is triangular."""
-    kinds = word.factor_kinds()
+    neither representative kind is triangular; the tail is an invertible
+    triangular map.  Any other factor or tail is not reduced."""
+    kinds = [type(g) for g in word.factors]
     for a, b in zip(kinds, kinds[1:]):
-        if a == b:
+        if a is b:
             return False
     f = word.field
     for g in word.factors:
         if isinstance(g, AffineAuto):
             if g != AffineAuto(f, ((f.zero, f.one), (f.one, g.m[1][1]))):
                 return False
-        elif g != ElemAuto.shear(f, g.f) or g.f.degree() <= 1 or g.f.valuation() < 2:
+        elif (not isinstance(g, ElemAuto) or g != ElemAuto.shear(f, g.f)
+              or g.f.degree() <= 1 or g.f.valuation() < 2):
             return False
-    return word.tail.is_lower_triangular()
+    tail = word.tail
+    return isinstance(tail, ElemAuto) and tail.is_lower_triangular() and bool(tail.z1 and tail.z2)
+
+
+def free_reduce(pairs) -> tuple:
+    """Merge adjacent line shears along equal directions, dropping
+    cancellations: the reduced form of a (direction, parameter) word."""
+    out: list = []
+    for delta, f in pairs:
+        if f.is_zero():
+            continue
+        if out and out[-1][0] == delta:
+            merged = out[-1][1] + f
+            out.pop()
+            if not merged.is_zero():
+                out.append((delta, merged))
+        else:
+            out.append((delta, f))
+    return tuple(out)
 
 
 def invert_through_normal_form(auto: PlaneAuto) -> PlaneAuto:

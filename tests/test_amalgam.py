@@ -1,6 +1,7 @@
 """Factoring tame maps into affine and triangular pieces and back."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from tameplane import (
     borel_escape_witness,
     compose_all,
     conjugate_to_corner,
-    free_reduce,
+    field_from_spec,
     in_borel,
     invert,
     line_shear,
@@ -43,6 +44,8 @@ from tameplane.textio import ParseError, format_auto, parse_auto
 
 from conftest import F2, F5, FIELDS, QZ, nonzero_scalars, poly1, scalars
 from oracles import (
+    evaluate_poly2,
+    free_reduce,
     invert_through_normal_form,
     is_reduced,
     random_congruence_borel,
@@ -258,6 +261,10 @@ class TestNormalForm:
                     checked += 1
                     assert out == word_of_atoms(f, [*w.factors, w.tail])
         assert checked >= 4 * 30
+        # words the push-down refuses: a zero-scaling tail, a plane map as a factor
+        for w in (AmalgamWord(f, (), ElemAuto(f, 1, 0, 0, Poly1.zero(f))),
+                  AmalgamWord(f, (PlaneAuto.identity(f),), ElemAuto.identity(f))):
+            assert not _in_normal_form(w) and not is_reduced(w)
 
     def test_adjacent_affine_factors_are_not_reduced(self):
         swap = AffineAuto(QQ, ((0, 1), (1, 0)))
@@ -402,7 +409,7 @@ class TestBorelEscape:
             assert conj == compose_all(gamma, g, invert(gamma))
             assert not in_borel(conj)
             # the conjugator is itself the identity at z = 0
-            assert all(c.evaluate(QZ.zero, QZ.zero) == QZ.zero
+            assert all(evaluate_poly2(c, QZ.zero, QZ.zero) == QZ.zero
                        for c in (gamma.p - Poly2.x(QZ), gamma.q - Poly2.y(QZ)))
 
     def test_congruence_case_table(self):
@@ -447,6 +454,7 @@ class TestShearDecompose:
     @pytest.mark.parametrize("text, message", [
         ("x + x^2, y", "line shear peel stuck at degree 2"),
         ("x + x^2*y, y", "line shear peel stuck at degree 3"),
+        ("x + -2*x^2*y^2, y + x*y + x^4", "line shear peel stuck at degree 4"),
     ])
     def test_stuck_peel_names_its_degree(self, text, message):
         with pytest.raises(NotAnAutomorphism) as info:
@@ -459,11 +467,50 @@ class TestShearDecompose:
         with pytest.raises(ValueError):
             shear_decompose(parse_auto(QQ, "x + 1, y"))
 
+    @pytest.mark.parametrize("text", ["2*x, y + x^2", "x + 1, y", "x + y, y + x^2"])
+    def test_not_tangent_refusal_names_the_condition(self, text):
+        with pytest.raises(ValueError) as info:
+            shear_decompose(parse_auto(QQ, text))
+        assert str(info.value) == "map is not tangent to the identity at the origin"
+
+    @pytest.mark.parametrize("spec, budget, words", [
+        ("q", 12, 12), ("q", 24, 6), ("fp:2", 12, 12), ("fp:5", 12, 12), ("fp:5", 24, 6),
+        ("fp:1000003", 12, 12), ("q-of-z", 6, 4), ("fp:5-of-z", 6, 4),
+    ])
+    def test_graded_peel_returns_the_sampled_word(self, spec, budget, words):
+        field = field_from_spec(spec)
+        rng = random.Random(budget * 100 + len(spec))
+        for _ in range(words):
+            pairs = tuple(random_shear_pairs(field, rng, degree_budget=budget))
+            assert shear_decompose(shear_recompose(field, pairs)) == pairs
+
+    def test_rational_parameters_rescale_the_shared_denominator(self):
+        # the map clears over 708588 = 2^2 3^11; the first step's c l^5 needs
+        # one more factor 3, so the shared denominator grows before four more steps
+        pairs = ((ProjPoint.of(QQ, -2, 1), Poly1.monomial(QQ, 2, 3)),
+                 (ProjPoint.of(QQ, Fraction(1, 3), 1),
+                  Poly1(QQ, {2: 1, 3: -4, 4: 1, 5: Fraction(-1, 2)})))
+        g = shear_recompose(QQ, pairs)
+        assert math.lcm(g.p._den, g.q._den) == 708588
+        assert shear_decompose(g) == pairs
+
     def test_single_line_shear_comes_back_verbatim(self):
         delta = ProjPoint.of(QQ, 3, 1)
         f = Poly1(QQ, {2: Fraction(1), 4: Fraction(-2)})
         pairs = shear_decompose(line_shear(delta, f))
         assert pairs == ((delta, f),)
+
+    def test_unreduced_words_come_back_freely_reduced(self):
+        # shears along one direction add up, so the peel returns the word
+        # with adjacent equal directions merged, as free_reduce merges them
+        rng = random.Random(73)
+        for field in (QQ, F5):
+            for _ in range(6):
+                left = random_shear_pairs(field, rng, max_factors=2, degree_budget=8)
+                right = random_shear_pairs(field, rng, max_factors=2, degree_budget=8)
+                delta, f = left[-1]
+                pairs = [*left, (delta, rng.choice([-f, f + f, Poly1.monomial(field, 2, field.one)])), *right]
+                assert shear_decompose(shear_recompose(field, pairs)) == free_reduce(pairs)
 
     def test_free_reduce_merges_and_cancels(self):
         d1 = ProjPoint.of(QQ, 0, 1)

@@ -32,7 +32,7 @@ EXPORTED = {
         "Poly2", "PolyMat2", "ProjPoint", "AffineAuto", "ElemAuto", "NotAnAutomorphism",
         "PlaneAuto", "as_affine", "as_elementary", "classify", "compose_all", "line_shear",
         "shear_in_y", "AmalgamWord", "WordType",
-        "borel_escape_witness", "conjugate_to_corner", "free_reduce", "in_borel", "invert",
+        "borel_escape_witness", "conjugate_to_corner", "in_borel", "invert",
         "normal_form", "shear_decompose", "shear_recompose", "vdk_factor", "word_from_json",
         "word_of_atoms", "word_to_json", "word_type", "NotInMatrixGroup", "PingPongResult",
         "ShearFactor", "from_matrix", "line_matrix", "matrix_factor", "matrix_recompose",
