@@ -459,7 +459,7 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
                 t = g.setdefault(k[0] + k[1], {})
                 s = t.get(k)
                 t[k] = -(v * n) if s is None else s - v * n
-            for e in range(d, deg + 1):
+            for e in range(d, deg + 1):  # l has no constant term, so l^d none below degree d
                 if t := normalize(g.pop(e, {}), 1)[0]:
                     g[e] = t
             if deg in g:

@@ -1,7 +1,6 @@
 """Factoring tame maps into affine and triangular pieces and back."""
 
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -25,7 +24,6 @@ from tameplane import (
     borel_escape_witness,
     compose_all,
     conjugate_to_corner,
-    field_from_spec,
     in_borel,
     invert,
     line_shear,
@@ -436,7 +434,8 @@ class TestShearDecompose:
     def test_round_trip(self):
         # the reduced word is unique, so the peel must return the sampled one
         rng = random.Random(47)
-        for field, budget in ((QQ, 12), (F5, 12), (PrimeField(1000003), 12), (QZ, 6)):
+        for field, budget in ((QQ, 12), (F5, 12), (PrimeField(1000003), 12), (QZ, 6),
+                              (F2, 12), (QQ, 24), (F5, 24), (F5Z, 6)):
             for _ in range(15):
                 pairs = random_shear_pairs(field, rng, degree_budget=budget)
                 g = shear_recompose(field, pairs)
@@ -462,36 +461,18 @@ class TestShearDecompose:
         assert str(info.value) == message
 
     def test_requires_tangent_to_identity(self):
-        with pytest.raises(ValueError):
-            shear_decompose(parse_auto(QQ, "2*x, y + x^2"))
-        with pytest.raises(ValueError):
-            shear_decompose(parse_auto(QQ, "x + 1, y"))
-
-    @pytest.mark.parametrize("text", ["2*x, y + x^2", "x + 1, y", "x + y, y + x^2"])
-    def test_not_tangent_refusal_names_the_condition(self, text):
-        with pytest.raises(ValueError) as info:
-            shear_decompose(parse_auto(QQ, text))
-        assert str(info.value) == "map is not tangent to the identity at the origin"
-
-    @pytest.mark.parametrize("spec, budget, words", [
-        ("q", 12, 12), ("q", 24, 6), ("fp:2", 12, 12), ("fp:5", 12, 12), ("fp:5", 24, 6),
-        ("fp:1000003", 12, 12), ("q-of-z", 6, 4), ("fp:5-of-z", 6, 4),
-    ])
-    def test_graded_peel_returns_the_sampled_word(self, spec, budget, words):
-        field = field_from_spec(spec)
-        rng = random.Random(budget * 100 + len(spec))
-        for _ in range(words):
-            pairs = tuple(random_shear_pairs(field, rng, degree_budget=budget))
-            assert shear_decompose(shear_recompose(field, pairs)) == pairs
+        for text in ("2*x, y + x^2", "x + 1, y", "x + y, y + x^2"):
+            with pytest.raises(ValueError) as info:
+                shear_decompose(parse_auto(QQ, text))
+            assert str(info.value) == "map is not tangent to the identity at the origin"
 
     def test_rational_parameters_rescale_the_shared_denominator(self):
-        # the map clears over 708588 = 2^2 3^11; the first step's c l^5 needs
-        # one more factor 3, so the shared denominator grows before four more steps
-        pairs = ((ProjPoint.of(QQ, -2, 1), Poly1.monomial(QQ, 2, 3)),
-                 (ProjPoint.of(QQ, Fraction(1, 3), 1),
-                  Poly1(QQ, {2: 1, 3: -4, 4: 1, 5: Fraction(-1, 2)})))
+        # q clears over 3^13; after t^4 and t^3 are peeled along (-1 : 1), the
+        # step for t^2 needs a factor 2 more, so the numerators are rescaled mid-run
+        pairs = ((ProjPoint.of(QQ, -1, 1), Poly1(QQ, {2: Fraction(-1, 2), 3: -4, 4: Fraction(2, 3)})),
+                 (ProjPoint.of(QQ, Fraction(1, 3), 1), Poly1.monomial(QQ, 2, Fraction(-1, 2))))
         g = shear_recompose(QQ, pairs)
-        assert math.lcm(g.p._den, g.q._den) == 708588
+        assert g.q._den == 3 ** 13
         assert shear_decompose(g) == pairs
 
     def test_single_line_shear_comes_back_verbatim(self):
