@@ -27,9 +27,7 @@ from .automorphisms import (
 )
 from .amalgam import (
     AmalgamWord,
-    WordType,
     borel_escape_witness,
-    conjugate_to_corner,
     in_borel,
     invert,
     normal_form,
@@ -39,7 +37,6 @@ from .amalgam import (
     word_from_json,
     word_of_atoms,
     word_to_json,
-    word_type,
 )
 from .matrixrep import (
     NotInMatrixGroup,

@@ -2,11 +2,10 @@
 
 Every automorphism with constant nonzero jacobian factors through the affine
 and triangular subgroups.  This module computes such a factorization by
-degree reduction, normalizes it into the unique reduced word over fixed
-coset representatives, and builds on that normal form: word shape
-classification, conjugation into a prescribed shape, escape witnesses from
-the triangular subgroup.  Inversion needs no normal form: it inverts the
-degree reduction's own atoms and multiplies them out in reverse order.
+degree reduction and normalizes it into the unique reduced word over fixed
+coset representatives; it also finds escape witnesses from the triangular
+subgroup.  Inversion needs no normal form: it inverts the degree
+reduction's own atoms and multiplies them out in reverse order.
 
 The normal form is one push-down loop over the atoms of a product.  The
 triangular tail absorbs each atom in turn; while the result is not
@@ -27,7 +26,10 @@ on whole polynomials) is the peel along (0 : 1), where l = p, with a swap
 of the components whenever deg p > deg q or the tied degrees leave q
 unpeelable.  ``shear_decompose`` peels in place on the graded numerators
 of the one component that moves; the degree reduction ran slower on such a
-state (ROADMAP item 17), so the two loops are separate.
+state (ROADMAP item 17), so the two loops are separate.  Both read c at d
+times the lex-largest key of top(l), where top(l^d) has a nonzero
+coefficient, so, like ``matrixrep.matrix_reduced_word``, they keep a step
+exactly when it lowers the degree.
 
 Coset representative conventions (right factor acts first everywhere):
 
@@ -43,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .linear import ProjPoint
 from .poly import Poly1, Poly2, Powers, over_lcm
@@ -179,42 +180,27 @@ def word_of_atoms(field, atoms) -> AmalgamWord:
     return AmalgamWord(field, tuple(reps), tail)
 
 
-class WordType(Enum):
-    """Shape of a reduced word: which representative kinds sit at the ends."""
-
-    TAIL_ONLY = "tail_only"
-    AFFINE_AFFINE = "affine_affine"
-    SHEAR_SHEAR = "shear_shear"
-    AFFINE_SHEAR = "affine_shear"
-    SHEAR_AFFINE = "shear_affine"
-
-
-def word_type(word: AmalgamWord) -> WordType:
-    kinds = word.factor_kinds()
-    return WordType("%s_%s" % (kinds[0], kinds[-1])) if kinds else WordType.TAIL_ONLY
-
-
 # -- factorization ------------------------------------------------------------
 
 
-def _peel(powers: Powers, deg: int, target: Poly2):
-    """The exponent d and nonzero scalar c with c * top(l^d) == target, for
-    l = powers[1] and target a form of degree deg, or None if there are none.
-
-    powers is the caller's ladder of l, kept across the steps along one l, so
-    each power of l is made once.
-    """
-    dl = powers[1].total_degree()
+def _peel(powers: Powers, lead, q: Poly2):
+    """(d, c, q - c l^d) for l = powers[1] and c read at d * lead, lead the
+    lex-largest key of top(l), if that lowers deg q, else None; powers is
+    the caller's ladder of l, so each power of l is made once."""
+    deg, dl = q.total_degree(), powers[1].total_degree()
     if dl < 1 or deg % dl:
         return None
     d = deg // dl
-    # top(l^d) = top(l)^d has degree d * dl = deg
-    top = powers[d].form(deg)
-    probe = next(iter(top.keys()))
-    c = target.coeff(*probe) / top.coeff(*probe)
-    if not c or top.scale(c) != target:
-        return None
-    return d, c
+    key = (d * lead[0], d * lead[1])
+    power = powers[d]
+    c = q.coeff(*key) / power.coeff(*key)
+    rest = q - power.scale(c)
+    return (d, c, rest) if rest.total_degree() < deg else None
+
+
+def _ladder(p: Poly2) -> tuple:
+    """Powers(p) and the lex-largest key of top(p), None for p = 0."""
+    return Powers(p), max(p._num, key=lambda k: (k[0] + k[1], k), default=None)
 
 
 def _vdk_atoms(auto: PlaneAuto) -> list:
@@ -229,20 +215,18 @@ def _vdk_atoms(auto: PlaneAuto) -> list:
     atoms: list = [{}]  # a dict gathers one run's monomials, k -> c, until it becomes a shear
     p, q = auto.p, auto.q
     swap = AffineAuto(f, ((f.zero, f.one), (f.one, f.zero)))
-    powers = Powers(p)
+    ladder = _ladder(p)
     dp, dq = p.total_degree(), q.total_degree()
     while max(dp, dq) > 1:
-        peel = None if dp > dq else _peel(powers, dq, q.form(dq))
+        peel = None if dp > dq else _peel(*ladder, q)
         if peel is None and dp >= dq:
             atoms += [swap, {}]
-            p, q, dp, dq = q, p, dq, dp
-            powers = Powers(p)
-            peel = _peel(powers, dq, q.form(dq))
+            p, q, dp, dq, ladder = q, p, dq, dp, _ladder(q)
+            peel = _peel(*ladder, q)
         if peel is None:
             raise NotAnAutomorphism("degree reduction stuck at degrees (%s, %s)" % (dp, dq))
-        k, c = peel
+        k, c, q = peel
         atoms[-1][k] = c
-        q = q - powers[k].scale(c)
         dq = q.total_degree()
     ending = as_affine(PlaneAuto(p, q))
     if ending is None:
@@ -268,66 +252,6 @@ def invert(auto: PlaneAuto) -> PlaneAuto:
     multiplied out in reverse order.  The inverse map is unique, so it needs
     no normal form; non-automorphisms raise as in ``vdk_factor``."""
     return _multiply_out(auto.field, [atom.inverse() for atom in reversed(_vdk_atoms(auto))])
-
-
-# -- conjugation into a prescribed shape --------------------------------------
-
-
-def _affine_candidates(field):
-    # spread over distinct left AND right cosets of the triangular subgroup,
-    # so at most two candidates can be eaten by end cancellations
-    one, zero = field.one, field.zero
-    two = one + one
-    rows = [
-        (zero, one, one, zero),
-        (one, one, zero, one),
-        (zero, one, one, one),
-        (one, one, one, zero),
-        (one, two, one, one),
-    ]
-    for a, b, c, d in rows:
-        if a * d - b * c and b:
-            yield AffineAuto(field, ((a, b), (c, d)))
-
-
-def _shear_candidates(field):
-    for k in (2, 3, 4):
-        yield ElemAuto.shear(field, Poly1.monomial(field, k, field.one))
-
-
-def conjugate_to_corner(
-    word: AmalgamWord,
-    target: WordType,
-    witness: PlaneAuto | None = None,
-) -> tuple[PlaneAuto, AmalgamWord]:
-    """A conjugator gamma and the normal form of gamma o w o gamma^{-1}
-    whose ends match the target shape.
-
-    Tail-only words cannot be moved by the search alone; the caller must
-    supply (or let borel_escape_witness find) a map conjugating the tail out
-    of the triangular subgroup, passed here as ``witness``.
-    """
-    if target not in (WordType.AFFINE_AFFINE, WordType.SHEAR_SHEAR):
-        raise ValueError("target must be a both-ends shape, got %r" % (target,))
-    field = word.field
-    if word_type(word) is WordType.TAIL_ONLY:
-        base = word.tail.to_plane()
-        if base.is_identity():
-            raise ValueError("the identity conjugates into no shape")
-        if witness is None:
-            witness, _ = borel_escape_witness(base)
-        moved = witness.compose(base).compose(invert(witness))
-        inner_gamma, out = conjugate_to_corner(vdk_factor(moved), target)
-        return inner_gamma.compose(witness), out
-    if word_type(word) is target:
-        return PlaneAuto.identity(field), word
-    candidates = _affine_candidates(field) if target is WordType.AFFINE_AFFINE else _shear_candidates(field)
-    for gamma in candidates:
-        atoms = [gamma, *word.factors, word.tail, gamma.inverse()]
-        out = word_of_atoms(field, atoms)
-        if word_type(out) is target:
-            return gamma.to_plane(), out
-    raise AssertionError("no candidate conjugator reshaped the word")
 
 
 def borel_escape_witness(

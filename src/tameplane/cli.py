@@ -30,6 +30,7 @@ from .amalgam import (
     word_to_json,
 )
 from .automorphisms import classify, compose_all
+from .linear import PolyMat2
 from .matrixrep import from_matrix, to_matrix
 from .ratfunc import field_from_spec
 from .textio import (
@@ -95,6 +96,8 @@ def _cmd_classify(field, args) -> int:
     profile = classify(parse_auto(field, args.auto))
     flags = dict(vars(profile), jacobian=format_poly2(profile.jacobian))
     if args.format == "jsonl":
+        if flags["degree"] < 0:  # the zero map's degree -inf has no JSON literal
+            flags["degree"] = None
         _emit(args, "classify", flags)
     else:
         print(" ".join("%s=%s" % (k, str(v).lower() if isinstance(v, bool) else v)
@@ -152,7 +155,8 @@ def _cmd_from_matrix(field, args) -> int:
     matrix = parse_polymat(field, args.matrix)
     pairs = from_matrix(matrix)
     auto = shear_recompose(field, pairs)
-    if args.verify and to_matrix(pairs) != matrix:
+    # only the identity decomposes into no pairs, and an empty word names no field
+    if args.verify and (to_matrix(pairs) if pairs else PolyMat2.identity(field)) != matrix:
         return _verify_failed("word does not rebuild the matrix")
     _emit(args, "from-matrix", format_auto(auto))
     return EXIT_OK

@@ -588,11 +588,6 @@ class Poly2(_SparsePoly):
     def is_constant(self) -> bool:
         return self.total_degree() <= 0
 
-    def form(self, d) -> Poly2:
-        """The homogeneous component of total degree d."""
-        return Poly2._normalized(
-            self.field, {ij: c for ij, c in self._num.items() if ij[0] + ij[1] == d}, self._den)
-
     # -- ring operations -----------------------------------------------
 
     def _mul_dict(self, other: Poly2) -> dict:

@@ -19,11 +19,9 @@ from tameplane import (
     ProjPoint,
     QQ,
     RationalFunctionField,
-    WordType,
     amalgam,
     borel_escape_witness,
     compose_all,
-    conjugate_to_corner,
     in_borel,
     invert,
     line_shear,
@@ -34,9 +32,8 @@ from tameplane import (
     word_from_json,
     word_of_atoms,
     word_to_json,
-    word_type,
 )
-from tameplane.amalgam import _affine_candidates, _in_normal_form, _split_affine, _split_elem, _vdk_atoms
+from tameplane.amalgam import _in_normal_form, _split_affine, _split_elem, _vdk_atoms
 from tameplane.sampling import random_shear_pairs, random_tame_atoms, random_tame_auto
 from tameplane.textio import ParseError, format_auto, parse_auto
 
@@ -96,7 +93,7 @@ class TestVdkFactor:
 
     def test_triangular_affine_factors_to_tail_only(self):
         word = vdk_factor(parse_auto(QQ, "2*x + 1, 3*y - x"))
-        assert word_type(word) is WordType.TAIL_ONLY
+        assert word.factors == ()
         assert word.recompose() == parse_auto(QQ, "2*x + 1, 3*y - x")
 
     def test_nonlinear_triangular_splits_off_a_shear(self):
@@ -157,6 +154,8 @@ class TestVdkFactor:
         # a constant component has degree below 1, so nothing peels along it
         ("1, y^2", "degree reduction stuck at degrees (0, 2)"),
         ("x + y, x + y", "affine remainder is singular"),
+        # q has no term at 2 * lead(x + y) = (2, 0), so c = 0 and the degree stays
+        ("x + y, y^2", "degree reduction stuck at degrees (1, 2)"),
     ])
     def test_refusals_name_where_reduction_stopped(self, text, message):
         for fn in (vdk_factor, invert):
@@ -313,63 +312,6 @@ class TestSplits:
             _split_affine(AffineAuto(field, ((2, 0), (1, 3)), (1, 1)))
         with pytest.raises(ValueError):
             _split_elem(ElemAuto(field, 2, 1, 3, Poly1(field, {1: 1, 0: 2})))
-
-
-class TestWordShapes:
-    def test_word_type_of_assembled_words(self):
-        flip = AffineAuto(QQ, ((0, 1), (1, 0)))
-        shear = ElemAuto.shear(QQ, Poly1.monomial(QQ, 2, Fraction(1)))
-        w = word_of_atoms(QQ, [flip, shear, flip])
-        assert word_type(w) is WordType.AFFINE_AFFINE
-        w = word_of_atoms(QQ, [shear, flip, shear])
-        assert word_type(w) is WordType.SHEAR_SHEAR
-
-    def test_conjugate_to_corner_reshapes(self):
-        flip = AffineAuto(QQ, ((0, 1), (1, 0)))
-        shear = ElemAuto.shear(QQ, Poly1.monomial(QQ, 2, Fraction(1)))
-        word = word_of_atoms(QQ, [flip, shear, flip])
-        for target in (WordType.SHEAR_SHEAR, WordType.AFFINE_AFFINE):
-            gamma, out = conjugate_to_corner(word, target)
-            assert word_type(out) is target
-            expected = compose_all(gamma, word.recompose(), invert(gamma))
-            assert out.recompose() == expected
-
-    @pytest.mark.parametrize("field", [QQ, F5, F2], ids=["Q", "F5", "F2"])
-    def test_affine_conjugators_reshape_shear_ended_words(self, field):
-        one, zero = field.one, field.zero
-        flip = AffineAuto(field, ((zero, one), (one, zero)))
-        shear = ElemAuto.shear(field, Poly1.monomial(field, 2, one))
-        cubic = ElemAuto.shear(field, Poly1.monomial(field, 3, one))
-        shapes = {
-            WordType.SHEAR_SHEAR: [shear, flip, cubic],
-            WordType.AFFINE_SHEAR: [flip, shear],
-            WordType.SHEAR_AFFINE: [cubic, flip],
-        }
-        for shape, atoms in shapes.items():
-            word = word_of_atoms(field, atoms)
-            assert word_type(word) is shape
-            gamma, out = conjugate_to_corner(word, WordType.AFFINE_AFFINE)
-            assert word_type(out) is WordType.AFFINE_AFFINE
-            g = word.recompose()
-            assert out.recompose() == gamma.compose(g).compose(invert(gamma))
-
-    def test_affine_candidates_skip_triangular_rows(self):
-        # over F_2 the row (1, two, 1, 1) has e01 = two = 0, so it is skipped
-        assert len(list(_affine_candidates(F5))) == 5
-        assert len(list(_affine_candidates(F2))) == 4
-
-    def test_conjugate_to_corner_moves_tail_only_words(self):
-        word = vdk_factor(parse_auto(QQ, "2*x, y + 3*x"))
-        assert word_type(word) is WordType.TAIL_ONLY
-        gamma, out = conjugate_to_corner(word, WordType.SHEAR_SHEAR)
-        assert word_type(out) is WordType.SHEAR_SHEAR
-        got = compose_all(gamma, word.recompose(), invert(gamma))
-        assert out.recompose() == got
-
-    def test_conjugate_to_corner_rejects_one_sided_targets(self):
-        word = vdk_factor(parse_auto(QQ, "y, x"))
-        with pytest.raises(ValueError):
-            conjugate_to_corner(word, WordType.AFFINE_SHEAR)
 
 
 class TestBorelEscape:

@@ -69,6 +69,16 @@ class TestExpressionCommands:
         assert code == 0
         assert out == "x + y^2, y + x^2 + 2*x*y^2 + y^4\n"
 
+    @pytest.mark.parametrize("spec", ["q", "q-of-z"])
+    def test_from_matrix_verifies_the_identity(self, capsys, spec):
+        # the identity decomposes into the empty word, which names no field
+        code, out, err = run(capsys, "--field", spec, "from-matrix", "--verify", "1, 0 ; 0, 1")
+        assert (code, out, err) == (0, "x, y\n", "")
+        code, out, err = run(capsys, "--field", spec, "--format", "jsonl",
+                             "from-matrix", "--verify", "1, 0 ; 0, 1")
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"command": "from-matrix", "field": spec, "result": "x, y"}
+
     def test_factor_lists_atoms(self, capsys):
         code, out, _ = run(capsys, "factor", "--verify", "y+x^2, x")
         lines = out.splitlines()
@@ -290,6 +300,16 @@ class TestJsonl:
         assert code == 0
         doc = json.loads(out)
         assert doc == {"command": "invert", "field": "q", "result": "y, x - y^2"}
+
+    def test_zero_map_degree_is_strict_json(self, capsys):
+        def refuse(name):
+            raise ValueError("non-standard JSON constant " + name)
+
+        code, out, _ = run(capsys, "--format", "jsonl", "classify", "0, 0")
+        assert code == 0
+        assert json.loads(out, parse_constant=refuse)["result"]["degree"] is None
+        code, out, _ = run(capsys, "classify", "0, 0")
+        assert code == 0 and out.startswith("degree=-inf ")
 
     def test_lab_records_are_one_json_per_line(self, capsys):
         code, out, _ = run(capsys, "--format", "jsonl",

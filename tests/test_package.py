@@ -31,10 +31,9 @@ EXPORTED = {
         "QQ", "PrimeField", "RationalFunctionField", "field_from_spec", "NEG_INF", "Poly1",
         "Poly2", "PolyMat2", "ProjPoint", "AffineAuto", "ElemAuto", "NotAnAutomorphism",
         "PlaneAuto", "as_affine", "as_elementary", "classify", "compose_all", "line_shear",
-        "shear_in_y", "AmalgamWord", "WordType",
-        "borel_escape_witness", "conjugate_to_corner", "in_borel", "invert",
+        "shear_in_y", "AmalgamWord", "borel_escape_witness", "in_borel", "invert",
         "normal_form", "shear_decompose", "shear_recompose", "vdk_factor", "word_from_json",
-        "word_of_atoms", "word_to_json", "word_type", "NotInMatrixGroup", "PingPongResult",
+        "word_of_atoms", "word_to_json", "NotInMatrixGroup", "PingPongResult",
         "ShearFactor", "from_matrix", "line_matrix", "matrix_factor", "matrix_recompose",
         "matrix_reduced_word", "pingpong_check", "to_matrix", "ParseError", "field_spec",
         "format_auto", "format_poly1", "format_poly2", "format_polymat", "format_scalar",

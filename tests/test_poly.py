@@ -569,13 +569,3 @@ class TestConversions:
                     with pytest.raises(TypeError):
                         op(a, b)
                 assert a != b
-
-    @given(poly2(QQ))
-    def test_leading_form_is_homogeneous_of_top_degree(self, p):
-        if p.is_zero():
-            return
-        d = p.total_degree()
-        lead = p.form(d)
-        assert all(i + j == d for i, j in lead.terms)
-        rest = p - lead
-        assert rest.is_zero() or rest.total_degree() < d
