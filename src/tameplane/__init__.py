@@ -22,8 +22,6 @@ from .automorphisms import (
     as_elementary,
     classify,
     compose_all,
-    line_shear,
-    shear_in_y,
 )
 from .amalgam import (
     AmalgamWord,

@@ -319,8 +319,7 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
 
     The result is a reduced tuple of (direction, parameter polynomial)
     pairs, parameters with zero constant and linear coefficients, the
-    product taken left to right:
-    auto = line_shear(*pairs[0]) o line_shear(*pairs[1]) o ...
+    product taken left to right: auto = shear_recompose(field, pairs).
 
     The shears are peeled off the left one monomial at a time.  If
     F = (p, q) = s o G with s the leftmost shear, along u = (a, b) with
@@ -455,7 +454,7 @@ def word_from_json(text: str) -> AmalgamWord:
         raise ParseError("JSON document nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise ParseError("not a %s document" % _FORMAT)
-    if doc.get("version") != _VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != _VERSION:  # true and 1.0 compare equal to 1
         raise ParseError("unsupported version %r" % doc.get("version"))
     try:
         field = field_from_spec(doc["field"])

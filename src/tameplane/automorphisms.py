@@ -351,34 +351,17 @@ def classify(auto: PlaneAuto) -> AutoProfile:
     )
 
 
-# -- distinguished constructors ---------------------------------------------
-
-
-def line_shear(delta: ProjPoint, f: Poly1) -> PlaneAuto:
-    """The shear v -> v + f(l . v) u along the direction u = (a, b).
-
-    Here l = (b, -a) spans the linear forms vanishing on the line.  For f
-    with zero constant and linear coefficients these maps fix the origin
-    with identity differential, and distinct directions generate freely.
-    """
-    field = delta.field
-    return PlaneAuto(*apply_line_shear(delta, f, Poly2.x(field), Poly2.y(field)))
+# -- line shears ------------------------------------------------------------
 
 
 def apply_line_shear(delta: ProjPoint, f: Poly1, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-    """Components of line_shear(delta, f) o (p, q): with s = b p - a q,
-    the pair (p + a f(s), q + b f(s))."""
+    """Components of S o (p, q) for the line shear S: v -> v + f(l . v) u
+    along u = (a, b), where l = (b, -a) spans the linear forms vanishing on
+    the line: with s = b p - a q, the pair (p + a f(s), q + b f(s)).  For f
+    with zero constant and linear coefficients these shears fix the origin
+    with identity differential, and distinct directions generate freely."""
     if f.is_zero() or f.coeff(0) or f.coeff(1):
         raise ValueError("shear profile must be nonzero with valuation >= 2")
     a, b = delta.vector()
     fs = f.substitute(p.scale(b) - q.scale(a))
     return p + fs.scale(a), q + fs.scale(b)
-
-
-def scaling(field, s0, s1) -> PlaneAuto:
-    return PlaneAuto(Poly2.x(field).scale(field.of(s0)), Poly2.y(field).scale(field.of(s1)))
-
-
-def shear_in_y(field, f: Poly1) -> PlaneAuto:
-    """(x, y + f(x))."""
-    return ElemAuto.shear(field, f).to_plane()

@@ -35,6 +35,7 @@ from .matrixrep import from_matrix, to_matrix
 from .ratfunc import field_from_spec
 from .textio import (
     ParseError,
+    field_spec,
     format_auto,
     format_poly2,
     format_polymat,
@@ -250,6 +251,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE_ERROR
+    args.field = field_spec(field)  # jsonl echoes the canonical spec
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return handler(field, args)

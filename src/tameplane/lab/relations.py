@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from ..amalgam import vdk_factor
-from ..automorphisms import AffineAuto, PlaneAuto, compose_all, scaling, shear_in_y
+from ..automorphisms import AffineAuto, ElemAuto, PlaneAuto, compose_all
 from ..poly import Poly1
 from ..scalars import QQ
 from .report import Report
@@ -24,7 +24,7 @@ from .report import Report
 
 def halving_homothety(field=QQ) -> PlaneAuto:
     half = field.one / field.of(2)
-    return scaling(field, half, half)
+    return AffineAuto(field, ((half, 0), (0, half))).to_plane()
 
 
 def addswap_linear(field=QQ) -> PlaneAuto:
@@ -32,7 +32,7 @@ def addswap_linear(field=QQ) -> PlaneAuto:
 
 
 def square_shear(field=QQ) -> PlaneAuto:
-    return shear_in_y(field, Poly1.monomial(field, 2, field.one))
+    return ElemAuto.shear(field, Poly1.monomial(field, 2, field.one)).to_plane()
 
 
 def _alternating_word(rng: random.Random) -> PlaneAuto:
@@ -50,7 +50,7 @@ def _alternating_word(rng: random.Random) -> PlaneAuto:
                 atom = homothety.compose(atom)
         else:
             k = rng.choice([-2, -1, 1, 2, 3])
-            atom = shear_in_y(QQ, Poly1.monomial(QQ, 2, QQ.of(k)))
+            atom = ElemAuto.shear(QQ, Poly1.monomial(QQ, 2, QQ.of(k))).to_plane()
         atoms.append(atom)
     return compose_all(*atoms)
 
@@ -58,7 +58,7 @@ def _alternating_word(rng: random.Random) -> PlaneAuto:
 def relations_report(word_trials: int = 10, seed: int = 2024) -> Report:
     report = Report()
     homothety = halving_homothety()
-    homothety_inv = scaling(QQ, 2, 2)
+    homothety_inv = AffineAuto(QQ, ((2, 0), (0, 2))).to_plane()
     linear = addswap_linear()
     shear = square_shear()
 

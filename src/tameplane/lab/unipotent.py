@@ -63,31 +63,18 @@ class RationalMatrix:
         c = Fraction(c)
         return RationalMatrix([[c * a for a in row] for row in self.entries])
 
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(self.n))
-
     def __pow__(self, k: int) -> RationalMatrix:
         if k < 0:
             return self.inverse() ** (-k)
         return power(RationalMatrix.identity(self.n), self, k)
 
     def inverse(self) -> RationalMatrix:
-        """Gauss-Jordan; raises ValueError on singular input."""
-        n = self.n
-        work = [list(row) + [1 if i == j else 0 for j in range(n)]
-                for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [v * inv for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    factor = work[r][col]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-        return RationalMatrix([row[n:] for row in work])
+        """-M_n / c_0 from the charpoly loop; raises ValueError on singular input."""
+        coeffs, adj = self._leverrier()
+        if not coeffs[0]:
+            raise ValueError("singular matrix")
+        c = -1 / coeffs[0]
+        return RationalMatrix([[c * v for v in row] for row in adj])
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
@@ -95,17 +82,23 @@ class RationalMatrix:
     def is_identity(self) -> bool:
         return self == RationalMatrix.identity(self.n)
 
-    def charpoly(self) -> Poly1:
-        """det(x*I - self) as a monic Poly1 over Q (Faddeev-LeVerrier)."""
-        n = self.n
-        coeffs = {n: QQ.one}
-        m = RationalMatrix.identity(n)
+    def _leverrier(self) -> tuple:
+        """Faddeev-LeVerrier: the coefficients c_k of det(x*I - self) by
+        degree, and the rows of M_n, where M_1 = I and M_(k+1) = self * M_k
+        + c_(n-k) I, so that self * M_n = -c_0 I."""
+        n, rows = self.n, self.entries
+        coeffs, m, am = {n: QQ.one}, RationalMatrix.identity(n).entries, rows
         for k in range(1, n + 1):
-            am = self * m
-            ck = -am.trace() / k
-            coeffs[n - k] = Fraction(ck)
-            m = am + RationalMatrix.identity(n).scale(ck)
-        return Poly1(QQ, coeffs)
+            coeffs[n - k] = ck = -sum(am[i][i] for i in range(n)) / k
+            if k < n:
+                m = [[v + ck if i == j else v for j, v in enumerate(row)] for i, row in enumerate(am)]
+                cols = tuple(zip(*m))
+                am = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+        return coeffs, m
+
+    def charpoly(self) -> Poly1:
+        """det(x*I - self) as a monic Poly1 over Q."""
+        return Poly1(QQ, self._leverrier()[0])
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and other.n == self.n

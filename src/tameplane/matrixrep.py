@@ -84,7 +84,7 @@ def _validate_group_member(g: PolyMat2) -> None:
     if det != Poly1.one(g.field):
         raise NotInMatrixGroup("determinant %s is not 1" % format_poly1(det))
     f = g.field
-    if tuple(e.coeff(0) for e in g.entries()) != (f.one, f.zero, f.zero, f.one):
+    if g.coeff(0) != (f.one, f.zero, f.zero, f.one):
         raise NotInMatrixGroup("value at t = 0 is not the identity")
 
 

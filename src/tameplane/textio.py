@@ -338,13 +338,6 @@ def _power(var: str, e: int) -> str:
     return var if e == 1 else "%s^%s" % (var, _decimal(e, "exponent"))
 
 
-def _split_sign(field, value):
-    """(is_negative, absolute value); only plain rationals have a canonical sign."""
-    if isinstance(value, Fraction):
-        return value < 0, -value if value < 0 else value
-    return False, value
-
-
 def _coeff_factor(field, value) -> str:
     """Scalar text usable as the left factor of a '*' product."""
     s = format_scalar(field, value)
@@ -353,46 +346,35 @@ def _coeff_factor(field, value) -> str:
     return "(%s)" % s
 
 
-def _join_terms(parts: list) -> str:
+def _format_terms(field, terms) -> str:
+    """Signed sum of (monomial text, coefficient) pairs in print order, "0"
+    for none; only plain rationals have a canonical sign."""
     out = []
-    for i, (negative, body) in enumerate(parts):
-        if i == 0:
-            out.append("-" + body if negative else body)
+    for monomial, c in terms:
+        negative = isinstance(c, Fraction) and c < 0
+        if negative:
+            c = -c
+        if not monomial:
+            body = format_scalar(field, c)
+        elif c == field.one:
+            body = monomial
         else:
-            out.append((" - " if negative else " + ") + body)
-    return "".join(out)
-
-
-def _term_text(field, coeff, monomial: str):
-    negative, magnitude = _split_sign(field, coeff)
-    if not monomial:
-        return negative, format_scalar(field, magnitude)
-    if magnitude == field.one:
-        return negative, monomial
-    return negative, "%s*%s" % (_coeff_factor(field, magnitude), monomial)
+            body = "%s*%s" % (_coeff_factor(field, c), monomial)
+        sign = (" - " if negative else " + ") if out else ("-" if negative else "")
+        out.append(sign + body)
+    return "".join(out) or "0"
 
 
 def format_poly1(p: Poly1, var: str = "t") -> str:
     """Canonical text, terms in ascending degree."""
-    if p.is_zero():
-        return "0"
-    return _join_terms([_term_text(p.field, c, _power(var, e) if e else "")
-                        for e, c in sorted(p.items())])
+    return _format_terms(p.field, [(_power(var, e) if e else "", c) for e, c in p.items()])
 
 
 def format_poly2(p: Poly2) -> str:
     """Canonical text, ascending total degree, x-powers before y-powers."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for (i, j), c in sorted(p.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1])):
-        pieces = []
-        if i:
-            pieces.append(_power("x", i))
-        if j:
-            pieces.append(_power("y", j))
-        parts.append(_term_text(p.field, c, "*".join(pieces)))
-    return _join_terms(parts)
+    return _format_terms(p.field, [
+        ("*".join(_power(v, e) for v, e in (("x", i), ("y", j)) if e), c)
+        for (i, j), c in sorted(p.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))])
 
 
 def format_auto(auto) -> str:

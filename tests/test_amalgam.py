@@ -24,7 +24,6 @@ from tameplane import (
     compose_all,
     in_borel,
     invert,
-    line_shear,
     normal_form,
     shear_decompose,
     shear_recompose,
@@ -420,7 +419,7 @@ class TestShearDecompose:
     def test_single_line_shear_comes_back_verbatim(self):
         delta = ProjPoint.of(QQ, 3, 1)
         f = Poly1(QQ, {2: Fraction(1), 4: Fraction(-2)})
-        pairs = shear_decompose(line_shear(delta, f))
+        pairs = shear_decompose(shear_recompose(QQ, [(delta, f)]))
         assert pairs == ((delta, f),)
 
     def test_unreduced_words_come_back_freely_reduced(self):
@@ -468,6 +467,8 @@ class TestWordJson:
         for mutate in (
             lambda d: d.update(format="other"),
             lambda d: d.update(version=2),
+            lambda d: d.update(version=True),
+            lambda d: d.update(version=1.0),
             lambda d: d.pop("tail"),
             lambda d: d["factors"][0].pop("matrix"),
             lambda d: d["factors"][0].update(kind="other"),

@@ -1,4 +1,4 @@
-"""Plane maps: composition, jacobians, classification, named families."""
+"""Plane maps: composition, jacobians, classification, line shears."""
 
 import random
 from fractions import Fraction
@@ -17,12 +17,11 @@ from tameplane import (
     QQ,
     classify,
     compose_all,
-    line_shear,
-    shear_in_y,
+    shear_recompose,
     word_from_json,
     word_to_json,
 )
-from tameplane.automorphisms import as_affine, as_elementary, scaling
+from tameplane.automorphisms import as_affine, as_elementary
 from tameplane.sampling import random_affine, random_elementary, random_tame_auto
 from tameplane.textio import format_auto, parse_auto
 
@@ -72,7 +71,7 @@ class TestJacobian:
             assert a.compose(b).jacobian() == outer * b.jacobian()
 
     def test_shear_has_unit_jacobian(self):
-        u = shear_in_y(QQ, Poly1.monomial(QQ, 5, Fraction(3)))
+        u = ElemAuto.shear(QQ, Poly1.monomial(QQ, 5, Fraction(3))).to_plane()
         assert u.jacobian() == Poly2.one(QQ)
 
     def test_swap_has_jacobian_minus_one(self):
@@ -110,7 +109,7 @@ class TestClassify:
     def test_subgroup_flags_survive_linear_conjugation(self):
         # tangency to the identity at the origin is a conjugation invariant
         rng = random.Random(51)
-        inner = line_shear(ProjPoint.of(QQ, 1, 1), Poly1.monomial(QQ, 2, Fraction(1)))
+        inner = shear_recompose(QQ, [(ProjPoint.of(QQ, 1, 1), Poly1.monomial(QQ, 2, Fraction(1)))])
         for _ in range(10):
             aff = AffineAuto(QQ, ((rng.randint(1, 3), rng.randint(0, 2)),
                                   (rng.randint(0, 2), rng.randint(1, 3))))
@@ -249,13 +248,13 @@ class TestAtomAction:
 class TestLineShear:
     def test_diagonal_line_example(self):
         # direction (1, 1), profile t^2: both coordinates gain (x - y)^2
-        g = line_shear(ProjPoint.of(QQ, 1, 1), Poly1.monomial(QQ, 2, Fraction(1)))
+        g = shear_recompose(QQ, [(ProjPoint.of(QQ, 1, 1), Poly1.monomial(QQ, 2, Fraction(1)))])
         assert format_auto(g) == "x + x^2 - 2*x*y + y^2, y + x^2 - 2*x*y + y^2"
 
     def test_vertical_and_horizontal_lines(self):
         f = Poly1.monomial(QQ, 2, Fraction(1))
-        assert format_auto(line_shear(ProjPoint.of(QQ, 0, 1), f)) == "x, y + x^2"
-        assert format_auto(line_shear(ProjPoint.infinity(QQ), f)) == "x + y^2, y"
+        assert format_auto(shear_recompose(QQ, [(ProjPoint.of(QQ, 0, 1), f)])) == "x, y + x^2"
+        assert format_auto(shear_recompose(QQ, [(ProjPoint.infinity(QQ), f)])) == "x + y^2, y"
 
     @given(poly1(QQ, max_deg=4))
     @example(Poly1.monomial(QQ, 3, Fraction(-1, 2)))
@@ -266,19 +265,19 @@ class TestLineShear:
             return
         delta = ProjPoint.of(QQ, 2, 1)
         g = Poly1.monomial(QQ, 3, Fraction(1, 2))
-        lhs = line_shear(delta, f).compose(line_shear(delta, g))
+        lhs = shear_recompose(QQ, [(delta, f)]).compose(shear_recompose(QQ, [(delta, g)]))
         if (f + g).is_zero():
             # the zero profile is not a line shear; the two cancel
             assert lhs == PlaneAuto.identity(QQ)
         else:
-            assert lhs == line_shear(delta, f + g)
+            assert lhs == shear_recompose(QQ, [(delta, f + g)])
 
     def test_rejects_low_order_profiles(self):
         delta = ProjPoint.of(QQ, 1, 1)
         for bad in (Poly1.zero(QQ), Poly1.one(QQ), Poly1.gen(QQ),
                     Poly1(QQ, {1: Fraction(1), 2: Fraction(1)})):
             with pytest.raises(ValueError):
-                line_shear(delta, bad)
+                shear_recompose(QQ, [(delta, bad)])
 
 
 class TestScaledShearFamily:
@@ -300,12 +299,12 @@ class TestScaledShearFamily:
 
     def test_halving_conjugation_multiplies_shear_order(self):
         # conjugating (x, y + x^n) by (2x, y/2) raises it to the 2^(n+1) power
-        h = scaling(QQ, Fraction(2), Fraction(1, 2))
-        hi = scaling(QQ, Fraction(1, 2), Fraction(2))
+        h = AffineAuto(QQ, ((2, 0), (0, Fraction(1, 2)))).to_plane()
+        hi = AffineAuto(QQ, ((Fraction(1, 2), 0), (0, 2))).to_plane()
         for n in range(1, 5):
-            u = shear_in_y(QQ, Poly1.monomial(QQ, n, Fraction(1)))
+            u = ElemAuto.shear(QQ, Poly1.monomial(QQ, n, Fraction(1))).to_plane()
             conj = compose_all(hi, u, h)
-            power = shear_in_y(QQ, Poly1.monomial(QQ, n, Fraction(2 ** (n + 1))))
+            power = ElemAuto.shear(QQ, Poly1.monomial(QQ, n, Fraction(2 ** (n + 1)))).to_plane()
             assert conj == power
 
 

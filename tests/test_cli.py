@@ -93,6 +93,12 @@ class TestExpressionCommands:
         assert code == code2 == 0
         assert out2.splitlines()[-1].startswith("tail: ")
 
+    @pytest.mark.parametrize("spec, canonical", [(" Q ", "q"), ("FP:05", "fp:5"), ("Q-of-Z", "q-of-z")])
+    def test_jsonl_echoes_the_canonical_field(self, capsys, spec, canonical):
+        code, out, _ = run(capsys, "--field", spec, "--format", "jsonl", "factor", "x, y")
+        doc = json.loads(out)
+        assert code == 0 and doc["field"] == doc["result"]["field"] == canonical
+
     def test_field_flag(self, capsys):
         code, out, _ = run(capsys, "--field", "fp:5", "compose",
                            "x, y+x^2", "x, y+4*x^2")
@@ -151,6 +157,9 @@ class TestExitCodes:
             word_doc(capsys, mutate=lambda d: d.update(field=5)),
             word_doc(capsys, mutate=lambda d: d.update(format="other")),
             word_doc(capsys, mutate=lambda d: d.update(version=2)),
+            # JSON true and 1.0 compare equal to 1 but are not the integer version
+            word_doc(capsys, mutate=lambda d: d.update(version=True)),
+            word_doc(capsys, mutate=lambda d: d.update(version=1.0)),
             "[]",
             "not json",
         ]

@@ -29,6 +29,18 @@ class TestRationalMatrix:
         with pytest.raises(ValueError):
             mat((1, 2), (2, 4)).inverse()
 
+    @pytest.mark.parametrize("m", [
+        mat((2, 1, 0), (0, 3, 1), (Fraction(1, 2), 0, 1)),
+        mat((0, 2, 1, 0), (1, 0, 0, 3), (0, 1, Fraction(-1, 3), 0), (2, 0, 1, 1)),
+    ], ids=["3x3", "4x4"])
+    def test_inverse_beyond_two_by_two(self, m):
+        inv = m.inverse()
+        assert m * inv == inv * m == RationalMatrix.identity(m.n)
+
+    def test_singular_rank_two_has_no_inverse(self):
+        with pytest.raises(ValueError, match="singular matrix"):
+            mat((1, 2, 3), (4, 5, 6), (7, 8, 9)).inverse()
+
     def test_negative_powers(self):
         m = mat((2, 1), (1, 1))
         assert m ** -2 == (m.inverse()) ** 2

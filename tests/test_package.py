@@ -30,8 +30,8 @@ EXPORTED = {
     "tameplane": {
         "QQ", "PrimeField", "RationalFunctionField", "field_from_spec", "NEG_INF", "Poly1",
         "Poly2", "PolyMat2", "ProjPoint", "AffineAuto", "ElemAuto", "NotAnAutomorphism",
-        "PlaneAuto", "as_affine", "as_elementary", "classify", "compose_all", "line_shear",
-        "shear_in_y", "AmalgamWord", "borel_escape_witness", "in_borel", "invert",
+        "PlaneAuto", "as_affine", "as_elementary", "classify", "compose_all", "AmalgamWord",
+        "borel_escape_witness", "in_borel", "invert",
         "normal_form", "shear_decompose", "shear_recompose", "vdk_factor", "word_from_json",
         "word_of_atoms", "word_to_json", "NotInMatrixGroup", "PingPongResult",
         "ShearFactor", "from_matrix", "line_matrix", "matrix_factor", "matrix_recompose",

@@ -1,5 +1,8 @@
-"""Every ``$ tameplane ...`` example in README.md prints what the README shows."""
+"""Every ``$ tameplane ...`` example in README.md prints what the README
+shows, and every line of its Python quickstart ending in ``# <repr>`` has
+that value."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -40,3 +43,24 @@ def test_readme_example_output(capsys, argv, expected):
     main(argv)
     captured = capsys.readouterr()
     assert captured.err + captured.out == "".join(line + "\n" for line in expected)
+
+
+def quickstart_lines():
+    """(code, expected repr or None) for each line of the README's python block."""
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("\n```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        m = re.fullmatch(r"(.*\S)\s+# (.*)", line)
+        out.append((m[1], m[2]) if m else (line, None))
+    return out
+
+
+def test_readme_quickstart_values():
+    namespace, checked = {}, 0
+    for code, want in quickstart_lines():
+        if want is None:
+            exec(code, namespace)
+        else:
+            assert repr(eval(code, namespace)) == want, code
+            checked += 1
+    assert checked >= 3
