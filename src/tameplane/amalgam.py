@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, Powers, over_lcm
+from .poly import Poly1, Poly2, Powers, over_lcm, taylor_shift
 from .automorphisms import (
     AffineAuto,
     ElemAuto,
@@ -85,15 +85,23 @@ def _split_affine(g: AffineAuto) -> tuple[AffineAuto, AffineAuto]:
 
 def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
     """g = rep o b with rep = (x, y + h~(x)): for f(x) = h(z1 x + t0) and
-    h = h0 + h1 u + h~(u), b = (z1 x + t0, z2 y + h1 z1 x + h0 + h1 t0)."""
-    f = g.field
-    if g.f.degree() <= 1:
+    h = h0 + h1 u + h~(u), b = (z1 x + t0, z2 y + h1 z1 x + h0 + h1 t0).
+    On g's numerators, z1 = Z / D and t0 = T / D, so h(u) = f((D u - T) / Z)
+    is one Taylor shift of f's numerators, H over D m; b is over D^2 m."""
+    f, nums, den = g.field, g._num, g._den
+    if g.is_lower_triangular():
         raise ValueError("shear already triangular")
-    iz1 = f.one / g.z1
-    h = g.f.substitute_affine(iz1, -g.t0 * iz1)
-    h0, h1 = h.coeff(0), h.coeff(1)
-    b = ElemAuto(f, g.z1, g.t0, g.z2, Poly1(f, {1: h1 * g.z1, 0: h0 + h1 * g.t0}))
-    return ElemAuto.shear(f, h.drop_below(2)), b
+    zero, one = f.lift(f.zero)[0], f.lift(f.one)[0]
+    z, t = nums[-1], nums.get(-2, zero)
+    wn, wd = f.lift(f.one / f.ratio(z, 1))  # 1 / Z
+    h, m = taylor_shift(f, {k: n for k, n in nums.items() if k >= 0},
+                        wn if den == 1 else wn * den, -(t * wn), wd)
+    hd = den * m  # 1 outside Q, so K(z) numerators meet no int
+    h0, h1 = h.pop(0, zero), h.pop(1, zero)
+    h[-1] = h[-3] = one if hd == 1 else hd
+    b = {k: n if hd == 1 else n * hd for k, n in nums.items() if k < 0}
+    b[1], b[0] = h1 * z, h1 * t + (h0 if den == 1 else h0 * den)
+    return ElemAuto._make(f, *f.normalize(h, hd)), ElemAuto._make(f, *f.normalize(b, den * hd))
 
 
 @dataclass(frozen=True)
@@ -143,10 +151,13 @@ def _in_normal_form(word: AmalgamWord) -> bool:
 
 
 def _is_rep(f, g) -> bool:
+    if type(g) not in (AffineAuto, ElemAuto):
+        return False
+    nums, one = g._num, f.lift(f.one)[0] if g._den == 1 else g._den
     if type(g) is AffineAuto:  # entries 1 and 2 are one, and only lam (entry 3) is beside them
-        one = f.lift(f.one)[0] if g._den == 1 else g._den
-        return g._num.keys() <= {1, 2, 3} and g._num.get(1) == g._num.get(2) == one
-    return type(g) is ElemAuto and g.z1 == g.z2 == f.one and not g.t0 and bool(g.f) and g.f.valuation() >= 2
+        return nums.keys() <= {1, 2, 3} and nums.get(1) == nums.get(2) == one
+    # z1 and z2 are one, and the other keys are f's exponents from 2 up, at least one
+    return len(nums) > 2 and nums.keys().isdisjoint((-2, 0, 1)) and nums.get(-1) == nums.get(-3) == one
 
 
 def word_of_atoms(field, atoms) -> AmalgamWord:

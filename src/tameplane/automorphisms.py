@@ -15,16 +15,18 @@ is atom o (p, q), computed from the atom's closed form instead of by generic
 substitution.  ``to_plane`` is that action on (x, y), and every product of
 atoms is multiplied out by applying them from the left, last atom first.
 
-Storage.  An ``AffineAuto`` is one 2x3 block (m | shift) of numerators over
-one denominator (FLINT's ``fmpq_mat`` form): ``_num`` maps positions 0, 1
-(the first row of m), 2, 3 (the second) and 4, 5 (the shift) to nonzero
-numerators over ``_den``, kept canonical by the same three field hooks as
-polynomial coefficients, so compose, inverse and the triangularity tests run
-on ints over Q and F_p.  This block is the package's only scalar 2x2
-matrix: ``m`` reads it back as rows ((a, b), (c, d)) of field elements, and
-``shift`` as the pair (u, v).  An ``ElemAuto`` holds z1, t0 and z2 as field
-elements beside its ``Poly1``, and substitutes z1 x + t0 into it by
-``Poly1.substitute_affine``.
+Storage.  Each atom is numerators over one denominator (FLINT's ``fmpq_mat``
+form), kept canonical by the same three field hooks as polynomial
+coefficients, so compose, inverse, the splits and the triangularity tests
+run on ints over Q and F_p.  An ``AffineAuto`` is one 2x3 block (m | shift):
+``_num`` maps positions 0, 1 (the first row of m), 2, 3 (the second) and 4,
+5 (the shift) to nonzero numerators over ``_den``.  This block is the
+package's only scalar 2x2 matrix: ``m`` reads it back as rows
+((a, b), (c, d)) of field elements, and ``shift`` as the pair (u, v).  An
+``ElemAuto`` keys z1, t0 and z2 by -1, -2 and -3 and f's coefficients by
+their exponents; its compose is one Taylor shift of f's numerators.  The
+triangular subgroup B has both layouts, and ``to_affine``/``from_affine``
+rename keys on shared numerators.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, Powers, over_lcm
+from .poly import Poly1, Poly2, Powers, over_lcm, taylor_shift
 
 
 class NotAnAutomorphism(ValueError):
@@ -101,12 +103,47 @@ def compose_all(*autos: PlaneAuto) -> PlaneAuto:
     return out
 
 
-class AffineAuto:
+class _Atom:
+    """The storage both atoms share: numerators keyed by position over one
+    denominator (module docstring), compared structurally."""
+
+    __slots__ = ("field", "_num", "_den")
+
+    @classmethod
+    def _make(cls, field, nums: dict, den: int):
+        # internal: caller guarantees the canonical form
+        out = object.__new__(cls)
+        out.field, out._num, out._den = field, nums, den
+        return out
+
+    def _entry(self, k):
+        n = self._num.get(k)
+        return self.field.zero if n is None else self.field.ratio(n, self._den)
+
+    def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
+        """Components of self o (p, q): each one ``Poly2._lincomb`` of the
+        numerators, row by row of the pairs (key, polynomial) of ``_rows``."""
+        nums = self._num
+        return tuple(Poly2._lincomb(self.field, [(nums[k], g) for k, g in row if k in nums], self._den)
+                     for row in self._rows(p, q))
+
+    def to_plane(self) -> PlaneAuto:
+        return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.field == other.field
+                and self._den == other._den and self._num == other._num)
+
+    def __hash__(self):
+        return hash((self.field, self._den, frozenset(self._num.items())))
+
+
+class AffineAuto(_Atom):
     """v -> m v + shift with m an invertible 2x2 matrix, given as rows
     ((a, b), (c, d)) and stored as one block of numerators (module
     docstring).  A matrix or shift of another shape raises ValueError."""
 
-    __slots__ = ("field", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, field, m, shift=(0, 0)):
         (a, b), (c, d) = m
@@ -117,13 +154,6 @@ class AffineAuto:
                                          for k, e in enumerate((a, b, c, d, u, v)) if e})
 
     @classmethod
-    def _make(cls, field, nums: dict, den: int) -> AffineAuto:
-        # internal: caller guarantees the canonical form
-        out = object.__new__(cls)
-        out.field, out._num, out._den = field, nums, den
-        return out
-
-    @classmethod
     def identity(cls, field) -> AffineAuto:
         return cls(field, ((field.one, field.zero), (field.zero, field.one)))
 
@@ -131,10 +161,6 @@ class AffineAuto:
         # the six numerators, absent ones as the field's zero numerator
         get, zero = self._num.get, self.field.lift(self.field.zero)[0]
         return [get(k, zero) for k in range(6)]
-
-    def _entry(self, k: int):
-        n = self._num.get(k)
-        return self.field.zero if n is None else self.field.ratio(n, self._den)
 
     @property
     def m(self) -> tuple:
@@ -153,14 +179,10 @@ class AffineAuto:
     def is_invertible(self) -> bool:
         return bool(self._det())
 
-    def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-        """Components of self o (p, q)."""
-        nums, args = self._num, (p, q, Poly2.one(self.field))
-        return tuple(Poly2._lincomb(self.field, [(nums[k], g) for k, g in zip(row, args) if k in nums],
-                                    self._den) for row in ((0, 1, 4), (2, 3, 5)))
-
-    def to_plane(self) -> PlaneAuto:
-        return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
+    def _rows(self, p: Poly2, q: Poly2) -> tuple:
+        # m (p, q) + shift
+        args = (p, q, Poly2.one(self.field))
+        return zip((0, 1, 4), args), zip((2, 3, 5), args)
 
     def compose(self, other: AffineAuto) -> AffineAuto:
         """(m | s) (m' | s') = (m m' | m s' + s den'), over den den'."""
@@ -190,56 +212,77 @@ class AffineAuto:
     def is_lower_triangular(self) -> bool:
         return 1 not in self._num
 
-    def __eq__(self, other):
-        return (isinstance(other, AffineAuto) and self.field == other.field
-                and self._den == other._den and self._num == other._num)
-
-    def __hash__(self):
-        return hash((self.field, self._den, frozenset(self._num.items())))
-
     def __repr__(self):
         return "AffineAuto(%r, %r, shift=%r)" % (self.field, self.m, self.shift)
 
 
-class ElemAuto:
-    """(x, y) -> (z1 x + t0, z2 y + f(x)) with z1, z2 nonzero scalars."""
+# The triangular subgroup B in both layouts: (AffineAuto key, ElemAuto key)
+# for z1, f1, z2, t0 and f0.
+_B_KEYS = ((0, -1), (2, 1), (3, -3), (4, -2), (5, 0))
 
-    __slots__ = ("field", "z1", "t0", "z2", "f")
+
+class ElemAuto(_Atom):
+    """(x, y) -> (z1 x + t0, z2 y + f(x)) with z1, z2 nonzero scalars, stored
+    as numerators over one denominator (module docstring); ``z1``, ``t0``,
+    ``z2`` and ``f`` read them back as field elements and a ``Poly1``."""
+
+    __slots__ = ()
 
     def __init__(self, field, z1, t0, z2, f: Poly1):
-        self.field, self.z1, self.t0, self.z2 = field, field.of(z1), field.of(t0), field.of(z2)
+        lift, of = field.lift, field.of
+        pairs = {k: lift(of(c)) for k, c in ((-1, z1), (-2, t0), (-3, z2))}
         if f.field != field:
             raise ValueError("shear polynomial over the wrong field")
-        self.f = f
+        pairs.update((e, (n, f._den)) for e, n in f._num.items())
+        self.field = field
+        self._num, self._den = over_lcm(pairs)
 
     @classmethod
     def identity(cls, field) -> ElemAuto:
-        return cls(field, field.one, field.zero, field.one, Poly1.zero(field))
+        one = field.lift(field.one)[0]
+        return cls._make(field, {-1: one, -3: one}, 1)
 
     @classmethod
     def shear(cls, field, f: Poly1) -> ElemAuto:
         """(x, y + f(x))."""
         return cls(field, field.one, field.zero, field.one, f)
 
+    z1 = property(lambda self: self._entry(-1))
+    t0 = property(lambda self: self._entry(-2))
+    z2 = property(lambda self: self._entry(-3))
+
+    @property
+    def f(self) -> Poly1:
+        return Poly1._normalized(self.field, {e: n for e, n in self._num.items() if e >= 0}, self._den)
+
     def is_invertible(self) -> bool:
-        return bool(self.z1) and bool(self.z2)
+        return -1 in self._num and -3 in self._num
 
-    def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-        """Components of self o (p, q): (z1 p + t0, z2 q + f(p))."""
-        return p.scale(self.z1) + self.t0, q.scale(self.z2) + self.f.substitute(p)
-
-    def to_plane(self) -> PlaneAuto:
-        return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
+    def _rows(self, p: Poly2, q: Poly2) -> tuple:
+        # (z1 p + t0, z2 q + f(p)), f's powers of p ascending, so the ladder steps
+        powers = Powers(p)
+        return ((-1, p), (-2, powers[0])), [(-3, q)] + [(e, powers[e]) for e in sorted(self._num) if e >= 0]
 
     def compose(self, other: ElemAuto) -> ElemAuto:
-        # x-part: z1 (z1' x + t0') + t0 ; y-part: z2 (z2' y + f'(x)) + f(z1' x + t0')
-        return ElemAuto(
-            self.field,
-            self.z1 * other.z1,
-            self.z1 * other.t0 + self.t0,
-            self.z2 * other.z2,
-            other.f.scale(self.z2) + self.f.substitute_affine(other.z1, other.t0),
-        )
+        """(z1 x + t0, z2 y + f) o (z1' x + t0', z2' y + f') is
+        (z1 z1' x + z1 t0' + t0, z2 z2' y + z2 f' + f(z1' x + t0')).  With
+        numerators over D and E, f(z1' x + t0') is one Taylor shift of f's
+        numerators, over D m, and the rest is over D E; all go over D E m."""
+        field, s, o, e = self.field, self._num, other._num, other._den
+        zero = field.lift(field.zero)[0]
+        z1, t0, z2 = s.get(-1, zero), s.get(-2, zero), s.get(-3, zero)
+        a, b = o.get(-1, zero), o.get(-2, zero)
+        out, m = taylor_shift(field, {k: n for k, n in s.items() if k >= 0}, a, b, e)
+        if e != 1:  # never outside Q, so K(z) numerators meet no int
+            out, t0 = {k: n * e for k, n in out.items()}, t0 * e
+        if m != 1:
+            z1, t0, z2 = z1 * m, t0 * m, z2 * m
+        for k, n in o.items():
+            if k >= 0:
+                w = out.get(k)
+                out[k] = z2 * n if w is None else w + z2 * n
+        out[-1], out[-2], out[-3] = z1 * a, z1 * b + t0, z2 * o.get(-3, zero)
+        return ElemAuto._make(field, *field.normalize(out, self._den * e * m))
 
     def inverse(self) -> ElemAuto:
         if not self.is_invertible():
@@ -250,35 +293,25 @@ class ElemAuto:
         return ElemAuto(self.field, iz1, t0, iz2, self.f.substitute_affine(iz1, t0).scale(-iz2))
 
     def is_lower_triangular(self) -> bool:
-        """True when the map is affine, i.e. lies in the common subgroup."""
-        return self.f.degree() <= 1
+        """True when the map is affine (deg f <= 1: no key above 1), i.e. in the common subgroup."""
+        return max(self._num, default=0) <= 1
 
     def to_affine(self) -> AffineAuto:
         if not self.is_lower_triangular():
             raise ValueError("nonlinear shear is not affine")
-        lift, nums, den = self.field.lift, self.f._num, self.f._den
-        pairs = {0: lift(self.z1), 3: lift(self.z2), 4: lift(self.t0)}
-        pairs.update((k, (nums[e], den)) for k, e in ((2, 1), (5, 0)) if e in nums)
-        return AffineAuto._make(self.field, *over_lcm(pairs))
+        nums = self._num
+        return AffineAuto._make(self.field, {a: nums[k] for a, k in _B_KEYS if k in nums}, self._den)
 
     @classmethod
     def from_affine(cls, aff: AffineAuto) -> ElemAuto:
         if not aff.is_lower_triangular():
             raise ValueError("affine map with upper triangular part is not elementary")
         nums = aff._num
-        poly = Poly1._normalized(aff.field, {e: nums[k] for e, k in ((1, 2), (0, 5)) if k in nums}, aff._den)
-        return cls(aff.field, aff._entry(0), aff._entry(4), aff._entry(3), poly)
+        return cls._make(aff.field, {k: nums[a] for a, k in _B_KEYS if a in nums}, aff._den)
 
     def is_identity(self) -> bool:
-        f = self.field
-        return self.z1 == f.one and self.z2 == f.one and not self.t0 and self.f.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, ElemAuto) and (self.field, self.z1, self.t0, self.z2, self.f) == (
-            other.field, other.z1, other.t0, other.z2, other.f)
-
-    def __hash__(self):
-        return hash((self.field, self.z1, self.t0, self.z2, self.f))
+        one = self.field.lift(self.field.one)[0]
+        return self._den == 1 and self._num == {-1: one, -3: one}
 
     def __repr__(self):
         return "ElemAuto(z1=%r, t0=%r, z2=%r, f=%r)" % (self.z1, self.t0, self.z2, self.f)

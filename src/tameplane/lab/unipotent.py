@@ -31,6 +31,14 @@ class RationalMatrix:
         self.entries = rows
 
     @classmethod
+    def _make(cls, rows) -> RationalMatrix:
+        # internal: square rows of Fraction entries, so no coercion
+        out = object.__new__(cls)
+        out.entries = tuple(map(tuple, rows))
+        out.n = len(out.entries)
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> RationalMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -42,26 +50,18 @@ class RationalMatrix:
         if self.n != other.n:
             raise ValueError("size mismatch")
         cols = tuple(zip(*other.entries))
-        return RationalMatrix(
+        return RationalMatrix._make(
             [[sum(a * b for a, b in zip(row, col)) for col in cols]
              for row in self.entries])
 
-    def __add__(self, other: RationalMatrix) -> RationalMatrix:
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)])
-
     def __sub__(self, other: RationalMatrix) -> RationalMatrix:
-        return RationalMatrix(
+        return RationalMatrix._make(
             [[a - b for a, b in zip(r1, r2)]
              for r1, r2 in zip(self.entries, other.entries)])
 
-    def __neg__(self) -> RationalMatrix:
-        return RationalMatrix([[-a for a in row] for row in self.entries])
-
     def scale(self, c) -> RationalMatrix:
         c = Fraction(c)
-        return RationalMatrix([[c * a for a in row] for row in self.entries])
+        return RationalMatrix._make([[c * a for a in row] for row in self.entries])
 
     def __pow__(self, k: int) -> RationalMatrix:
         if k < 0:
@@ -74,7 +74,7 @@ class RationalMatrix:
         if not coeffs[0]:
             raise ValueError("singular matrix")
         c = -1 / coeffs[0]
-        return RationalMatrix([[c * v for v in row] for row in adj])
+        return RationalMatrix._make([[c * v for v in row] for row in adj])
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)

@@ -147,6 +147,41 @@ def over_lcm(pairs: dict) -> tuple:
     return nums, den if nums else 1
 
 
+def taylor_shift(field, nums: dict, a, b, d) -> tuple:
+    """(out, m) with p((a t + b) / d) = out / (den m) for p = nums / den,
+    where nums maps exponents to numerators, a and b are numerators and d
+    is a positive int, 1 outside Q.  An in-place Taylor shift (von zur
+    Gathen & Gerhard, "Fast algorithms for Taylor shifts and certain
+    difference equations", ISSAC 1997): for p of degree n, numerator e is
+    scaled by d^(n-e), shifted by b and scaled by a^e, and m = d^n.  O(n^2)
+    ring operations, no intermediate polynomial; out is not normalized, and
+    is nums itself when the substitution is the identity."""
+    lift, n = field.lift, max(nums, default=0)
+    if not b:
+        if a == (d if d != 1 else lift(field.one)[0]):  # the identity, as ``scale`` has for c == 1
+            return nums, 1
+        # no shift: numerator e is v a^e d^(n-e), a^e lifted from a field power (so
+        # F_p residues stay reduced), for the terms present only
+        out = {e: v * lift(field.ratio(a, 1) ** e)[0] for e, v in nums.items()}
+        # d is 1 outside Q, so K(z) numerators never meet an int
+        return (out if d == 1 else {e: v * d ** (n - e) for e, v in out.items()}), d ** n
+    zero = lift(field.zero)[0]
+    c = [nums.get(e, zero) for e in range(n + 1)]
+    if d != 1:
+        w = d
+        for e in range(n - 1, -1, -1):
+            c[e] *= w
+            w *= d
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += b * c[j + 1]
+    w = a
+    for e in range(1, n + 1):
+        c[e] *= w
+        w *= a
+    return dict(enumerate(c)), d ** n
+
+
 class _SparsePoly:
     """Key-shape-independent arithmetic on numerators over one denominator."""
 
@@ -386,14 +421,6 @@ class Poly1(_SparsePoly):
     def degree(self):
         return max(self._num) if self._num else NEG_INF
 
-    def valuation(self):
-        """Smallest exponent with a nonzero coefficient.
-
-        The zero polynomial has none, so it raises ValueError."""
-        if not self._num:
-            raise ValueError("valuation of the zero polynomial")
-        return min(self._num)
-
     def coeff(self, e: int):
         return self._coeff_at(e)
 
@@ -496,43 +523,17 @@ class Poly1(_SparsePoly):
                               self._den)
 
     def substitute_affine(self, a, b) -> Poly1:
-        """self(a t + b) for scalars a and b, by an in-place Taylor shift of
-        the numerators (von zur Gathen & Gerhard, "Fast algorithms for Taylor
-        shifts and certain difference equations", ISSAC 1997).
-
-        With a = an/ad and b = bn/bd lifted and d = ad bd, self(a t + b) is
-        self((A t + B) / d) for A = an bd and B = bn ad: numerator e is scaled
-        by d^(n-e), shifted by B and scaled by A^e, over d^n times the stored
-        denominator.  O(n^2) ring operations and no intermediate polynomial."""
+        """self(a t + b) for scalars a and b: with a = an/ad and b = bn/bd
+        lifted and d = ad bd, self((A t + B) / d) for A = an bd and B = bn ad,
+        by ``taylor_shift`` on the numerators."""
         field = self.field
-        a, lift = field.of(a), field.lift
-        an, ad = lift(a)
-        bn, bd = lift(field.of(b))
-        if not bn and a == field.one:  # the identity, as ``scale`` has for c == 1
-            return self
-        n = max(self._num, default=0)
-        if not bn:  # no shift: numerator e is v A^e d^(n-e), A^e lifted from a^e (so
-            # F_p residues stay reduced), for the terms present only
-            nums = {e: v * lift(a ** e)[0] for e, v in self._num.items()}
-            if ad != 1:  # as d below
-                nums = {e: v * ad ** (n - e) for e, v in nums.items()}
-            return Poly1._normalized(field, nums, self._den * ad ** n)
-        zero = lift(field.zero)[0]
-        c = [self._num.get(e, zero) for e in range(n + 1)]
+        an, ad = field.lift(field.of(a))
+        bn, bd = field.lift(field.of(b))
         d = ad * bd
         if d != 1:  # d is 1 except over Q, so K(z) numerators never meet an int
-            an, bn, w = an * bd, bn * ad, d
-            for e in range(n - 1, -1, -1):
-                c[e] *= w
-                w *= d
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                c[j] += bn * c[j + 1]
-        w = an
-        for e in range(1, n + 1):
-            c[e] *= w
-            w *= an
-        return Poly1._normalized(field, dict(enumerate(c)), self._den * d ** n)
+            an, bn = an * bd, bn * ad
+        nums, m = taylor_shift(field, self._num, an, bn, d)
+        return self if nums is self._num else Poly1._normalized(field, nums, self._den * m)
 
     def shift_down(self, k: int = 1) -> Poly1:
         """Exact division by t**k (raises if any low coefficient survives)."""

@@ -148,6 +148,15 @@ def cyclic_module_is_free(p: int, r: int, table,
 # matrix logs: the exponential that undoes unipotent_log
 
 
+def matrix_add(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """a + b; the lab itself never adds two matrices."""
+    return RationalMatrix([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a.entries, b.entries)])
+
+
+def matrix_neg(a: RationalMatrix) -> RationalMatrix:
+    return RationalMatrix([[-x for x in row] for row in a.entries])
+
+
 def matrix_exp(a: RationalMatrix) -> RationalMatrix:
     """Finite exponential series; requires nilpotent input."""
     if not (a ** a.n).is_zero():
@@ -157,7 +166,7 @@ def matrix_exp(a: RationalMatrix) -> RationalMatrix:
     factorial = 1
     m = 1
     while not power.is_zero():
-        acc = acc + power.scale(Fraction(1, factorial))
+        acc = matrix_add(acc, power.scale(Fraction(1, factorial)))
         m += 1
         factorial *= m
         power = power * a
@@ -208,7 +217,7 @@ def is_reduced(word) -> bool:
             if g != AffineAuto(f, ((f.zero, f.one), (f.one, g.m[1][1]))):
                 return False
         elif (not isinstance(g, ElemAuto) or g != ElemAuto.shear(f, g.f)
-              or g.f.degree() <= 1 or g.f.valuation() < 2):
+              or g.f.degree() <= 1 or min(g.f.keys()) < 2):
             return False
     tail = word.tail
     return isinstance(tail, ElemAuto) and tail.is_lower_triangular() and bool(tail.z1 and tail.z2)

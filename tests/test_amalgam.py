@@ -302,7 +302,7 @@ class TestSplits:
         g = data.draw(nonlinear_elementaries(field))
         rep, b = _split_elem(g)
         assert rep.compose(b) == g
-        assert rep == ElemAuto.shear(field, rep.f) and rep.f.valuation() >= 2
+        assert rep == ElemAuto.shear(field, rep.f) and min(rep.f.keys()) >= 2
         assert b.is_lower_triangular()
 
     @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp5", "q-of-z"])

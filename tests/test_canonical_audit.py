@@ -1,9 +1,9 @@
 """Audit of the trusted constructors: every object they build is canonical.
 
-``_SparsePoly._make``, ``AffineAuto._make`` and ``RationalFunction._coprime``
-skip the normalize on the caller's word, and equality, hashing and the
-normal-form check all assume canonical objects.  The test wraps the three
-constructors (with monkeypatch, for this module only), runs a seeded corpus
+``_SparsePoly._make``, ``AffineAuto._make``, ``ElemAuto._make`` and
+``RationalFunction._coprime`` skip the normalize on the caller's word, and
+equality, hashing and the normal-form check all assume canonical objects.
+The test wraps the four constructors (with monkeypatch, for this module only), runs a seeded corpus
 through the public operations over q, fp:5, fp:1000003, q-of-z and
 fp:5-of-z, and asserts that no constructed object, and no polynomial in an
 operation's result, breaks the canonical form:
@@ -18,6 +18,7 @@ operation's result, breaks the canonical form:
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -113,7 +114,7 @@ class Audit:
     every violation found in them or in checked results."""
 
     def __init__(self):
-        self.calls = {"_make": 0, "AffineAuto._make": 0, "_coprime": 0}
+        self.calls = {"_make": 0, "AffineAuto._make": 0, "ElemAuto._make": 0, "_coprime": 0}
         self.violations: list = []
 
     def note(self, bad, where: str) -> None:
@@ -126,10 +127,8 @@ class Audit:
             self.note(_poly_violation(value), where)
         elif isinstance(value, PlaneAuto):
             self.check((value.p, value.q), where)
-        elif isinstance(value, AffineAuto):
+        elif isinstance(value, (AffineAuto, ElemAuto)):
             self.note(_numerators_violation(value.field, value._num, value._den), where)
-        elif isinstance(value, ElemAuto):
-            self.check(value.f, where)
         elif isinstance(value, PolyMat2):
             self.check(value.entries(), where)
         elif isinstance(value, RationalFunction):
@@ -144,7 +143,7 @@ class Audit:
 @pytest.fixture
 def audit(monkeypatch):
     audit = Audit()
-    make, affine_make = _SparsePoly._make.__func__, AffineAuto._make.__func__
+    make, atom_make = _SparsePoly._make.__func__, AffineAuto._make.__func__
     coprime = RationalFunction._coprime.__func__
 
     def checked_make(cls, field, nums, den=1):
@@ -153,10 +152,11 @@ def audit(monkeypatch):
         audit.note(_poly_violation(out), "%s._make" % cls.__name__)
         return out
 
-    def checked_affine_make(cls, field, nums, den):
-        audit.calls["AffineAuto._make"] += 1
-        out = affine_make(cls, field, nums, den)
-        audit.note(_numerators_violation(field, nums, den), "AffineAuto._make")
+    def checked_atom_make(cls, field, nums, den):
+        where = "%s._make" % cls.__name__
+        audit.calls[where] += 1
+        out = atom_make(cls, field, nums, den)
+        audit.note(_numerators_violation(field, nums, den), where)
         return out
 
     def checked_coprime(cls, field, num, den):
@@ -166,7 +166,8 @@ def audit(monkeypatch):
         return out
 
     monkeypatch.setattr(_SparsePoly, "_make", classmethod(checked_make))
-    monkeypatch.setattr(AffineAuto, "_make", classmethod(checked_affine_make))
+    monkeypatch.setattr(AffineAuto, "_make", classmethod(checked_atom_make))
+    monkeypatch.setattr(ElemAuto, "_make", classmethod(checked_atom_make))
     monkeypatch.setattr(RationalFunction, "_coprime", classmethod(checked_coprime))
     return audit
 
@@ -222,7 +223,7 @@ def test_trusted_constructors_build_canonical_objects(spec, audit):
     field = field_from_spec(spec)
     _run_corpus(field, random.Random(sum(map(ord, spec))), audit)
     assert audit.violations == []
-    assert audit.calls["_make"] > 0 and audit.calls["AffineAuto._make"] > 0
+    assert all(audit.calls[k] > 0 for k in ("_make", "AffineAuto._make", "ElemAuto._make"))
     if isinstance(field, RationalFunctionField):
         assert audit.calls["_coprime"] > 0
 
@@ -233,4 +234,8 @@ def test_the_audit_sees_a_broken_constructor_call(audit):
     Poly1._make(field, {1: 2}, 4)  # 2/4 t is not in lowest terms
     AffineAuto._make(field, {0: 0}, 1)  # a zero numerator
     ProjPoint.of(field, 1, 2)  # no constructor call
-    assert len(audit.violations) == 2
+    # (x, y + x^2 + x/2) is 2, 2, 2 and 1 over 2; the split's rep (x, y + x^2) is
+    # not its numerators without f1's, still over 2
+    g = ElemAuto(field, 1, 0, 1, Poly1(field, {2: 1, 1: Fraction(1, 2)}))
+    ElemAuto._make(field, {k: n for k, n in g._num.items() if k != 1}, g._den)
+    assert len(audit.violations) == 3

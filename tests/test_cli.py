@@ -135,6 +135,20 @@ class TestExpressionCommands:
         assert (code, out, err) == (0, want, "")
         assert elapsed < 2.0, "%.2fs of 2s budget" % elapsed
 
+    def test_sparse_shear_absorbs_a_scaling_tail_within_budget(self, capsys):
+        # the tail's scaling 2x (no shift) is substituted into x^100000000 when
+        # the shear absorbs it, and again when the split takes it back out:
+        # both touch the terms present only
+        word = json.dumps({"format": "tameplane-word", "version": 1, "field": "fp:5",
+                           "factors": [{"kind": "shear", "z1": "1", "t0": "0", "z2": "1",
+                                        "f": "x^100000000"}],
+                           "tail": {"z1": "2", "t0": "0", "z2": "1", "f": "x^2"}})
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "--field", "fp:5", "nf", "--json", word)
+        elapsed = time.perf_counter() - t0
+        assert (code, out, err) == (0, "shear: x, y + 4*x^2 + x^100000000\ntail: 2*x, y\n", "")
+        assert elapsed < 2.0, "%.2fs of 2s budget" % elapsed
+
     # an int literal is a field element, so its power is one power mod p
     @pytest.mark.parametrize("spec, want", [("fp:5", "3*x, y\n"), ("fp:5-of-z", "3*x, y\n"),
                                             ("fp:1000003", "197617*x, y\n")])

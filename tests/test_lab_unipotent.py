@@ -15,7 +15,7 @@ from tameplane.lab.unipotent import (
     unipotent_log,
 )
 
-from oracles import matrix_exp
+from oracles import matrix_add, matrix_exp, matrix_neg
 
 
 def mat(*rows):
@@ -52,7 +52,7 @@ class TestRationalMatrix:
         acc = RationalMatrix.zero(3)
         power = RationalMatrix.identity(3)
         for e in range(chi.degree() + 1):
-            acc = acc + power.scale(chi.coeff(e))
+            acc = matrix_add(acc, power.scale(chi.coeff(e)))
             power = power * m
         assert acc.is_zero()
 
@@ -138,7 +138,7 @@ class TestLogScalingCheck:
         # -u has quasi-order 2, but h(-u)h^-1 = -u^2 differs from (-u)^2 = u^2,
         # so the instance fails its own precondition; the log conclusion on
         # the torsion-free part still holds and the overall result is falsy
-        result = log_scaling_check(self.H, -self.U, 1)
+        result = log_scaling_check(self.H, matrix_neg(self.U), 1)
         assert result.quasi_order == 2
         assert not result.precondition_ok and result.conclusion_ok
         assert not result

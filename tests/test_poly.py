@@ -390,7 +390,7 @@ class TestShifts:
     @given(poly1(QQ))
     def test_valuation_vs_shift(self, p):
         if not p.is_zero():
-            v = p.valuation()
+            v = min(p.keys())
             assert p.shift_down(v).coeff(0) == p.coeff(v)
 
 
