@@ -17,11 +17,11 @@ atoms is multiplied out by applying them from the left, last atom first.
 
 Storage.  Each atom is numerators over one denominator (FLINT's ``fmpq_mat``
 form), kept canonical by the same three field hooks as polynomial
-coefficients, so compose, inverse, the splits and the triangularity tests
-run on ints over Q and F_p.  An ``AffineAuto`` is one 2x3 block (m | shift):
-``_num`` maps positions 0, 1 (the first row of m), 2, 3 (the second) and 4,
-5 (the shift) to nonzero numerators over ``_den``.  This block is the
-package's only scalar 2x2 matrix: ``m`` reads it back as rows
+coefficients, so compose, the splits, the renames and the triangularity
+tests run on ints over Q and F_p.  An ``AffineAuto`` is one 2x3 block
+(m | shift): ``_num`` maps positions 0, 1 (the first row of m), 2, 3 (the
+second) and 4, 5 (the shift) to nonzero numerators over ``_den``.  This
+block is the package's only scalar 2x2 matrix: ``m`` reads it back as rows
 ((a, b), (c, d)) of field elements, and ``shift`` as the pair (u, v).  An
 ``ElemAuto`` keys z1, t0 and z2 by -1, -2 and -3 and f's coefficients by
 their exponents; its compose is one Taylor shift of f's numerators.  The
