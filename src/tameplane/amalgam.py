@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, Powers, over_lcm, taylor_shift
+from .poly import Poly1, Poly2, Powers, over_lcm
 from .automorphisms import (
     AffineAuto,
     ElemAuto,
@@ -74,28 +74,26 @@ def _split_affine(g: AffineAuto) -> tuple[AffineAuto, AffineAuto]:
         raise ValueError("affine map already triangular")
     a, b, c, d, u, v = g._block()
     ln, ld = f.lift(f.ratio(d, 1) / f.ratio(b, 1))
-    nums = {0: c, 2: a, 3: b, 4: v, 5: u}
+    nums = {-1: c, 1: a, -3: b, -2: v, 0: u}  # r = ((c - lam a, 0), (a, b)), shift (v - lam u, u)
     if ld != 1:  # only over Q, so K(z) numerators meet no int
         nums = {k: n * ld for k, n in nums.items()}
-    nums[0] -= ln * a
-    nums[4] -= ln * u
-    rep = AffineAuto._make(f, *over_lcm({1: f.lift(f.one), 2: f.lift(f.one), 3: (ln, ld)}))
+    nums[-1] -= ln * a
+    nums[-2] -= ln * u
+    rep = AffineAuto._make(f, *over_lcm({-4: f.lift(f.one), 1: f.lift(f.one), -3: (ln, ld)}))
     return rep, AffineAuto._make(f, *f.normalize(nums, g._den * ld))
 
 
 def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
     """g = rep o b with rep = (x, y + h~(x)): for f(x) = h(z1 x + t0) and
     h = h0 + h1 u + h~(u), b = (z1 x + t0, z2 y + h1 z1 x + h0 + h1 t0).
-    On g's numerators, z1 = Z / D and t0 = T / D, so h(u) = f((D u - T) / Z)
-    is one Taylor shift of f's numerators, H over D m; b is over D^2 m."""
+    h is f((u - t0) / z1), H over D m from ``ElemAuto._unshift``, with
+    z1 = Z / D and t0 = T / D; b is over D^2 m."""
     f, nums, den = g.field, g._num, g._den
     if g.is_lower_triangular():
         raise ValueError("shear already triangular")
     zero, one = f.lift(f.zero)[0], f.lift(f.one)[0]
     z, t = nums[-1], nums.get(-2, zero)
-    wn, wd = f.lift(f.one / f.ratio(z, 1))  # 1 / Z
-    h, m = taylor_shift(f, {k: n for k, n in nums.items() if k >= 0},
-                        wn if den == 1 else wn * den, -(t * wn), wd)
+    h, m, *_ = g._unshift()
     hd = den * m  # 1 outside Q, so K(z) numerators meet no int
     h0, h1 = h.pop(0, zero), h.pop(1, zero)
     h[-1] = h[-3] = one if hd == 1 else hd
@@ -154,8 +152,8 @@ def _is_rep(f, g) -> bool:
     if type(g) not in (AffineAuto, ElemAuto):
         return False
     nums, one = g._num, f.lift(f.one)[0] if g._den == 1 else g._den
-    if type(g) is AffineAuto:  # entries 1 and 2 are one, and only lam (entry 3) is beside them
-        return nums.keys() <= {1, 2, 3} and nums.get(1) == nums.get(2) == one
+    if type(g) is AffineAuto:  # b and c (keys -4 and 1) are one, and only lam (d, key -3) is beside them
+        return nums.keys() <= {-4, 1, -3} and nums.get(-4) == nums.get(1) == one
     # z1 and z2 are one, and the other keys are f's exponents from 2 up, at least one
     return len(nums) > 2 and nums.keys().isdisjoint((-2, 0, 1)) and nums.get(-1) == nums.get(-3) == one
 

@@ -17,16 +17,16 @@ atoms is multiplied out by applying them from the left, last atom first.
 
 Storage.  Each atom is numerators over one denominator (FLINT's ``fmpq_mat``
 form), kept canonical by the same three field hooks as polynomial
-coefficients, so compose, the splits, the renames and the triangularity
-tests run on ints over Q and F_p.  An ``AffineAuto`` is one 2x3 block
-(m | shift): ``_num`` maps positions 0, 1 (the first row of m), 2, 3 (the
-second) and 4, 5 (the shift) to nonzero numerators over ``_den``.  This
-block is the package's only scalar 2x2 matrix: ``m`` reads it back as rows
-((a, b), (c, d)) of field elements, and ``shift`` as the pair (u, v).  An
-``ElemAuto`` keys z1, t0 and z2 by -1, -2 and -3 and f's coefficients by
-their exponents; its compose is one Taylor shift of f's numerators.  The
-triangular subgroup B has both layouts, and ``to_affine``/``from_affine``
-rename keys on shared numerators.
+coefficients, so compose, the splits and the triangularity test run on ints
+over Q and F_p.  Both atoms key their numerators alike: z1, t0 and z2 by -1,
+-2 and -3, and f's coefficients by their exponents.  An ``AffineAuto``
+(a x + b y + u, c x + d y + v) reads a, u and d as z1, t0 and z2, c x + v
+as f, and keys b by -4 (``_KEYS``).  So a member of the triangular subgroup
+B has the same numerators in both atoms, and ``to_affine`` and
+``from_affine`` share them.  The affine block is the package's only scalar
+2x2 matrix: ``m`` reads it back as rows ((a, b), (c, d)) of field elements,
+and ``shift`` as the pair (u, v).  ``ElemAuto.compose`` is one Taylor shift
+of f's numerators, and ``ElemAuto._unshift`` the one that undoes z1 and t0.
 """
 
 from __future__ import annotations
@@ -103,9 +103,16 @@ def compose_all(*autos: PlaneAuto) -> PlaneAuto:
     return out
 
 
+# The keys of a, b, c, d, u and v in (a x + b y + u, c x + d y + v): ElemAuto's
+# z1, -4, f1, z2, t0 and f0 (module docstring).
+_KEYS = (-1, -4, 1, -3, -2, 0)
+
+
 class _Atom:
-    """The storage both atoms share: numerators keyed by position over one
-    denominator (module docstring), compared structurally."""
+    """The storage both atoms share: numerators keyed as in the module
+    docstring over one denominator, compared structurally.  Atoms are
+    immutable: no code changes ``_num`` after ``_make``, so two atoms may
+    share one dict."""
 
     __slots__ = ("field", "_num", "_den")
 
@@ -120,6 +127,11 @@ class _Atom:
         n = self._num.get(k)
         return self.field.zero if n is None else self.field.ratio(n, self._den)
 
+    def _rows(self, p: Poly2, q: Poly2) -> tuple:
+        # (z1 p + b q + t0, z2 q + f(p)), f's powers of p ascending, so the ladder steps
+        powers = Powers(p)
+        return ((-1, p), (-4, q), (-2, powers[0])), [(-3, q)] + [(e, powers[e]) for e in sorted(self._num) if e >= 0]
+
     def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
         """Components of self o (p, q): each one ``Poly2._lincomb`` of the
         numerators, row by row of the pairs (key, polynomial) of ``_rows``."""
@@ -129,6 +141,10 @@ class _Atom:
 
     def to_plane(self) -> PlaneAuto:
         return PlaneAuto(*self.apply(Poly2.x(self.field), Poly2.y(self.field)))
+
+    def is_lower_triangular(self) -> bool:
+        """In the common subgroup B: no b (key -4) and deg f <= 1 (no key above 1)."""
+        return -4 not in self._num and max(self._num, default=0) <= 1
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.field == other.field
@@ -140,7 +156,7 @@ class _Atom:
 
 class AffineAuto(_Atom):
     """v -> m v + shift with m an invertible 2x2 matrix, given as rows
-    ((a, b), (c, d)) and stored as one block of numerators (module
+    ((a, b), (c, d)) and stored as numerators keyed by ``_KEYS`` (module
     docstring).  A matrix or shift of another shape raises ValueError."""
 
     __slots__ = ()
@@ -151,25 +167,25 @@ class AffineAuto(_Atom):
         self.field = field
         # zeros are skipped before coercion; over_lcm drops any that coerce to zero
         self._num, self._den = over_lcm({k: field.lift(field.of(e))
-                                         for k, e in enumerate((a, b, c, d, u, v)) if e})
+                                         for k, e in zip(_KEYS, (a, b, c, d, u, v)) if e})
 
     @classmethod
     def identity(cls, field) -> AffineAuto:
         return cls(field, ((field.one, field.zero), (field.zero, field.one)))
 
     def _block(self) -> list:
-        # the six numerators, absent ones as the field's zero numerator
+        # the numerators of a, b, c, d, u and v, absent ones as the field's zero numerator
         get, zero = self._num.get, self.field.lift(self.field.zero)[0]
-        return [get(k, zero) for k in range(6)]
+        return [get(k, zero) for k in _KEYS]
 
     @property
     def m(self) -> tuple:
-        e = self._entry
-        return (e(0), e(1)), (e(2), e(3))
+        a, b, c, d = map(self._entry, _KEYS[:4])
+        return (a, b), (c, d)
 
     @property
     def shift(self) -> tuple:
-        return self._entry(4), self._entry(5)
+        return tuple(map(self._entry, _KEYS[4:]))
 
     def _det(self) -> dict:
         """The numerator of det m over den^2, through the hook: {} when zero."""
@@ -179,11 +195,6 @@ class AffineAuto(_Atom):
     def is_invertible(self) -> bool:
         return bool(self._det())
 
-    def _rows(self, p: Poly2, q: Poly2) -> tuple:
-        # m (p, q) + shift
-        args = (p, q, Poly2.one(self.field))
-        return zip((0, 1, 4), args), zip((2, 3, 5), args)
-
     def compose(self, other: AffineAuto) -> AffineAuto:
         """(m | s) (m' | s') = (m m' | m s' + s den'), over den den'."""
         a, b, c, d, u, v = self._block()
@@ -191,9 +202,9 @@ class AffineAuto(_Atom):
         e = other._den
         if e != 1:  # never outside Q, so K(z) numerators meet no int
             u, v = u * e, v * e
-        return AffineAuto._make(self.field, *self.field.normalize({
-            0: a * a2 + b * c2, 1: a * b2 + b * d2, 2: c * a2 + d * c2, 3: c * b2 + d * d2,
-            4: a * u2 + b * v2 + u, 5: c * u2 + d * v2 + v}, self._den * e))
+        return AffineAuto._make(self.field, *self.field.normalize(dict(zip(_KEYS, (
+            a * a2 + b * c2, a * b2 + b * d2, c * a2 + d * c2, c * b2 + d * d2,
+            a * u2 + b * v2 + u, c * u2 + d * v2 + v))), self._den * e))
 
     def inverse(self) -> AffineAuto:
         """m^-1 = den adj(N) / det N for m = N / den, and the shift
@@ -205,20 +216,11 @@ class AffineAuto(_Atom):
         n, dn = field.lift(field.one / field.ratio(det[0], 1))
         a, b, c, d, u, v = self._block()
         nd = n if den == 1 else n * den
-        return AffineAuto._make(field, *field.normalize({
-            0: d * nd, 1: -(b * nd), 2: -(c * nd), 3: a * nd,
-            4: (b * v - d * u) * n, 5: (c * u - a * v) * n}, dn))
-
-    def is_lower_triangular(self) -> bool:
-        return 1 not in self._num
+        return AffineAuto._make(field, *field.normalize(dict(zip(_KEYS, (
+            d * nd, -(b * nd), -(c * nd), a * nd, (b * v - d * u) * n, (c * u - a * v) * n))), dn))
 
     def __repr__(self):
         return "AffineAuto(%r, %r, shift=%r)" % (self.field, self.m, self.shift)
-
-
-# The triangular subgroup B in both layouts: (AffineAuto key, ElemAuto key)
-# for z1, f1, z2, t0 and f0.
-_B_KEYS = ((0, -1), (2, 1), (3, -3), (4, -2), (5, 0))
 
 
 class ElemAuto(_Atom):
@@ -258,11 +260,6 @@ class ElemAuto(_Atom):
     def is_invertible(self) -> bool:
         return -1 in self._num and -3 in self._num
 
-    def _rows(self, p: Poly2, q: Poly2) -> tuple:
-        # (z1 p + t0, z2 q + f(p)), f's powers of p ascending, so the ladder steps
-        powers = Powers(p)
-        return ((-1, p), (-2, powers[0])), [(-3, q)] + [(e, powers[e]) for e in sorted(self._num) if e >= 0]
-
     def compose(self, other: ElemAuto) -> ElemAuto:
         """(z1 x + t0, z2 y + f) o (z1' x + t0', z2' y + f') is
         (z1 z1' x + z1 t0' + t0, z2 z2' y + z2 f' + f(z1' x + t0')).  With
@@ -284,30 +281,45 @@ class ElemAuto(_Atom):
         out[-1], out[-2], out[-3] = z1 * a, z1 * b + t0, z2 * o.get(-3, zero)
         return ElemAuto._make(field, *field.normalize(out, self._den * e * m))
 
+    def _unshift(self) -> tuple:
+        """(h, m, a, b, e) with x' = (x - t0) / z1 = (a x + b) / e and
+        f(x') = h / (D m), one Taylor shift of f's numerators over D; h is a
+        new dict, not normalized.  z1 must be nonzero."""
+        field, nums, den = self.field, self._num, self._den
+        a, e = field.lift(field.one / field.ratio(nums[-1], 1))  # 1 / Z for z1 = Z / D
+        b = -(nums[-2] * a) if -2 in nums else field.lift(field.zero)[0]
+        if den != 1:  # never outside Q, so K(z) numerators meet no int
+            a *= den
+        return (*taylor_shift(field, {k: n for k, n in nums.items() if k >= 0}, a, b, e), a, b, e)
+
     def inverse(self) -> ElemAuto:
+        """(x', (y - f(x')) / z2) with x' = (x - t0) / z1.  ``_unshift`` gives
+        x' = (a x + b) / e and f(x') = h / (D m); for z2 = W / D and
+        1 / W = c / g, the second component is (D y - h / m) c / g."""
         if not self.is_invertible():
             raise NotAnAutomorphism("elementary map with zero scaling")
-        iz1 = self.field.one / self.z1
-        iz2 = self.field.one / self.z2
-        t0 = -self.t0 * iz1
-        return ElemAuto(self.field, iz1, t0, iz2, self.f.substitute_affine(iz1, t0).scale(-iz2))
-
-    def is_lower_triangular(self) -> bool:
-        """True when the map is affine (deg f <= 1: no key above 1), i.e. in the common subgroup."""
-        return max(self._num, default=0) <= 1
+        field, den = self.field, self._den
+        h, m, a, b, e = self._unshift()
+        c, g = field.lift(field.one / field.ratio(self._num[-3], 1))
+        if e != 1:  # never outside Q, so K(z) numerators meet no int
+            c *= e
+        nc = -c
+        out = {k: v * nc for k, v in h.items()}
+        if g * m != 1:
+            a, b = a * g * m, b * g * m
+        out[-1], out[-2], out[-3] = a, b, c if den * m == 1 else c * den * m
+        return ElemAuto._make(field, *field.normalize(out, e * g * m))
 
     def to_affine(self) -> AffineAuto:
         if not self.is_lower_triangular():
             raise ValueError("nonlinear shear is not affine")
-        nums = self._num
-        return AffineAuto._make(self.field, {a: nums[k] for a, k in _B_KEYS if k in nums}, self._den)
+        return AffineAuto._make(self.field, self._num, self._den)
 
     @classmethod
     def from_affine(cls, aff: AffineAuto) -> ElemAuto:
         if not aff.is_lower_triangular():
             raise ValueError("affine map with upper triangular part is not elementary")
-        nums = aff._num
-        return cls._make(aff.field, {k: nums[a] for a, k in _B_KEYS if a in nums}, aff._den)
+        return cls._make(aff.field, aff._num, aff._den)
 
     def is_identity(self) -> bool:
         one = self.field.lift(self.field.one)[0]
@@ -324,9 +336,8 @@ def as_affine(auto: PlaneAuto) -> AffineAuto | None:
     """The affine form of the map, or None if it is not affine."""
     if auto.max_degree() > 1:
         return None
-    pairs = {k: (g._num[key], g._den) for g, row in ((auto.p, 0), (auto.q, 2))
-             for k, key in ((row, (1, 0)), (row + 1, (0, 1)), (row // 2 + 4, (0, 0)))
-             if key in g._num}
+    pairs = {k: (g._num[key], g._den) for g, row in ((auto.p, (-1, -4, -2)), (auto.q, (1, -3, 0)))
+             for k, key in zip(row, ((1, 0), (0, 1), (0, 0))) if key in g._num}
     aff = AffineAuto._make(auto.field, *over_lcm(pairs))
     return aff if aff.is_invertible() else None
 
@@ -378,8 +389,8 @@ def classify(auto: PlaneAuto) -> AutoProfile:
         fixes_origin=auto.fixes_origin(),
         identity_differential=auto.linear_part() == ((f.one, f.zero), (f.zero, f.one)),
         affine=aff is not None,
-        elementary=elem is not None and elem.is_invertible(),
-        triangular=aff is not None and elem is not None and aff.is_lower_triangular(),
+        elementary=elem is not None,
+        triangular=aff is not None and aff.is_lower_triangular(),
         degree=auto.max_degree(),
     )
 

@@ -40,11 +40,12 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> RationalMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        one, zero = Fraction(1), Fraction(0)
+        return cls._make([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, n: int) -> RationalMatrix:
-        return cls([[0] * n for _ in range(n)])
+        return cls._make([[Fraction(0)] * n] * n)
 
     def __mul__(self, other: RationalMatrix) -> RationalMatrix:
         if self.n != other.n:
@@ -78,9 +79,6 @@ class RationalMatrix:
 
     def is_zero(self) -> bool:
         return all(not v for row in self.entries for v in row)
-
-    def is_identity(self) -> bool:
-        return self == RationalMatrix.identity(self.n)
 
     def _leverrier(self) -> tuple:
         """Faddeev-LeVerrier: the coefficients c_k of det(x*I - self) by

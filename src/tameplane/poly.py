@@ -522,19 +522,6 @@ class Poly1(_SparsePoly):
         return value._lincomb(self.field, ((c, powers[e]) for e, c in sorted(self._num.items())),
                               self._den)
 
-    def substitute_affine(self, a, b) -> Poly1:
-        """self(a t + b) for scalars a and b: with a = an/ad and b = bn/bd
-        lifted and d = ad bd, self((A t + B) / d) for A = an bd and B = bn ad,
-        by ``taylor_shift`` on the numerators."""
-        field = self.field
-        an, ad = field.lift(field.of(a))
-        bn, bd = field.lift(field.of(b))
-        d = ad * bd
-        if d != 1:  # d is 1 except over Q, so K(z) numerators never meet an int
-            an, bn = an * bd, bn * ad
-        nums, m = taylor_shift(field, self._num, an, bn, d)
-        return self if nums is self._num else Poly1._normalized(field, nums, self._den * m)
-
     def shift_down(self, k: int = 1) -> Poly1:
         """Exact division by t**k (raises if any low coefficient survives)."""
         if self._num and min(self._num) < k:

@@ -189,6 +189,16 @@ class TestAtomLaws:
             assert as_affine(t.to_plane()) == t.to_affine()
             assert ElemAuto.from_affine(t.to_affine()).to_affine() == t.to_affine()
 
+    def test_triangular_members_have_the_same_numerators_in_both_atoms(self, field):
+        rng = random.Random(59)
+        for _ in range(8):
+            a, d = field.random_nonzero(rng, 5), field.random_nonzero(rng, 5)
+            c, u, v = (field.random_element(rng, 5) for _ in range(3))
+            aff = AffineAuto(field, ((a, field.zero), (c, d)), (u, v))
+            el = ElemAuto(field, a, u, d, Poly1(field, {1: c, 0: v}))
+            assert (aff._num, aff._den) == (el._num, el._den)
+            assert el.to_affine() == aff and ElemAuto.from_affine(aff) == el
+
     def test_equal_atoms_built_along_different_paths_hash_equal(self, field):
         for a, b in _atom_pairs(field, 53, count=4):
             # the constructor from the read-back elements, compose with the

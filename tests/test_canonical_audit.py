@@ -209,7 +209,7 @@ def _run_corpus(field, rng: random.Random, audit: Audit) -> None:
         q = Poly1(field, {e: field.random_element(rng, 5) for e in range(2)}) + Poly1.monomial(field, 2, field.one)
         c = field.random_nonzero(rng, 5)
         results += [divmod(p, q), p.gcd(q), p.monic(), p.scale(c), -p, p ** 2, p.shift_up(2),
-                    p.substitute_affine(c, field.random_element(rng, 5)), p.substitute(q),
+                    ElemAuto(field, c, field.random_element(rng, 5), field.one, p).inverse(), p.substitute(q),
                     parse_poly1(field, format_poly1(p))]
         # a triangular map, never the identity (it adds c x to y), and its escape
         t = ElemAuto(field, c, field.random_element(rng, 3), field.one, Poly1.monomial(field, 1, c)).to_plane()

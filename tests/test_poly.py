@@ -14,7 +14,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from tameplane import NEG_INF, PlaneAuto, Poly1, Poly2, QQ, parse_auto
+from tameplane import NEG_INF, ElemAuto, PlaneAuto, Poly1, Poly2, QQ, parse_auto
 from tameplane import poly
 from tameplane.scalars import power
 
@@ -397,27 +397,33 @@ class TestShifts:
 AFFINE_SUBSTITUTE_FIELDS = (QQ, F5, QZ, F1000003, F_M61)
 
 
-def _affine_reference(f, a, b):
-    return f.substitute(Poly1(f.field, {1: a, 0: b}))
+def _inverse_reference(field, z1, t0, z2, f):
+    """ElemAuto(z1, t0, z2, f)^-1 = (x', (y - f(x')) / z2) with x' = (x - t0) / z1,
+    f(x') the generic substitute of the linear polynomial x'."""
+    a, b, iz2 = field.one / z1, -t0 / z1, field.one / z2
+    return ElemAuto(field, a, b, iz2, f.substitute(Poly1(field, {1: a, 0: b})).scale(-iz2))
 
 
 class TestAffineSubstitute:
-    """substitute_affine(a, b) is f(a t + b), the generic substitute of the
-    linear polynomial a t + b, numerator for numerator."""
+    """The one affine substitution left beside ``Poly1.substitute`` is the
+    Taylor shift f((x - t0) / z1) that ``ElemAuto.inverse`` shares with the
+    triangular split; the inverse equals the one built on the generic
+    substitute, numerator for numerator."""
 
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_matches_generic_substitute(self, field, data):
         one, zero = field.one, field.zero
-        # sparse f up to degree 12 too: with b = 0 only the terms present are scaled
+        # sparse f up to degree 12 too: with t0 = 0 only the terms present are scaled
         f = data.draw(st.one_of(poly1(field, max_deg=6), scalars(field).map(
             lambda c: Poly1.constant(field, c)), st.dictionaries(
                 st.integers(0, 12), nonzero_scalars(field), max_size=4).map(
                 lambda terms: Poly1(field, terms))))
-        a = data.draw(st.one_of(st.sampled_from([one, -one]), nonzero_scalars(field)))
-        b = data.draw(st.one_of(st.just(zero), scalars(field)))
-        got, want = f.substitute_affine(a, b), _affine_reference(f, a, b)
+        scalings = st.one_of(st.sampled_from([one, -one]), nonzero_scalars(field))
+        z1, z2 = data.draw(scalings), data.draw(scalings)
+        t0 = data.draw(st.one_of(st.just(zero), scalars(field)))
+        got, want = ElemAuto(field, z1, t0, z2, f).inverse(), _inverse_reference(field, z1, t0, z2, f)
         assert (got._num, got._den) == (want._num, want._den)
 
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
@@ -428,24 +434,25 @@ class TestAffineSubstitute:
         polys = (Poly1.zero(field), Poly1.constant(field, c),
                  Poly1(field, {0: c, 2: one, 5: -c}), Poly1.monomial(field, 7, c))
         for f in polys:
-            for a, b in ((one, zero), (-one, zero), (one, c), (-one, c), (c, zero), (c, c)):
-                got, want = f.substitute_affine(a, b), _affine_reference(f, a, b)
-                assert (got._num, got._den) == (want._num, want._den), (f, a, b)
-        assert polys[0].substitute_affine(c, c).is_zero()
-        assert polys[1].substitute_affine(c, c) == polys[1]
-        # a = 1, b = 0 is the identity: the polynomial itself, as scale(1) gives
+            for z1, t0 in ((one, zero), (-one, zero), (one, c), (-one, c), (c, zero), (c, c)):
+                got, want = ElemAuto(field, z1, t0, one, f).inverse(), _inverse_reference(field, z1, t0, one, f)
+                assert (got._num, got._den) == (want._num, want._den), (f, z1, t0)
+        assert ElemAuto(field, c, c, one, polys[0]).inverse().f.is_zero()
+        assert ElemAuto(field, c, c, one, polys[1]).inverse().f == -polys[1]
+        # z1 = 1, t0 = 0: the shear (x, y + f) has the inverse (x, y - f)
         for f in polys:
-            assert f.substitute_affine(one, zero) is f and f.scale(one) is f
+            assert ElemAuto.shear(field, f).inverse() == ElemAuto.shear(field, -f)
+            assert f.scale(one) is f
 
     @pytest.mark.parametrize("field", AFFINE_SUBSTITUTE_FIELDS, ids=repr)
     def test_zero_shift_of_a_huge_exponent_is_immediate(self, field):
-        one = field.one
+        one, zero = field.one, field.zero
         f = Poly1(field, {10 ** 8: one, 3: one + one})
-        for a in (one, -one):
+        for z1 in (one, -one):
             t0 = time.perf_counter()
-            got = f.substitute_affine(a, field.zero)
+            got = ElemAuto(field, z1, zero, one, f).inverse()
             assert time.perf_counter() - t0 < 0.5
-            want = f.substitute(Poly1.monomial(field, 1, a))
+            want = _inverse_reference(field, z1, zero, one, f)
             assert (got._num, got._den) == (want._num, want._den)
 
 
