@@ -11,13 +11,13 @@ The normal form is one push-down loop over the atoms of a product.  The
 triangular tail absorbs each atom in turn; while the result is not
 triangular, it merges into the last representative when the two have the
 same kind, and otherwise splits, in closed form, as a new representative
-times a triangular tail.  A word that is already reduced is unique, so it
-is returned as it is.
+times a triangular tail, by the atoms' own ``split``.  A word that is
+already reduced is unique, so it is returned as it is.
 
 Maps tangent to the identity decompose more finely, into shears along
 projective directions, and that decomposition does not go through the
 amalgam word: ``shear_decompose`` peels line shears straight off the map,
-one top-degree monomial at a time.
+one top-degree monomial at a time, and ``shear_recompose`` applies them.
 
 Both factorizations take c l^d u off the pair (p, q), along a direction
 u = (a, b), where l = b p - a q; that leaves l unchanged, so the powers of
@@ -47,13 +47,12 @@ import math
 from dataclasses import dataclass
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, Powers, over_lcm
+from .poly import Poly1, Poly2, Powers
 from .automorphisms import (
     AffineAuto,
     ElemAuto,
     NotAnAutomorphism,
     PlaneAuto,
-    apply_line_shear,
     as_affine,
 )
 from .ratfunc import field_from_spec
@@ -64,42 +63,6 @@ def in_borel(auto: PlaneAuto) -> bool:
     """Is the map triangular (affine with lower triangular linear part)?"""
     aff = as_affine(auto)
     return aff is not None and aff.is_lower_triangular()
-
-
-def _split_affine(g: AffineAuto) -> tuple[AffineAuto, AffineAuto]:
-    """g = rep o r with rep = ((0, 1), (1, lam)), lam = d / b for m = ((a, b), (c, d)),
-    and r = ((-lam, 1), (1, 0)) o g triangular, on g's numerators over den * ld."""
-    f = g.field
-    if g.is_lower_triangular():
-        raise ValueError("affine map already triangular")
-    a, b, c, d, u, v = g._block()
-    ln, ld = f.lift(f.ratio(d, 1) / f.ratio(b, 1))
-    nums = {-1: c, 1: a, -3: b, -2: v, 0: u}  # r = ((c - lam a, 0), (a, b)), shift (v - lam u, u)
-    if ld != 1:  # only over Q, so K(z) numerators meet no int
-        nums = {k: n * ld for k, n in nums.items()}
-    nums[-1] -= ln * a
-    nums[-2] -= ln * u
-    rep = AffineAuto._make(f, *over_lcm({-4: f.lift(f.one), 1: f.lift(f.one), -3: (ln, ld)}))
-    return rep, AffineAuto._make(f, *f.normalize(nums, g._den * ld))
-
-
-def _split_elem(g: ElemAuto) -> tuple[ElemAuto, ElemAuto]:
-    """g = rep o b with rep = (x, y + h~(x)): for f(x) = h(z1 x + t0) and
-    h = h0 + h1 u + h~(u), b = (z1 x + t0, z2 y + h1 z1 x + h0 + h1 t0).
-    h is f((u - t0) / z1), H over D m from ``ElemAuto._unshift``, with
-    z1 = Z / D and t0 = T / D; b is over D^2 m."""
-    f, nums, den = g.field, g._num, g._den
-    if g.is_lower_triangular():
-        raise ValueError("shear already triangular")
-    zero, one = f.lift(f.zero)[0], f.lift(f.one)[0]
-    z, t = nums[-1], nums.get(-2, zero)
-    h, m, *_ = g._unshift()
-    hd = den * m  # 1 outside Q, so K(z) numerators meet no int
-    h0, h1 = h.pop(0, zero), h.pop(1, zero)
-    h[-1] = h[-3] = one if hd == 1 else hd
-    b = {k: n if hd == 1 else n * hd for k, n in nums.items() if k < 0}
-    b[1], b[0] = h1 * z, h1 * t + (h0 if den == 1 else h0 * den)
-    return ElemAuto._make(f, *f.normalize(h, hd)), ElemAuto._make(f, *f.normalize(b, den * hd))
 
 
 @dataclass(frozen=True)
@@ -142,20 +105,10 @@ def normal_form(word: AmalgamWord) -> AmalgamWord:
 def _in_normal_form(word: AmalgamWord) -> bool:
     """Is the word reduced: alternating representatives, each exactly as the
     conventions above write it, then a triangular invertible tail?"""
-    f, tail = word.field, word.tail
-    kinds = [type(g) for g in word.factors]
-    return (all(a is not b for a, b in zip(kinds, kinds[1:])) and all(_is_rep(f, g) for g in word.factors)
+    tail, kinds = word.tail, [type(g) for g in word.factors]
+    return (all(a is not b for a, b in zip(kinds, kinds[1:])) and all(
+                k in (AffineAuto, ElemAuto) and g.is_rep() for k, g in zip(kinds, word.factors))
             and type(tail) is ElemAuto and tail.is_lower_triangular() and tail.is_invertible())
-
-
-def _is_rep(f, g) -> bool:
-    if type(g) not in (AffineAuto, ElemAuto):
-        return False
-    nums, one = g._num, f.lift(f.one)[0] if g._den == 1 else g._den
-    if type(g) is AffineAuto:  # b and c (keys -4 and 1) are one, and only lam (d, key -3) is beside them
-        return nums.keys() <= {-4, 1, -3} and nums.get(-4) == nums.get(1) == one
-    # z1 and z2 are one, and the other keys are f's exponents from 2 up, at least one
-    return len(nums) > 2 and nums.keys().isdisjoint((-2, 0, 1)) and nums.get(-1) == nums.get(-3) == one
 
 
 def word_of_atoms(field, atoms) -> AmalgamWord:
@@ -183,7 +136,7 @@ def word_of_atoms(field, atoms) -> AmalgamWord:
             if reps and type(reps[-1]) is type(g):
                 g = reps.pop().compose(g)
             else:
-                rep, g = _split_affine(g) if isinstance(g, AffineAuto) else _split_elem(g)
+                rep, g = g.split()
                 reps.append(rep)
         tail = ElemAuto.from_affine(g) if isinstance(g, AffineAuto) else g
     return AmalgamWord(field, tuple(reps), tail)
@@ -263,11 +216,7 @@ def invert(auto: PlaneAuto) -> PlaneAuto:
     return _multiply_out(auto.field, [atom.inverse() for atom in reversed(_vdk_atoms(auto))])
 
 
-def borel_escape_witness(
-    g: PlaneAuto,
-    context: str = "any",
-    generator=None,
-) -> tuple[PlaneAuto, PlaneAuto]:
+def borel_escape_witness(g: PlaneAuto, context: str) -> tuple[PlaneAuto, PlaneAuto]:
     """A conjugator gamma with gamma o g o gamma^{-1} outside the triangular
     subgroup, returned with that conjugate.
 
@@ -277,10 +226,9 @@ def borel_escape_witness(
       with unit jacobian; the conjugator fixes the origin with jacobian one
       (a rotation, a row operation, or the parabola shear for -id).
     - "congruence": g is (x + u, y + v + w x) with u, v, w multiples of the
-      ideal generator r (default: the function-field variable); the
-      conjugator is (x + r y, y), (x, y + r x^3), or their composite, and
-      lies in the same congruence subgroup.
-    - "any": a union family that works over every coefficient field.
+      ideal generator r, the function-field variable; the conjugator is
+      (x + r y, y), (x, y + r x^3), or their composite, and lies in the
+      same congruence subgroup.
 
     Raises ValueError for the identity and for maps not in the triangular
     subgroup to begin with.
@@ -295,22 +243,16 @@ def borel_escape_witness(
         return AffineAuto(field, ((m00, m01), (m10, m11))).to_plane()
 
     one, zero = field.one, field.zero
-    rotation = linear(zero, -one, one, zero)
-    row_add = linear(one, one, zero, one)
-    shears = [ElemAuto.shear(field, Poly1.monomial(field, k, one)).to_plane() for k in (2, 3, 4)]
     if context == "origin_special":
-        candidates = [rotation, row_add, shears[0]]
+        candidates = [linear(zero, -one, one, zero), linear(one, one, zero, one),
+                      ElemAuto.shear(field, Poly1.monomial(field, 2, one)).to_plane()]
     elif context == "congruence":
-        r = field.of(generator) if generator is not None else getattr(field, "gen", None)
+        r = getattr(field, "gen", None)
         if not r:
             raise ValueError("congruence context needs a nonzero ideal generator")
         row_add_r = linear(one, r, zero, one)
         cubic = ElemAuto.shear(field, Poly1.monomial(field, 3, r)).to_plane()
         candidates = [row_add_r, cubic, cubic.compose(row_add_r)]
-    elif context == "any":
-        candidates = [row_add, *shears]
-        candidates += [s.compose(row_add) for s in shears]
-        candidates += [rotation, rotation.compose(shears[0])]
     else:
         raise ValueError("unknown context %r" % (context,))
     for gamma in candidates:
@@ -411,11 +353,18 @@ def shear_recompose(field, pairs) -> PlaneAuto:
     """Multiply (direction, parameter) pairs back into a plane map.
 
     The shears are applied from the left, last pair first, so each step
-    substitutes one linear form into a profile instead of composing maps.
+    substitutes one linear form into a profile instead of composing maps:
+    the shear v -> v + f(l . v) u along u = (a, b), l = (b, -a), sends (p, q)
+    to (p + a f(s), q + b f(s)) with s = b p - a q.  A profile needs
+    valuation >= 2, so that the shear is tangent to the identity.
     """
     p, q = Poly2.x(field), Poly2.y(field)
     for delta, f in reversed(tuple(pairs)):
-        p, q = apply_line_shear(delta, f, p, q)
+        if f.is_zero() or f.coeff(0) or f.coeff(1):
+            raise ValueError("shear profile must be nonzero with valuation >= 2")
+        a, b = delta.vector()
+        fs = f.substitute(p.scale(b) - q.scale(a))
+        p, q = p + fs.scale(a), q + fs.scale(b)
     return PlaneAuto(p, q)
 
 

@@ -27,13 +27,14 @@ B has the same numerators in both atoms, and ``to_affine`` and
 2x2 matrix: ``m`` reads it back as rows ((a, b), (c, d)) of field elements,
 and ``shift`` as the pair (u, v).  ``ElemAuto.compose`` is one Taylor shift
 of f's numerators, and ``ElemAuto._unshift`` the one that undoes z1 and t0.
+Each atom owns its coset modulo B: ``split`` writes it as rep o b with b in
+B, and ``is_rep`` tests for a representative (conventions in ``amalgam``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linear import ProjPoint
 from .poly import Poly1, Poly2, Powers, over_lcm, taylor_shift
 
 
@@ -55,10 +56,6 @@ class PlaneAuto:
     @property
     def field(self):
         return self.p.field
-
-    @classmethod
-    def identity(cls, field) -> PlaneAuto:
-        return cls(Poly2.x(field), Poly2.y(field))
 
     def compose(self, other: PlaneAuto) -> PlaneAuto:
         """self o other (other acts first); one power ladder per component of other."""
@@ -219,6 +216,27 @@ class AffineAuto(_Atom):
         return AffineAuto._make(field, *field.normalize(dict(zip(_KEYS, (
             d * nd, -(b * nd), -(c * nd), a * nd, (b * v - d * u) * n, (c * u - a * v) * n))), dn))
 
+    def split(self) -> tuple[AffineAuto, AffineAuto]:
+        """self = rep o r with rep = ((0, 1), (1, lam)), lam = d / b for m = ((a, b), (c, d)),
+        and r = ((-lam, 1), (1, 0)) o self triangular, on the numerators over den * ld."""
+        f = self.field
+        if self.is_lower_triangular():
+            raise ValueError("affine map already triangular")
+        a, b, c, d, u, v = self._block()
+        ln, ld = f.lift(f.ratio(d, 1) / f.ratio(b, 1))
+        nums = {-1: c, 1: a, -3: b, -2: v, 0: u}  # r = ((c - lam a, 0), (a, b)), shift (v - lam u, u)
+        if ld != 1:  # only over Q, so K(z) numerators meet no int
+            nums = {k: n * ld for k, n in nums.items()}
+        nums[-1] -= ln * a
+        nums[-2] -= ln * u
+        rep = AffineAuto._make(f, *over_lcm({-4: f.lift(f.one), 1: f.lift(f.one), -3: (ln, ld)}))
+        return rep, AffineAuto._make(f, *f.normalize(nums, self._den * ld))
+
+    def is_rep(self) -> bool:
+        """b and c (keys -4 and 1) are one, and only lam (d, key -3) is beside them."""
+        nums, one = self._num, self.field.lift(self.field.one)[0] if self._den == 1 else self._den
+        return nums.keys() <= {-4, 1, -3} and nums.get(-4) == nums.get(1) == one
+
     def __repr__(self):
         return "AffineAuto(%r, %r, shift=%r)" % (self.field, self.m, self.shift)
 
@@ -310,6 +328,29 @@ class ElemAuto(_Atom):
         out[-1], out[-2], out[-3] = a, b, c if den * m == 1 else c * den * m
         return ElemAuto._make(field, *field.normalize(out, e * g * m))
 
+    def split(self) -> tuple[ElemAuto, ElemAuto]:
+        """self = rep o b with rep = (x, y + h~(x)): for f(x) = h(z1 x + t0) and
+        h = h0 + h1 u + h~(u), b = (z1 x + t0, z2 y + h1 z1 x + h0 + h1 t0).
+        h is f((u - t0) / z1), H over D m from ``_unshift``, with z1 = Z / D
+        and t0 = T / D; b is over D^2 m."""
+        f, nums, den = self.field, self._num, self._den
+        if self.is_lower_triangular():
+            raise ValueError("shear already triangular")
+        zero, one = f.lift(f.zero)[0], f.lift(f.one)[0]
+        z, t = nums[-1], nums.get(-2, zero)
+        h, m, *_ = self._unshift()
+        hd = den * m  # 1 outside Q, so K(z) numerators meet no int
+        h0, h1 = h.pop(0, zero), h.pop(1, zero)
+        h[-1] = h[-3] = one if hd == 1 else hd
+        b = {k: n if hd == 1 else n * hd for k, n in nums.items() if k < 0}
+        b[1], b[0] = h1 * z, h1 * t + (h0 if den == 1 else h0 * den)
+        return ElemAuto._make(f, *f.normalize(h, hd)), ElemAuto._make(f, *f.normalize(b, den * hd))
+
+    def is_rep(self) -> bool:
+        """z1 and z2 are one, and the other keys are f's exponents from 2 up, at least one."""
+        nums, one = self._num, self.field.lift(self.field.one)[0] if self._den == 1 else self._den
+        return len(nums) > 2 and nums.keys().isdisjoint((-2, 0, 1)) and nums.get(-1) == nums.get(-3) == one
+
     def to_affine(self) -> AffineAuto:
         if not self.is_lower_triangular():
             raise ValueError("nonlinear shear is not affine")
@@ -394,18 +435,3 @@ def classify(auto: PlaneAuto) -> AutoProfile:
         degree=auto.max_degree(),
     )
 
-
-# -- line shears ------------------------------------------------------------
-
-
-def apply_line_shear(delta: ProjPoint, f: Poly1, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
-    """Components of S o (p, q) for the line shear S: v -> v + f(l . v) u
-    along u = (a, b), where l = (b, -a) spans the linear forms vanishing on
-    the line: with s = b p - a q, the pair (p + a f(s), q + b f(s)).  For f
-    with zero constant and linear coefficients these shears fix the origin
-    with identity differential, and distinct directions generate freely."""
-    if f.is_zero() or f.coeff(0) or f.coeff(1):
-        raise ValueError("shear profile must be nonzero with valuation >= 2")
-    a, b = delta.vector()
-    fs = f.substitute(p.scale(b) - q.scale(a))
-    return p + fs.scale(a), q + fs.scale(b)

@@ -7,10 +7,10 @@ invertible or a matrix outside the degree-filtered group.
 The scalar backend is global (--field q | fp:<p> | q-of-z | fp:<p>-of-z),
 output is plain text or line-delimited JSON (--format), and every random
 draw is seeded (--seed), so identical invocations print identical bytes.
-The environment variable TAMEPLANE_WORK_BOUND overrides the p-group work
-bound.  The lab suites live in ``tameplane.lab.suites``, which the first
-``lab`` command imports: the other commands load neither the lab nor
-``tameplane.sampling``.
+The environment variable TAMEPLANE_WORK_BOUND overrides the work bound of
+the pgroup and digits suites.  The lab suites live in
+``tameplane.lab.suites``, which the first ``lab`` command imports: the
+other commands load neither the lab nor ``tameplane.sampling``.
 """
 
 from __future__ import annotations

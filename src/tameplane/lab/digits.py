@@ -9,7 +9,10 @@ outcome; any violation is returned, never swallowed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from .pgroup import DEFAULT_WORK_BOUND
 
 
 def _check_base(p: int) -> None:
@@ -49,13 +52,26 @@ class DigitViolation:
     reason: str
 
 
-def digit_lemma_scan(p: int, n_max: int) -> list:
+def _check_bound(p: int, n_max: int, bound: int) -> None:
+    """Raise ValueError if the scan may take more than bound steps: for each N
+    it tries N values of a on at most p^N (1 + N ln p) pairs n m < p^N.  The
+    check stops once p^N passes the bound, so a huge p or n_max costs little,
+    and counts in ints (ln p rounded up), so a huge bound cannot overflow."""
+    total, size, log_p = 0, 1, math.ceil(math.log(p))
+    for N in range(1, n_max + 1):
+        size *= p
+        if size > bound or (total := total + N * size * (1 + N * log_p)) > bound:
+            raise ValueError("work bound exceeded for (p, N) = (%d, %d)" % (p, n_max))
+
+
+def digit_lemma_scan(p: int, n_max: int, work_bound: int = DEFAULT_WORK_BOUND) -> list:
     """All counterexamples with N <= n_max; expected empty.
 
     Also cross-checks the rotation formula on every congruent pair: when
     n = m * p^a (mod p^N - 1), the digit vector of n must be the a-step
     rotation of the digit vector of m."""
     _check_base(p)
+    _check_bound(p, n_max, work_bound)
     violations = []
     for N in range(1, n_max + 1):
         modulus = p ** N - 1

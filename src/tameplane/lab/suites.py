@@ -47,21 +47,25 @@ def _lab_pingpong(field, args) -> Report:
     return report
 
 
-def _lab_pgroup(field, args) -> Report:
+def _work_bound() -> int:
+    """TAMEPLANE_WORK_BOUND, the work bound of the pgroup and digits suites."""
     text = os.environ.get("TAMEPLANE_WORK_BOUND", str(DEFAULT_WORK_BOUND))
     try:
-        bound = int(text)
+        return int(text)
     except ValueError:
         raise ParseError("TAMEPLANE_WORK_BOUND must be an integer, got %r" % text) from None
+
+
+def _lab_pgroup(field, args) -> Report:
     report = Report()
-    got = pgroup_nilpotency_index(args.p, args.r, work_bound=bound)
+    got = pgroup_nilpotency_index(args.p, args.r, work_bound=_work_bound())
     report.add("nilpotency_index", args.p * args.r, got, p=args.p, r=args.r)
     return report
 
 
 def _lab_digits(field, args) -> Report:
     report = Report()
-    violations = digit_lemma_scan(args.p, args.N)
+    violations = digit_lemma_scan(args.p, args.N, work_bound=_work_bound())
     report.add("digit_scan_counterexamples", 0, len(violations), p=args.p, N=args.N)
     return report
 

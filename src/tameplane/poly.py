@@ -561,10 +561,6 @@ class Poly2(_SparsePoly):
     def y(cls, field) -> Poly2:
         return cls._monomial(field, (0, 1), field.one)
 
-    @classmethod
-    def monomial(cls, field, i: int, j: int, c) -> Poly2:
-        return cls._monomial(field, (i, j), c)
-
     # -- queries -----------------------------------------------------------
 
     def total_degree(self):

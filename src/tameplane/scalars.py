@@ -168,10 +168,6 @@ class PrimeFieldElement:
     def __neg__(self):
         return self.field._elems[-self.value % self.field.p]
 
-    def inverse(self) -> PrimeFieldElement:
-        f = self.field
-        return f._elems[f._inv(self.value)]
-
     def __bool__(self):
         return self.value != 0
 

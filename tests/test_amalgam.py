@@ -32,7 +32,7 @@ from tameplane import (
     word_of_atoms,
     word_to_json,
 )
-from tameplane.amalgam import _in_normal_form, _split_affine, _split_elem, _vdk_atoms
+from tameplane.amalgam import _in_normal_form, _vdk_atoms
 from tameplane.sampling import random_shear_pairs, random_tame_atoms, random_tame_auto
 from tameplane.textio import ParseError, format_auto, parse_auto
 
@@ -204,7 +204,7 @@ class TestNormalForm:
         word = vdk_factor(parse_auto(QQ, "y + x^2, x"))
         tail = ElemAuto.identity(QQ)
         for bad, error in (
-            (PlaneAuto.identity(QQ), TypeError),
+            (PlaneAuto(Poly2.x(QQ), Poly2.y(QQ)), TypeError),
             (AffineAuto(QQ, ((1, 1), (1, 1))), NotAnAutomorphism),
             (ElemAuto(QQ, 0, 0, 1, Poly1.zero(QQ)), NotAnAutomorphism),
         ):
@@ -215,7 +215,7 @@ class TestNormalForm:
         # a bad tail goes to the push-down too, which refuses it
         for bad, error in (
             (ElemAuto(QQ, 1, 0, 0, Poly1.zero(QQ)), NotAnAutomorphism),
-            (PlaneAuto.identity(QQ), TypeError),
+            (PlaneAuto(Poly2.x(QQ), Poly2.y(QQ)), TypeError),
         ):
             with pytest.raises(error):
                 normal_form(AmalgamWord(QQ, word.factors, bad))
@@ -259,7 +259,7 @@ class TestNormalForm:
         assert checked >= 4 * 30
         # words the push-down refuses: a zero-scaling tail, a plane map as a factor
         for w in (AmalgamWord(f, (), ElemAuto(f, 1, 0, 0, Poly1.zero(f))),
-                  AmalgamWord(f, (PlaneAuto.identity(f),), ElemAuto.identity(f))):
+                  AmalgamWord(f, (PlaneAuto(Poly2.x(f), Poly2.y(f)),), ElemAuto.identity(f))):
             assert not _in_normal_form(w) and not is_reduced(w)
 
     def test_adjacent_affine_factors_are_not_reduced(self):
@@ -290,7 +290,7 @@ class TestSplits:
     @settings(max_examples=30, deadline=None)
     def test_affine_split(self, field, data):
         g = data.draw(nontriangular_affines(field))
-        rep, b = _split_affine(g)
+        rep, b = g.split()
         assert rep.compose(b) == g
         assert rep == AffineAuto(field, ((0, 1), (1, rep.m[1][1])))
         assert b.is_lower_triangular()
@@ -300,7 +300,7 @@ class TestSplits:
     @settings(max_examples=30, deadline=None)
     def test_elementary_split(self, field, data):
         g = data.draw(nonlinear_elementaries(field))
-        rep, b = _split_elem(g)
+        rep, b = g.split()
         assert rep.compose(b) == g
         assert rep == ElemAuto.shear(field, rep.f) and min(rep.f.keys()) >= 2
         assert b.is_lower_triangular()
@@ -308,17 +308,17 @@ class TestSplits:
     @pytest.mark.parametrize("field", FIELDS, ids=["q", "fp5", "q-of-z"])
     def test_triangular_input_is_refused(self, field):
         with pytest.raises(ValueError):
-            _split_affine(AffineAuto(field, ((2, 0), (1, 3)), (1, 1)))
+            AffineAuto(field, ((2, 0), (1, 3)), (1, 1)).split()
         with pytest.raises(ValueError):
-            _split_elem(ElemAuto(field, 2, 1, 3, Poly1(field, {1: 1, 0: 2})))
+            ElemAuto(field, 2, 1, 3, Poly1(field, {1: 1, 0: 2})).split()
 
 
 class TestBorelEscape:
     def test_identity_and_nontriangular_inputs_are_rejected(self):
         with pytest.raises(ValueError):
-            borel_escape_witness(PlaneAuto.identity(QQ))
+            borel_escape_witness(PlaneAuto(Poly2.x(QQ), Poly2.y(QQ)), context="origin_special")
         with pytest.raises(ValueError):
-            borel_escape_witness(AffineAuto(QQ, ((0, 1), (1, 0))).to_plane())
+            borel_escape_witness(AffineAuto(QQ, ((0, 1), (1, 0))).to_plane(), context="origin_special")
 
     def test_escapes_origin_special_triangulars(self):
         rng = random.Random(41)

@@ -25,7 +25,7 @@ from tameplane.automorphisms import as_affine, as_elementary
 from tameplane.sampling import random_affine, random_elementary, random_tame_auto
 from tameplane.textio import format_auto, parse_auto
 
-from conftest import F5, poly1
+from conftest import F5, FIELDS, poly1
 from oracles import evaluate_auto, evaluate_poly1
 
 SWAP = AffineAuto(QQ, ((0, 1), (1, 0))).to_plane()
@@ -58,7 +58,7 @@ class TestComposition:
 
     def test_identity_is_neutral(self):
         (g,) = rand_autos(QQ, 31, 1)
-        e = PlaneAuto.identity(QQ)
+        e = PlaneAuto(Poly2.x(QQ), Poly2.y(QQ))
         assert g.compose(e) == g and e.compose(g) == g
         assert compose_all(g) == g
 
@@ -78,7 +78,7 @@ class TestJacobian:
         assert SWAP.jacobian() == Poly2.constant(QQ, Fraction(-1))
 
     def test_noninvertible_map_has_nonconstant_jacobian(self):
-        g = PlaneAuto(Poly2.monomial(QQ, 2, 0, Fraction(1)), Poly2.y(QQ))
+        g = PlaneAuto(Poly2(QQ, {(2, 0): Fraction(1)}), Poly2.y(QQ))
         assert not g.jacobian().is_constant()
 
 
@@ -278,16 +278,22 @@ class TestLineShear:
         lhs = shear_recompose(QQ, [(delta, f)]).compose(shear_recompose(QQ, [(delta, g)]))
         if (f + g).is_zero():
             # the zero profile is not a line shear; the two cancel
-            assert lhs == PlaneAuto.identity(QQ)
+            assert lhs == PlaneAuto(Poly2.x(QQ), Poly2.y(QQ))
         else:
             assert lhs == shear_recompose(QQ, [(delta, f + g)])
 
     def test_rejects_low_order_profiles(self):
-        delta = ProjPoint.of(QQ, 1, 1)
-        for bad in (Poly1.zero(QQ), Poly1.one(QQ), Poly1.gen(QQ),
-                    Poly1(QQ, {1: Fraction(1), 2: Fraction(1)})):
-            with pytest.raises(ValueError):
-                shear_recompose(QQ, [(delta, bad)])
+        # over each field and direction, and for every pair, not only the first one applied (the last)
+        for field in FIELDS:
+            one, t2 = field.one, Poly1.monomial(field, 2, field.one)
+            good = (ProjPoint.of(field, one, one), t2)
+            for bad in (Poly1.zero(field), Poly1.one(field), Poly1.gen(field), Poly1.constant(field, one) + t2,
+                        Poly1.gen(field) + t2):
+                for delta in (ProjPoint.of(field, one, one), ProjPoint.of(field, field.zero, one),
+                              ProjPoint.infinity(field)):
+                    for pairs in ([(delta, bad)], [(delta, bad), good]):
+                        with pytest.raises(ValueError, match=r"^shear profile must be nonzero with valuation >= 2$"):
+                            shear_recompose(field, pairs)
 
 
 class TestScaledShearFamily:
@@ -301,7 +307,7 @@ class TestScaledShearFamily:
             z = QQ.of(z)
             x, y = Poly2.x(QQ), Poly2.y(QQ)
             return PlaneAuto(x.scale(z),
-                             y.scale(QQ.one / z) + Poly2.monomial(QQ, n - 1, 0, QQ.of(a) / z))
+                             y.scale(QQ.one / z) + Poly2(QQ, {(n - 1, 0): QQ.of(a) / z}))
 
         assert phi(2, 0).compose(phi(1, 1)) == phi(2, 1)
         assert phi(1, 1).compose(phi(2, 0)) == phi(2, 2 ** n)

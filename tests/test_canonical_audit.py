@@ -214,7 +214,7 @@ def _run_corpus(field, rng: random.Random, audit: Audit) -> None:
         # a triangular map, never the identity (it adds c x to y), and its escape
         t = ElemAuto(field, c, field.random_element(rng, 3), field.one, Poly1.monomial(field, 1, c)).to_plane()
         assert in_borel(t)
-        results.append(borel_escape_witness(t))
+        results.append(borel_escape_witness(t, context="origin_special"))
         audit.check(results, repr(field))
 
 

@@ -366,6 +366,23 @@ class TestLabSuites:
         code, _, err = run(capsys, "lab", "pgroup", "--p", "3", "--r", "2")
         assert code == 3 and "work bound" in err
 
+    @pytest.mark.parametrize("n", ["30", "1000000000"])
+    def test_digit_scans_past_the_work_bound_are_3(self, capsys, n):
+        # the scan is exponential in N, so its bound is checked before it starts
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lab", "digits", "--p", "2", "--N", n)
+        assert (code, out) == (3, "") and "work bound exceeded for (p, N) = (2, %s)" % n in err
+        assert time.perf_counter() - start < 2
+
+    def test_raised_work_bound_lets_a_longer_digit_scan_run(self, capsys, monkeypatch):
+        assert run(capsys, "lab", "digits", "--p", "2", "--N", "11")[0] == 3
+        monkeypatch.setenv("TAMEPLANE_WORK_BOUND", "1000000")
+        code, out, _ = run(capsys, "lab", "digits", "--p", "2", "--N", "11")
+        assert code == 0 and "pass" in out
+        # the bound is counted in ints, so a p^N past any float still ends in exit 3
+        monkeypatch.setenv("TAMEPLANE_WORK_BOUND", "1" + "0" * 500)
+        assert run(capsys, "lab", "digits", "--p", str(10 ** 200), "--N", "3")[0] == 3
+
     @pytest.mark.parametrize("value", ["abc", "", "1e5"])
     def test_malformed_work_bound_is_a_parse_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("TAMEPLANE_WORK_BOUND", value)

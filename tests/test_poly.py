@@ -466,7 +466,7 @@ class TestPowers:
         c = field.of(3)
         bases = (Poly1.zero(field), Poly1.constant(field, c), Poly1.monomial(field, 3, c),
                  Poly1(field, {0: c, 2: field.one}), Poly2.zero(field), Poly2.constant(field, c),
-                 Poly2.monomial(field, 1, 2, c), Poly2.x(field) + Poly2.y(field).scale(c))
+                 Poly2(field, {(1, 2): c}), Poly2.x(field) + Poly2.y(field).scale(c))
         for base in bases:
             powers = poly.Powers(base)
             for e in (*range(8, -1, -1), *range(9)):
@@ -503,7 +503,7 @@ class TestPowers:
     def test_one_term_powers_match_squaring_without_products(self, field, monkeypatch):
         c = field.of(3)
         bases = (Poly1.monomial(field, 3, c), Poly1.constant(field, -c),
-                 Poly2.monomial(field, 1, 2, c), Poly2.monomial(field, 0, 4, field.one))
+                 Poly2(field, {(1, 2): c}), Poly2(field, {(0, 4): field.one}))
         exponents = (0, 1, 2, 5, 13, 64)
         want = [[power(m.one(field), m, n) for n in exponents] for m in bases]
         calls = self.count_products(monkeypatch)
@@ -536,9 +536,9 @@ class TestCalculus:
         assert (p * q).partial_y() == p.partial_y() * q + p * q.partial_y()
 
     def test_partials_on_monomial(self):
-        p = Poly2.monomial(QQ, 3, 2, Fraction(1))
-        assert p.partial_x() == Poly2.monomial(QQ, 2, 2, Fraction(3))
-        assert p.partial_y() == Poly2.monomial(QQ, 3, 1, Fraction(2))
+        p = Poly2(QQ, {(3, 2): Fraction(1)})
+        assert p.partial_x() == Poly2(QQ, {(2, 2): Fraction(3)})
+        assert p.partial_y() == Poly2(QQ, {(3, 1): Fraction(2)})
 
 
 class TestEvaluation:
@@ -551,8 +551,8 @@ class TestEvaluation:
 
     def test_high_exponents_evaluate_without_recursion(self):
         # deep enough to overflow the stack if a power recursed per exponent
-        assert evaluate_poly2(Poly2.monomial(QQ, 1500, 0, 1), 1, 1) == 1
-        assert evaluate_poly2(Poly2.monomial(F5, 3, 1500, 2), 2, 3) == F5.of(2 * 8 * pow(3, 1500, 5))
+        assert evaluate_poly2(Poly2(QQ, {(1500, 0): 1}), 1, 1) == 1
+        assert evaluate_poly2(Poly2(F5, {(3, 1500): 2}), 2, 3) == F5.of(2 * 8 * pow(3, 1500, 5))
         assert evaluate_poly1(Poly1.monomial(QQ, 1500, Fraction(3)), QQ.of(-1)) == 3
         auto = parse_auto(QQ, "x + y^1200, y")
         assert evaluate_auto(auto, (QQ.of(1), QQ.of(-1))) == (2, -1)

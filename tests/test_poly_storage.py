@@ -191,7 +191,7 @@ def test_products_built_along_different_routes_are_equal_and_hash_equal(field):
         (((x + y) ** 4).scale(half).scale(2), (x + y) ** 4),
         # a product past the packed crossover (21 * 21 term pairs) against
         # a term-by-term sum and against repeated squaring
-        (p5 * p5, sum((p5.scale(c) * Poly2.monomial(field, i, j, 1)
+        (p5 * p5, sum((p5.scale(c) * Poly2(field, {(i, j): 1})
                        for (i, j), c in p5.terms.items()), Poly2.zero(field))),
         (p5 * p5, (x + half * y + 1) ** 10),
         (Poly2(field, {(1, 0): half, (0, 0): half}) - Poly2(field, {(1, 0): half}),
