@@ -27,9 +27,10 @@ of the components whenever deg p > deg q or the tied degrees leave q
 unpeelable.  ``shear_decompose`` peels in place on the graded numerators
 of the one component that moves; the degree reduction ran slower on such a
 state (ROADMAP item 17), so the two loops are separate.  Both read c at d
-times the lex-largest key of top(l), where top(l^d) has a nonzero
-coefficient, so, like ``matrixrep.matrix_reduced_word``, they keep a step
-exactly when it lowers the degree.
+times the largest key of l (top degree, largest power of y), where
+top(l^d) has a nonzero coefficient, so, like
+``matrixrep.matrix_reduced_word``, they keep a step exactly when it lowers
+the degree.
 
 Coset representative conventions (right factor acts first everywhere):
 
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .linear import ProjPoint
-from .poly import Poly1, Poly2, Powers
+from .poly import DEG_SHIFT, Poly1, Poly2, Powers
 from .automorphisms import (
     AffineAuto,
     ElemAuto,
@@ -145,24 +146,18 @@ def word_of_atoms(field, atoms) -> AmalgamWord:
 # -- factorization ------------------------------------------------------------
 
 
-def _peel(powers: Powers, lead, q: Poly2):
-    """(d, c, q - c l^d) for l = powers[1] and c read at d * lead, lead the
-    lex-largest key of top(l), if that lowers deg q, else None; powers is
-    the caller's ladder of l, so each power of l is made once."""
+def _peel(powers: Powers, q: Poly2):
+    """(d, c, q - c l^d) for l = powers[1] and c read at d times the largest
+    key of l (top degree, largest power of y), if that lowers deg q, else
+    None; powers is the caller's ladder of l, so each power of l is made once."""
     deg, dl = q.total_degree(), powers[1].total_degree()
     if dl < 1 or deg % dl:
         return None
     d = deg // dl
-    key = (d * lead[0], d * lead[1])
-    power = powers[d]
-    c = q.coeff(*key) / power.coeff(*key)
+    power, key = powers[d], d * max(powers[1]._num)
+    c = q._coeff_at(key) / power._coeff_at(key)
     rest = q - power.scale(c)
     return (d, c, rest) if rest.total_degree() < deg else None
-
-
-def _ladder(p: Poly2) -> tuple:
-    """Powers(p) and the lex-largest key of top(p), None for p = 0."""
-    return Powers(p), max(p._num, key=lambda k: (k[0] + k[1], k), default=None)
 
 
 def _vdk_atoms(auto: PlaneAuto) -> list:
@@ -177,14 +172,14 @@ def _vdk_atoms(auto: PlaneAuto) -> list:
     atoms: list = [{}]  # a dict gathers one run's monomials, k -> c, until it becomes a shear
     p, q = auto.p, auto.q
     swap = AffineAuto(f, ((f.zero, f.one), (f.one, f.zero)))
-    ladder = _ladder(p)
+    ladder = Powers(p)
     dp, dq = p.total_degree(), q.total_degree()
     while max(dp, dq) > 1:
-        peel = None if dp > dq else _peel(*ladder, q)
+        peel = None if dp > dq else _peel(ladder, q)
         if peel is None and dp >= dq:
             atoms += [swap, {}]
-            p, q, dp, dq, ladder = q, p, dq, dp, _ladder(q)
-            peel = _peel(*ladder, q)
+            p, q, dp, dq, ladder = q, p, dq, dp, Powers(q)
+            peel = _peel(ladder, q)
         if peel is None:
             raise NotAnAutomorphism("degree reduction stuck at degrees (%s, %s)" % (dp, dq))
         k, c, q = peel
@@ -284,10 +279,10 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     p = l + a q following it, and p at infinity, where q stays.  A run of
     peels holds m alone, as numerators bucketed by total degree over one
     denominator, grown by an lcm only when a step brings a new factor: the
-    top form is one bucket, c is read at d times the lex-largest key of
-    top(l), c l^d is subtracted in place, and the peel is exact iff the top
-    bucket empties.  The run ends when deg m <= deg l; its monomials make
-    one parameter.  The direction read next is new unless the map is no
+    top form is one bucket, c is read at d times the largest key of l, c l^d
+    is subtracted in place, and the peel is exact iff the top bucket
+    empties.  The run ends when deg m <= deg l; its monomials make one
+    parameter.  The direction read next is new unless the map is no
     automorphism: a top form along u vanishes on l at the probe but not on
     m, so no c top(l)^d matches it.
     """
@@ -299,23 +294,22 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
     p, q = auto.p, auto.q
     pairs = []
     while (deg := max(p.total_degree(), q.total_degree())) > 1:
-        probe = next(k for f in (p, q) for k in f._num if k[0] + k[1] == deg)
-        delta = ProjPoint.of(field, p.coeff(*probe), q.coeff(*probe))
+        probe = next(k for f in (p, q) for k in f._num if k >> DEG_SHIFT == deg)
+        delta = ProjPoint.of(field, p._coeff_at(probe), q._coeff_at(probe))
         if pairs and delta == pairs[-1][0]:
             raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
         a, b = delta.vector()
         l = p.scale(b) - q.scale(a)
-        dl = l.total_degree()
-        lead = max(k for k in l._num if k[0] + k[1] == dl)
+        dl, lead = l.total_degree(), max(l._num)
         powers = Powers(l)
         m = q if b else p
         den, g = m._den, {}
         for k, v in m._num.items():
-            g.setdefault(k[0] + k[1], {})[k] = v
+            g.setdefault(k >> DEG_SHIFT, {})[k] = v
         terms = {}
         while deg > dl or not terms:  # with deg l = deg, the one step tried refuses
             d = deg // dl if not deg % dl else 0
-            key = (d * lead[0], d * lead[1]) if d else None
+            key = d * lead if d else None
             top = g[deg]
             if key not in top:
                 raise NotAnAutomorphism("line shear peel stuck at degree %d" % deg)
@@ -330,7 +324,7 @@ def shear_decompose(auto: PlaneAuto) -> tuple:
             if den != sd:
                 n = n * (den // sd)
             for k, v in power._num.items():
-                t = g.setdefault(k[0] + k[1], {})
+                t = g.setdefault(k >> DEG_SHIFT, {})
                 s = t.get(k)
                 t[k] = -(v * n) if s is None else s - v * n
             for e in range(d, deg + 1):  # l has no constant term, so l^d none below degree d

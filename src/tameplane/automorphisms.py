@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly1, Poly2, Powers, over_lcm, taylor_shift
+from .poly import Poly1, Poly2, Powers, exponents, monomial_key, over_lcm, taylor_shift
 
 
 class NotAnAutomorphism(ValueError):
@@ -103,6 +103,7 @@ def compose_all(*autos: PlaneAuto) -> PlaneAuto:
 # The keys of a, b, c, d, u and v in (a x + b y + u, c x + d y + v): ElemAuto's
 # z1, -4, f1, z2, t0 and f0 (module docstring).
 _KEYS = (-1, -4, 1, -3, -2, 0)
+_X, _Y = monomial_key(1, 0), monomial_key(0, 1)  # the Poly2 keys of x and y
 
 
 class _Atom:
@@ -378,7 +379,7 @@ def as_affine(auto: PlaneAuto) -> AffineAuto | None:
     if auto.max_degree() > 1:
         return None
     pairs = {k: (g._num[key], g._den) for g, row in ((auto.p, (-1, -4, -2)), (auto.q, (1, -3, 0)))
-             for k, key in zip(row, ((1, 0), (0, 1), (0, 0))) if key in g._num}
+             for k, key in zip(row, (_X, _Y, 0)) if key in g._num}
     aff = AffineAuto._make(auto.field, *over_lcm(pairs))
     return aff if aff.is_invertible() else None
 
@@ -387,18 +388,11 @@ def as_elementary(auto: PlaneAuto) -> ElemAuto | None:
     """The triangular form (z1 x + t0, z2 y + f(x)), or None."""
     f = auto.field
     p, q = auto.p, auto.q
-    z1 = p.coeff(1, 0)
-    if not z1 or not p.keys() <= {(1, 0), (0, 0)}:
+    z1, z2 = p.coeff(1, 0), q.coeff(0, 1)
+    # p is z1 x + t0, and q is z2 y plus the terms without y, which make f
+    shear_terms = {i: n for (i, j), n in zip(map(exponents, q._num), q._num.values()) if not j}
+    if not (z1 and z2 and p.keys() <= {_X, 0} and len(shear_terms) == len(q._num) - 1):
         return None
-    z2 = q.coeff(0, 1)
-    if not z2:
-        return None
-    shear_terms = {}
-    for (i, j), n in q._num.items():
-        if j == 0:
-            shear_terms[i] = n
-        elif (i, j) != (0, 1):
-            return None
     return ElemAuto(f, z1, p.constant_term(), z2, Poly1._normalized(f, shear_terms, q._den))
 
 

@@ -53,14 +53,18 @@ class DigitViolation:
 
 
 def _check_bound(p: int, n_max: int, bound: int) -> None:
-    """Raise ValueError if the scan may take more than bound steps: for each N
-    it tries N values of a on at most p^N (1 + N ln p) pairs n m < p^N.  The
-    check stops once p^N passes the bound, so a huge p or n_max costs little,
-    and counts in ints (ln p rounded up), so a huge bound cannot overflow."""
-    total, size, log_p = 0, 1, math.ceil(math.log(p))
+    """Raise ValueError if the scan may take more than bound steps: N values
+    of a per pair n m < P = p^N of n, m prime to p.  The Q = P (p-1)/p values
+    of n have at most P (p-1)/(p n) + 1 values of m each, and the sum of 1/n
+    over them is at most 1 + ln p (N - (N-1)/p), which bounds the pairs by
+    Q (2 + ln p (N - (N-1)/p)) >= P.  So the check stops once P passes the
+    bound, and it counts in ints (1024 ln p rounded up, plus one)."""
+    total, size, log_p = 0, 1, math.ceil(math.log(p) * 1024) + 1
     for N in range(1, n_max + 1):
         size *= p
-        if size > bound or (total := total + N * size * (1 + N * log_p)) > bound:
+        # N Q (2048 p + 1024 ln p (N p - N + 1)) / (1024 p), rounded up
+        total += -(-N * (size // p * (p - 1)) * (2048 * p + log_p * (N * p - N + 1)) // (1024 * p))
+        if size > bound or total > bound:
             raise ValueError("work bound exceeded for (p, N) = (%d, %d)" % (p, n_max))
 
 

@@ -1,13 +1,18 @@
 """Sparse exact polynomials in one and two variables over a field object.
 
-Storage.  A polynomial is a dict ``_num`` from exponent keys to nonzero
-numerators over one denominator ``_den``.  ``Poly1`` keys are exponents,
-``Poly2`` keys are exponent pairs (i, j) (i for the first variable, j for
-the second).  Over Q the numerators are ints and ``_den`` is a positive int
-with gcd(_den, *numerators) = 1, the canonical form of FLINT's
-``fmpq_poly``; over F_p they are int residues in [1, p) and ``_den`` is 1;
-over K(z) they are field elements and ``_den`` is 1.  The form is
-canonical, so equality and hashing compare (_num, _den) structurally.
+Storage.  A polynomial is a dict ``_num`` from int exponent keys to nonzero
+numerators over one denominator ``_den``.  A ``Poly1`` key is the exponent;
+the ``Poly2`` key of x^i y^j is ``(i + j) << DEG_SHIFT | j``, so keys sort by
+total degree, then by the power of y, and a product adds them (Monagan &
+Pearce's packed exponent vectors in graded order, CASC 2007).  The read API
+keys ``Poly2`` terms by (i, j).  A ``Poly2`` total degree stays below
+2^DEG_SHIFT: a constructor, product or power that would reach it raises
+ValueError before any work (notes/decisions.md).  Over Q the numerators
+are ints and ``_den`` is a positive int with gcd(_den, *numerators) = 1,
+the canonical form of FLINT's ``fmpq_poly``; over F_p they are int residues
+in [1, p) and ``_den`` is 1; over K(z) they are field elements and ``_den``
+is 1.  The form is canonical, so equality and hashing compare (_num, _den)
+structurally.
 
 Hooks.  Each field object has three, and they are all the kernels here
 know of the field: ``lift(c)`` gives an element as (num, den);
@@ -20,8 +25,7 @@ API is element-valued: ``coeff``, ``items``, ``leading_coeff``,
 
 Multiply.  ``_raw_mul``, behind ``__mul__`` and ``_mul_add``, takes one of two paths:
 
-* the dict loop (``_mul_dict``, one per subclass because it adds keys)
-  multiplies every pair of terms;
+* the dict loop (``_mul_dict``) multiplies every pair of terms, adding keys;
 * the packed path (``_kronecker_mul``) is Kronecker substitution: each
   operand becomes one Python int with one fixed-width slot per exponent,
   shifted down by its lowest slot, so a single big-int product, which
@@ -52,6 +56,23 @@ import math
 from .scalars import PrimeField, RationalField, power
 
 NEG_INF = float("-inf")
+
+DEG_SHIFT = 64  # the Poly2 key of x^i y^j is (i + j) << DEG_SHIFT | j
+_J_MASK = (1 << DEG_SHIFT) - 1
+_X, _Y = 1 << DEG_SHIFT, 1 << DEG_SHIFT | 1  # the keys of x and y
+_BOUND = "Poly2 exponents must be nonnegative with total degree below 2^%d" % DEG_SHIFT
+
+
+def monomial_key(i: int, j: int) -> int | None:
+    """The Poly2 key of x^i y^j, None past the exponent bound."""
+    return (i + j) << DEG_SHIFT | j if 0 <= i and 0 <= j and not (i + j) >> DEG_SHIFT else None
+
+
+def exponents(k: int) -> tuple:
+    """(i, j) for the Poly2 key of x^i y^j."""
+    j = k & _J_MASK
+    return (k >> DEG_SHIFT) - j, j
+
 
 # Term pairs (len(a) * len(b)) from which products use the packed multiply,
 # per field type.  Fields not listed (K(z)) always use the dict loop.  Timed
@@ -183,17 +204,22 @@ def taylor_shift(field, nums: dict, a, b, d) -> tuple:
 
 
 class _SparsePoly:
-    """Key-shape-independent arithmetic on numerators over one denominator."""
+    """Arithmetic on numerators over one denominator, keyed by ints."""
 
     __slots__ = ("field", "_num", "_den")
 
-    _CONST_KEY: object  # the key of the constant term, set by each subclass
+    _KEY_LIMIT = 0  # the least key past the exponent bound; 0 for none
+    # an int key as the read API gives it, and back (None past the bound)
+    _read = _key = staticmethod(lambda k: k)
 
     def __init__(self, field, terms: dict | None = None):
-        """The polynomial with coefficients ``terms`` (key -> scalar)."""
-        lift, of = field.lift, field.of
+        """The polynomial with coefficients ``terms`` (read-API key -> scalar)."""
+        lift, of, key = field.lift, field.of, self._key
+        pairs = {key(k): lift(of(c)) for k, c in terms.items()} if terms else {}
+        if None in pairs:
+            raise ValueError(_BOUND)
         self.field = field
-        self._num, self._den = over_lcm({k: lift(of(c)) for k, c in terms.items()} if terms else {})
+        self._num, self._den = over_lcm(pairs)
 
     @classmethod
     def _make(cls, field, nums: dict, den: int = 1):
@@ -247,14 +273,17 @@ class _SparsePoly:
 
     @classmethod
     def one(cls, field):
-        return cls._monomial(field, cls._CONST_KEY, field.one)
+        return cls._monomial(field, 0, field.one)
 
     @classmethod
     def constant(cls, field, c):
-        return cls._monomial(field, cls._CONST_KEY, c)
+        return cls._monomial(field, 0, c)
 
     def is_zero(self) -> bool:
         return not self._num
+
+    def is_constant(self) -> bool:
+        return self._num.keys() <= {0}
 
     def __bool__(self):
         return bool(self._num)
@@ -262,23 +291,28 @@ class _SparsePoly:
     @property
     def terms(self) -> dict:
         """A new dict key -> coefficient, the coefficients field elements."""
-        ratio, den = self.field.ratio, self._den
-        return {k: ratio(n, den) for k, n in self._num.items()}
+        return dict(self.graded_items())
 
     def keys(self):
-        """The keys of the nonzero terms, in no particular order."""
+        """The int keys of the nonzero terms, in no particular order."""
         return self._num.keys()
 
     def items(self) -> list:
-        ratio, den = self.field.ratio, self._den
-        return [(k, ratio(n, den)) for k, n in sorted(self._num.items())]
+        """(key, coefficient) pairs sorted by key: (i, j) for a Poly2."""
+        return sorted(self.graded_items())
+
+    def graded_items(self) -> list:
+        """(key, coefficient) pairs in the order of the int keys: by degree,
+        then, for a Poly2, by the power of y."""
+        ratio, den, read = self.field.ratio, self._den, self._read
+        return [(read(k), ratio(n, den)) for k, n in sorted(self._num.items())]
 
     def _coeff_at(self, key):
         n = self._num.get(key)
         return self.field.zero if n is None else self.field.ratio(n, self._den)
 
     def constant_term(self):
-        return self._coeff_at(self._CONST_KEY)
+        return self._coeff_at(0)
 
     # -- ring operations -----------------------------------------------
 
@@ -341,10 +375,26 @@ class _SparsePoly:
 
     def _raw_mul(self, other) -> dict:
         """self * other as unnormalized numerators over self._den * other._den."""
+        a, b = self._num, other._num  # the top keys add to the product's
+        if self._KEY_LIMIT and a and b and max(a) + max(b) >= self._KEY_LIMIT:
+            raise ValueError(_BOUND)
         nums = None
-        if len(self._num) * len(other._num) >= _PACK_MIN_PAIRS.get(type(self.field), math.inf):
+        if len(a) * len(b) >= _PACK_MIN_PAIRS.get(type(self.field), math.inf):
             nums = self._mul_packed(other)
         return self._mul_dict(other) if nums is None else nums
+
+    def _mul_dict(self, other) -> dict:
+        out: dict = {}
+        b = other._num.items()
+        for k1, c1 in self._num.items():
+            for k2, c2 in b:
+                k = k1 + k2
+                s = out.get(k)
+                out[k] = c1 * c2 if s is None else s + c1 * c2
+        return out
+
+    def _mul_packed(self, other) -> dict | None:
+        return _kronecker_mul(self._num, other._num)
 
     def __mul__(self, other):
         if type(other) is not type(self) or other.field is not self.field:
@@ -381,9 +431,11 @@ class _SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        if self._KEY_LIMIT and self._num and max(self._num) * n >= self._KEY_LIMIT:
+            raise ValueError(_BOUND)
         if len(self._num) == 1:  # (c m)^n = c^n m^n: one field power, no product
             (k, c), = self._num.items()
-            return self._monomial(self.field, self._key_times(k, n), self.field.ratio(c, self._den) ** n)
+            return self._monomial(self.field, k * n, self.field.ratio(c, self._den) ** n)
         return power(self.one(self.field), self, n)
 
     # -- comparisons ------------------------------------------------------
@@ -397,16 +449,16 @@ class _SparsePoly:
     def __hash__(self):
         return hash((self.field, self._den, tuple(sorted(self._num.items()))))
 
+    def __repr__(self):
+        bits = ["%r*%s" % (c, self._MONOMIAL % k) for k, c in self.items()]
+        return "%s(%s)" % (type(self).__name__, " + ".join(bits) or "0")
+
 
 class Poly1(_SparsePoly):
     """A univariate polynomial with exact coefficients."""
 
     __slots__ = ()
-    _CONST_KEY = 0
-
-    @staticmethod
-    def _key_times(k: int, n: int) -> int:
-        return k * n
+    _MONOMIAL = "t^%d"  # the repr of a monomial, formatted with its key
 
     @classmethod
     def gen(cls, field) -> Poly1:
@@ -421,29 +473,12 @@ class Poly1(_SparsePoly):
     def degree(self):
         return max(self._num) if self._num else NEG_INF
 
-    def coeff(self, e: int):
-        return self._coeff_at(e)
+    coeff = _SparsePoly._coeff_at  # coeff(e)
 
     def leading_coeff(self):
         return self._coeff_at(max(self._num)) if self._num else self.field.zero
 
-    def is_constant(self) -> bool:
-        return self.degree() <= 0
-
     # -- ring operations -----------------------------------------------
-
-    def _mul_dict(self, other: Poly1) -> dict:
-        out: dict = {}
-        b = other._num.items()
-        for e1, c1 in self._num.items():
-            for e2, c2 in b:
-                e = e1 + e2
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return out
-
-    def _mul_packed(self, other: Poly1) -> dict | None:
-        return _kronecker_mul(self._num, other._num)
 
     def __divmod__(self, other: Poly1):
         """(q, r) with self = q*other + r and deg r < deg other, by
@@ -536,66 +571,40 @@ class Poly1(_SparsePoly):
         return Poly1._normalized(self.field, {e: c for e, c in self._num.items() if e >= k},
                                  self._den)
 
-    def __repr__(self):
-        if not self._num:
-            return "Poly1(0)"
-        bits = ["%r*t^%d" % (c, e) for e, c in self.items()]
-        return "Poly1(%s)" % " + ".join(bits)
-
 
 class Poly2(_SparsePoly):
     """A polynomial in two variables, exponent pairs (i, j) -> coefficient."""
 
     __slots__ = ()
-    _CONST_KEY = (0, 0)
-
-    @staticmethod
-    def _key_times(k: tuple, n: int) -> tuple:
-        return k[0] * n, k[1] * n
+    _KEY_LIMIT = 1 << 2 * DEG_SHIFT  # the key of x^(2^DEG_SHIFT)
+    _read, _key = staticmethod(exponents), staticmethod(lambda ij: monomial_key(*ij))
+    _MONOMIAL = "x^%d*y^%d"
 
     @classmethod
     def x(cls, field) -> Poly2:
-        return cls._monomial(field, (1, 0), field.one)
+        return cls._monomial(field, _X, field.one)
 
     @classmethod
     def y(cls, field) -> Poly2:
-        return cls._monomial(field, (0, 1), field.one)
+        return cls._monomial(field, _Y, field.one)
 
     # -- queries -----------------------------------------------------------
 
     def total_degree(self):
-        return max(i + j for i, j in self._num) if self._num else NEG_INF
+        return max(self._num) >> DEG_SHIFT if self._num else NEG_INF
 
     def coeff(self, i: int, j: int):
-        return self._coeff_at((i, j))
-
-    def is_constant(self) -> bool:
-        return self.total_degree() <= 0
+        return self._coeff_at(monomial_key(i, j))  # None past the bound: no term
 
     # -- ring operations -----------------------------------------------
 
-    def _mul_dict(self, other: Poly2) -> dict:
-        out: dict = {}
-        b = other._num.items()
-        for (i1, j1), c1 in self._num.items():
-            for (i2, j2), c2 in b:
-                ij = (i1 + i2, j1 + j2)
-                s = out.get(ij)
-                out[ij] = c1 * c2 if s is None else s + c1 * c2
-        return out
-
     def _mul_packed(self, other: Poly2) -> dict | None:
+        # slot (i + j) * w + j, with w one more than the sum of the y degrees
         a, b = self._num, other._num
-        w = max((j for _, j in a), default=0) + max((j for _, j in b), default=0) + 1
-        out = _kronecker_mul({(i + j) * w + j: c for (i, j), c in a.items()},
-                             {(i + j) * w + j: c for (i, j), c in b.items()})
-        if out is None:
-            return None
-        terms = {}
-        for k, c in out.items():
-            d, j = divmod(k, w)
-            terms[(d - j, j)] = c
-        return terms
+        w = max((k & _J_MASK for k in a), default=0) + max((k & _J_MASK for k in b), default=0) + 1
+        out = _kronecker_mul({(k >> DEG_SHIFT) * w + (k & _J_MASK): c for k, c in a.items()},
+                             {(k >> DEG_SHIFT) * w + (k & _J_MASK): c for k, c in b.items()})
+        return None if out is None else {s // w << DEG_SHIFT | s % w: c for s, c in out.items()}
 
     # -- substitution and calculus ---------------------------------------
 
@@ -606,19 +615,16 @@ class Poly2(_SparsePoly):
         """
         pu = u if isinstance(u, Powers) else Powers(u)
         pv = v if isinstance(v, Powers) else Powers(v)
+        nums = self._num
         return Poly2._lincomb(self.field, ((c, pu[i] * pv[j] if i and j else pu[i] if i else pv[j])
-                                           for (i, j), c in self._num.items()), self._den)
+                                           for (i, j), c in zip(map(exponents, nums), nums.values())),
+                              self._den)
 
     def partial_x(self) -> Poly2:
-        return Poly2._normalized(
-            self.field, {(i - 1, j): c * i for (i, j), c in self._num.items() if i}, self._den)
+        return Poly2._normalized(self.field, {k - _X: c * i for k, c in self._num.items()
+                                              if (i := exponents(k)[0])}, self._den)
 
     def partial_y(self) -> Poly2:
-        return Poly2._normalized(
-            self.field, {(i, j - 1): c * j for (i, j), c in self._num.items() if j}, self._den)
+        return Poly2._normalized(self.field, {k - _Y: c * j for k, c in self._num.items()
+                                              if (j := k & _J_MASK)}, self._den)
 
-    def __repr__(self):
-        if not self._num:
-            return "Poly2(0)"
-        bits = ["%r*x^%d*y^%d" % (c, i, j) for (i, j), c in self.items()]
-        return "Poly2(%s)" % " + ".join(bits)

@@ -374,7 +374,7 @@ def format_poly2(p: Poly2) -> str:
     """Canonical text, ascending total degree, x-powers before y-powers."""
     return _format_terms(p.field, [
         ("*".join(_power(v, e) for v, e in (("x", i), ("y", j)) if e), c)
-        for (i, j), c in sorted(p.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))])
+        for (i, j), c in p.graded_items()])
 
 
 def format_auto(auto) -> str:

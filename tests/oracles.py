@@ -174,6 +174,22 @@ def matrix_exp(a: RationalMatrix) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
+# criterion 8: the steps of the digit scan
+
+
+def digit_scan_steps(p: int, n_max: int) -> int:
+    """The steps ``digit_lemma_scan(p, n_max)`` takes, counted by its own
+    loops: N values of a for each n and m prime to p with n m < p^N."""
+    steps = 0
+    for N in range(1, n_max + 1):
+        top = p ** N
+        for n in range(1, top):
+            if n % p:
+                steps += N * sum(1 for m in range(1, (top - 1) // n + 1) if m % p)
+    return steps
+
+
+# ---------------------------------------------------------------------------
 # evaluation at points, and the elements of F_p
 
 
@@ -186,8 +202,7 @@ def evaluate_poly1(p, point):
 def evaluate_poly2(p, a, b):
     """The sum of c * a**i * b**j over the terms of a Poly2."""
     a, b = p.field.of(a), p.field.of(b)
-    total = sum((c * a ** i * b ** j for (i, j), c in p._num.items()), p.field.zero)
-    return total if p._den == 1 else total / p._den
+    return sum((c * a ** i * b ** j for (i, j), c in p.terms.items()), p.field.zero)
 
 
 def evaluate_auto(auto: PlaneAuto, point) -> tuple:

@@ -13,7 +13,9 @@ operation's result, breaks the canonical form:
 * over F_p, residues in [1, p) over 1;
 * over K(z), nonzero canonical elements over 1, where an element is
   canonical when its numerator and denominator are, the denominator is
-  monic, the two are coprime, and 0 is 0/1.
+  monic, the two are coprime, and 0 is 0/1;
+* every ``Poly2`` key a valid encoding (i + j) << DEG_SHIFT | j of x^i y^j,
+  that is an int with 0 <= j <= i + j < 2^DEG_SHIFT.
 """
 
 import math
@@ -62,7 +64,7 @@ from tameplane import (
     word_of_atoms,
     word_to_json,
 )
-from tameplane.poly import _SparsePoly
+from tameplane.poly import DEG_SHIFT, _SparsePoly
 from tameplane.ratfunc import RationalFunction
 from tameplane.sampling import random_proj_point, random_shear_pairs, random_tame_atoms
 
@@ -105,7 +107,18 @@ def _numerators_violation(field, nums: dict, den) -> str | None:
     return None
 
 
+def _key_violation(k) -> str | None:
+    """Why k is not the key of a monomial x^i y^j of a Poly2, or None."""
+    if type(k) is int and 0 <= k & ((1 << DEG_SHIFT) - 1) <= k >> DEG_SHIFT < 1 << DEG_SHIFT:
+        return None
+    return "%r is not a Poly2 key" % (k,)
+
+
 def _poly_violation(p) -> str | None:
+    if isinstance(p, Poly2):
+        bad = next(filter(None, map(_key_violation, p._num)), None)
+        if bad:
+            return bad
     return _numerators_violation(p.field, p._num, p._den)
 
 
@@ -238,4 +251,7 @@ def test_the_audit_sees_a_broken_constructor_call(audit):
     # not its numerators without f1's, still over 2
     g = ElemAuto(field, 1, 0, 1, Poly1(field, {2: 1, 1: Fraction(1, 2)}))
     ElemAuto._make(field, {k: n for k, n in g._num.items() if k != 1}, g._den)
-    assert len(audit.violations) == 3
+    # degree 1 with a y-power of 2, and a degree past the bound
+    Poly2._make(field, {1 << DEG_SHIFT | 2: 1})
+    Poly2._make(field, {1 << 2 * DEG_SHIFT: 1})
+    assert len(audit.violations) == 5

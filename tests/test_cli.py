@@ -14,6 +14,10 @@ from tameplane.cli import main
 from tameplane.textio import parse_auto
 
 TOO_LONG = "%%s too long to print (over %d digits)" % sys.get_int_max_str_digits()
+POLY2_BOUND = "Poly2 exponents must be nonnegative with total degree below 2^64"
+HUGE_SHEAR_WORD = json.dumps({
+    "format": "tameplane-word", "version": 1, "field": "q", "factors": [],
+    "tail": {"z1": "1", "t0": "0", "z2": "1", "f": "(x^1{0})^1{0}".format("0" * 3000)}})
 
 
 def run(capsys, *argv):
@@ -269,10 +273,27 @@ class TestExitCodes:
         (("--format", "jsonl", "compose", "x^20000, y", "2*x, y"), TOO_LONG % "coefficient"),
         (("factor", "x, y + 7^6000*x^2"), TOO_LONG % "coefficient"),
         (("--format", "jsonl", "factor", "x, y + 7^6000*x^2"), TOO_LONG % "coefficient"),
-        (("compose", "x^1%s, y" % ("0" * 3000), "x^1%s, y" % ("0" * 3000)), TOO_LONG % "exponent"),
+        # a Poly1 exponent has no bound: (x^10^3000)^10^3000 parses but cannot print
+        (("--format", "jsonl", "nf", "--json", HUGE_SHEAR_WORD), TOO_LONG % "exponent"),
+        # a Poly2 total degree of 2^64 or more is refused before any work
+        (("compose", "x^1%s, y" % ("0" * 3000), "x^1%s, y" % ("0" * 3000)), POLY2_BOUND),
     ])
     def test_refused_maps_print_where_the_peel_stopped(self, capsys, argv, message):
         assert run(capsys, *argv) == (3, "", "domain error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv", [
+        ("compose", "x, y + x^1180591620717411303424", "y, x"),
+        ("compose", "x^9223372036854775808, y", "x^2, y"),
+        ("factor", "x, y + x^18446744073709551616"),
+        ("from-matrix", "1, t^18446744073709551616 ; 0, 1"),
+        ("--format", "jsonl", "invert", "x + y^18446744073709551616, y"),
+    ])
+    def test_poly2_total_degrees_of_2_to_the_64_are_3(self, capsys, argv):
+        assert run(capsys, *argv) == (3, "", "domain error: %s\n" % POLY2_BOUND)
+
+    def test_the_largest_total_degree_below_the_bound_is_answered(self, capsys):
+        assert run(capsys, "factor", "x, y + x^18446744073709551615") == (
+            0, "shear: x, y + x^18446744073709551615\ntail: x, y\n", "")
 
     @pytest.mark.parametrize("argv, message", [
         (("digits", "--p", "2", "--N", "0"), "--N must be at least 1, got 0"),
@@ -375,9 +396,9 @@ class TestLabSuites:
         assert time.perf_counter() - start < 2
 
     def test_raised_work_bound_lets_a_longer_digit_scan_run(self, capsys, monkeypatch):
-        assert run(capsys, "lab", "digits", "--p", "2", "--N", "11")[0] == 3
+        assert run(capsys, "lab", "digits", "--p", "2", "--N", "12")[0] == 3
         monkeypatch.setenv("TAMEPLANE_WORK_BOUND", "1000000")
-        code, out, _ = run(capsys, "lab", "digits", "--p", "2", "--N", "11")
+        code, out, _ = run(capsys, "lab", "digits", "--p", "2", "--N", "12")
         assert code == 0 and "pass" in out
         # the bound is counted in ints, so a p^N past any float still ends in exit 3
         monkeypatch.setenv("TAMEPLANE_WORK_BOUND", "1" + "0" * 500)

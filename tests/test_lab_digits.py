@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from tameplane.lab.digits import (
     DigitViolation,
+    _check_bound,
     digit_lemma_scan,
     digits,
     rotated_value,
 )
+
+from oracles import digit_scan_steps
 
 
 class TestDigits:
@@ -52,6 +55,14 @@ class TestScan:
     @pytest.mark.parametrize("p,n_max", [(2, 4), (3, 3), (5, 2)])
     def test_small_scans_are_empty(self, p, n_max):
         assert digit_lemma_scan(p, n_max) == []
+
+    @pytest.mark.parametrize("p,n_max", [(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 8)]
+                             + [(5, n) for n in range(1, 6)] + [(7, 4), (11, 3), (101, 2)])
+    def test_work_bound_is_at_least_the_steps_and_at_most_three_times(self, p, n_max):
+        steps = digit_scan_steps(p, n_max)
+        with pytest.raises(ValueError, match="work bound exceeded"):
+            _check_bound(p, n_max, steps - 1)
+        _check_bound(p, n_max, 3 * steps)
 
     def test_violation_record_shape(self):
         v = DigitViolation(2, 3, 1, 3, 5, "conclusion")

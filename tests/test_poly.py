@@ -202,7 +202,7 @@ class TestPackedMultiply:
         a = x - y
         b = Poly2(field, {(i, 48 - i): _coeff(field, rng, False) for i in range(49)})
         packed = a._mul_packed(b)
-        assert packed is not None and max(i + j for i, j in packed) == 49
+        assert packed is not None and max(i + j for i, j in _product(a, b, packed)) == 49
         want = _product(a, b, a._mul_dict(b))
         assert _product(a, b, packed) == want
         assert (a * b).terms == want
@@ -239,6 +239,63 @@ class TestPackedMultiply:
         monkeypatch.setattr(Poly1, "_mul_packed", only_over_the_base)
         a = Poly1(QZ, {e: QZ.gen + e for e in range(6)})
         assert (a * a).terms == _product(a, a, a._mul_dict(a))
+
+
+class TestExponentBound:
+    """A Poly2 total degree of 2^64 or more is refused before any work, and
+    every read of a pair outside the bound is zero.  Poly1 has no bound."""
+
+    TOP = 2 ** 64
+
+    @pytest.fixture
+    def no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a kernel ran past the exponent bound")
+
+        for name in ("_mul_dict", "_mul_packed", "_monomial"):
+            monkeypatch.setattr(Poly2, name, refuse)
+
+    @pytest.mark.parametrize("field", (QQ, F5, QZ), ids=repr)
+    def test_the_largest_degree_below_the_bound_is_exact(self, field):
+        x, y = Poly2.x(field), Poly2.y(field)
+        top = self.TOP - 1
+        p = x ** (top - 1) * y + y ** top
+        assert p.total_degree() == top
+        assert p.terms == {(top - 1, 1): field.one, (0, top): field.one}
+        assert (p * Poly2.constant(field, 2)).coeff(0, top) == field.of(2)
+        assert Poly2(field, {(top, 0): 1, (0, top): 1}).items() == [((0, top), field.one),
+                                                                  ((top, 0), field.one)]
+
+    @pytest.mark.parametrize("field", (QQ, F5, QZ), ids=repr)
+    def test_products_and_powers_that_reach_the_bound_raise_first(self, field, no_kernel):
+        half = self.TOP // 2
+        a = Poly2(field, {(half, 0): 1, (0, 1): 2, (0, 0): 3})
+        b = Poly2(field, {(0, half): 1, (1, 0): 1})
+        # 900 term pairs: past the packed-multiply crossovers
+        dense = Poly2(field, {(i, half - i): 1 for i in range(30)})
+        for product in (lambda: a * b, lambda: dense * dense, lambda: a._mul_add(b, b, b)):
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                product()
+        x, y = Poly2(field, {(1, 0): 1}), Poly2(field, {(0, 1): 1})
+        for base, n in ((a, 2), (b, 2), (dense, 2), (x, self.TOP), (y, 2 ** 70)):
+            with pytest.raises(ValueError, match="below 2\\^64"):
+                base ** n
+        # Poly1 exponents are unbounded
+        assert Poly1.gen(field) ** self.TOP * Poly1.gen(field) == Poly1.monomial(field, self.TOP + 1, 1)
+
+    @pytest.mark.parametrize("key", [(0, 2 ** 64), (2 ** 64, 0), (2 ** 63, 2 ** 63), (-1, 0), (0, -1),
+                                     (-(2 ** 64), 2 ** 64)])
+    def test_constructor_refuses_pairs_outside_the_bound(self, key):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            Poly2(QQ, {key: 1})
+
+    def test_reads_outside_the_bound_are_zero(self):
+        # unchecked, the key (i + j) << DEG_SHIFT | j of (-2^64, 2^64) would read x, of (-2^64, 2^64 + 1) y
+        p = Poly2(QQ, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 4, (0, 2): 5})
+        for i, j in ((-1, 1), (1, -1), (-(2 ** 64), 2 ** 64), (2 ** 64, -(2 ** 64) + 1),
+                     (-(2 ** 64), 2 ** 64 + 1), (2 ** 64, 0), (0, 2 ** 64), (2 ** 65, 2 ** 64)):
+            assert p.coeff(i, j) == 0, (i, j)
+        assert [p.coeff(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))] == [1, 2, 3, 4, 5]
 
 
 class TestOracleAgreement:

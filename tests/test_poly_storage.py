@@ -90,7 +90,7 @@ def ref_pow(a: dict, n: int, one_key, one, zero) -> dict:
 
 def ref_subst1(p, value) -> dict:
     f = value.field
-    key = value._CONST_KEY
+    key, = value.one(f).terms
     out = {}
     for e, c in p.terms.items():
         pw = ref_pow(value.terms, e, key, f.one, f.zero)
