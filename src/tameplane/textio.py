@@ -5,9 +5,14 @@ One grammar serves every entry point: integer and rational literals
 are legal depends on what is being parsed), ``+ - * ^``, parentheses, and
 unary minus.  ``/`` is accepted whenever the divisor is a nonzero
 constant, which covers rational literals and function-field scalars such
-as ``(z + 1)/(z^2)``.  Over K(z), literals and z are evaluated in K[z], and
-a value is lifted to K(z) once, where it meets x, y, t, an element of K(z)
-or a division by a polynomial in z.
+as ``(z + 1)/(z^2)``.
+
+Every value is ``(nums, den)``, raw numerators keyed by monomial over one
+denominator as ``_SparsePoly`` stores them, left unnormalized until each
+component is built by one ``normalize``.  Over K(z), z is one more exponent,
+the low bits of a key wider than any power of z the text can build, so the
+numerators stay in K; a division by a polynomial in z turns ``den`` into a
+dict of K[z] numerators, and each coefficient becomes one element at the end.
 
 Canonical printing orders monomials by ascending total degree, then by
 ascending power of ``y``, writes every product with an explicit ``*``,
@@ -24,10 +29,11 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .automorphisms import PlaneAuto
 from .linear import PolyMat2
-from .poly import Poly1, Poly2
+from .poly import _BOUND, _X, _Y, Poly1, Poly2
 from .ratfunc import RationalFunction, RationalFunctionField
 from .scalars import QQ, PrimeField
 
@@ -85,102 +91,108 @@ def _tokenize(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# evaluator helpers: values are field elements | Poly1 | Poly2 | K[z] values
-
-_POLY = (Poly1, Poly2)
+# evaluator
 
 
-def _divide(field, a, b, pos: int):
-    if isinstance(b, _POLY):
-        if not b.is_constant():
-            raise ParseError("divisor must be constant", pos)
-        b = b.constant_term()
-    if not b:
-        raise ParseError("division by zero", pos)
-    inv = field.one / b
-    return a.scale(inv) if isinstance(a, _POLY) else a * inv
+def _degree_bound(tokens: list, name: str) -> int:
+    """A bound on the degree in ``name`` of every numerator and denominator
+    the tokens build: each ``name`` counts one, times each exponent on it."""
+    outer, total, last = [], 0, 0
+    for (kind, value, _pos), after in zip(tokens, tokens[1:]):
+        if value == "(":
+            outer.append(total)
+            total = 0
+        elif value == ")" and outer:
+            last, total = total, total + outer.pop()
+        elif kind != "op":
+            last = int(value == name)
+            total += last
+        elif value == "^" and after[0] == "int":
+            total += last * max(after[1] - 1, 0)
+    return total + sum(outer)  # a '(' left open holds the sum before it
+
+
+def _split(tokens: list, separator: str, start: int) -> list:
+    """The first token of each group that depth-0 ``separator`` tokens cut
+    the tokens from ``start`` to the next end token into.  Each separator
+    becomes the end token in place, so a group parses as a text of its own
+    and no slice is copied."""
+    starts, depth = [start], 0
+    for i in range(start, len(tokens) - 1):
+        value = tokens[i][1]
+        if value is None:  # an end token that an earlier split made
+            break
+        depth += (value == "(") - (value == ")")
+        if value == separator and not depth:
+            tokens[i] = tokens[-1]
+            starts.append(i + 1)
+    return starts
 
 
 # Parentheses and unary signs nest the parser's recursion, five frames per
 # parenthesis; this many levels stay inside the interpreter's default limit.
 _MAX_NESTING = 150
 
+_XY = {"x": _X, "y": _Y}
+
+
+def _as_dict(den) -> dict:
+    return {0: den} if type(den) is int else den
+
 
 class _Parser:
-    """Recursive descent over a token slice, evaluating as it goes."""
+    """Recursive descent over the tokens of one text, evaluating as it goes.
+    ``component(i)`` evaluates from token i to an end token and builds a
+    ``kind`` (Poly1, Poly2, or None for a scalar); ``names`` maps each
+    variable of that kind to its key."""
 
-    def __init__(self, field, tokens: list, variables: dict):
-        self.field = field
+    def __init__(self, field, tokens: list, kind, names: dict):
+        self.field, self.tokens, self.kind = field, tokens, kind
         self.scalars = getattr(field, "base", field)  # K over K(z), else the field
-        self.tokens = tokens
-        self.variables = variables
-        self.i = 0
+        of_z = self.scalars is not field and "z" not in names  # z is a scalar
+        self.shift = shift = _degree_bound(tokens, "z").bit_length() if of_z else 0
+        self.variables = {v: k << shift for v, k in names.items()}
+        if shift:  # z occurs in the text
+            self.variables["z"] = 1
+        # the kernel for products of sums: Poly2's packs (i, j), so it takes no z
+        self.kernel = Poly2 if kind is Poly2 and not shift else Poly1
+        self.limit = Poly2._KEY_LIMIT if kind is Poly2 else 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_end(self):
-        kind, value, pos = self.peek()
+    def component(self, start: int = 0):
+        self.i = start
+        value = self.expression()
+        kind, token, pos = self.tokens[self.i]
         if kind != "end":
-            raise ParseError("unexpected %r" % (value,), pos)
+            raise ParseError("unexpected %r" % (token,), pos)
+        return self.build(*value)
 
     def expression(self):
         value = self.term()
-        while True:
-            kind, op, pos = self.peek()
-            if kind == "op" and op in "+-":
-                self.next()
-                value = self.binary(op, value, self.term(), pos)
-            else:
-                return value
+        while (op := self.tokens[self.i][1]) in ("+", "-"):
+            self.i += 1
+            value = self.add(value, self.term(), op == "-")
+        return value
 
     def term(self):
         value = self.factor()
-        while True:
-            kind, op, pos = self.peek()
-            if kind == "op" and op in "*/":
-                self.next()
-                value = self.binary(op, value, self.factor(), pos)
-            else:
-                return value
-
-    def binary(self, op: str, a, b, pos: int):
-        field = self.field
-        if self.scalars is not field:  # over K(z), lift where the levels differ
-            # level: 0 for a K[z] value, 1 for an element of K(z), 2 for x, y or t
-            la = 0 if getattr(a, "field", None) is not field else 2 if isinstance(a, _POLY) else 1
-            lb = 0 if getattr(b, "field", None) is not field else 2 if isinstance(b, _POLY) else 1
-            if op == "/" and not (la or lb or isinstance(b, Poly1) and b.degree() > 0):
-                field = self.scalars  # a K[z] value over a constant stays in K[z]
-            elif op == "/":
-                a, b = a if la else field.of(a), b if lb else field.of(b)
-            elif la < lb:  # the lower operand takes the other's kind, so
-                # that no operator falls back to the reflected one
-                a = type(b).constant(field, a) if lb == 2 else field.of(a)
-            elif lb < la:
-                b = type(a).constant(field, b) if la == 2 else field.of(b)
-        if op == "/":
-            return _divide(field, a, b, pos)
-        return a * b if op == "*" else a + b if op == "+" else a - b
+        while (op := self.tokens[self.i][1]) in ("*", "/"):
+            pos = self.tokens[self.i][2]
+            self.i += 1
+            value = self.mul(value, self.factor()) if op == "*" else self.div(value, self.factor(), pos)
+        return value
 
     def factor(self):
         # every parenthesis and unary sign passes through here once more
-        kind, op, pos = self.peek()
+        _kind, op, pos = self.tokens[self.i]
         if self.depth > _MAX_NESTING:
             raise ParseError("nesting deeper than %d levels" % _MAX_NESTING, pos)
         self.depth += 1
-        if kind == "op" and op == "-":
-            self.next()
-            value = -self.factor()
-        elif kind == "op" and op == "+":
-            self.next()
-            value = self.factor()
+        if op == "-" or op == "+":
+            self.i += 1
+            nums, den = value = self.factor()
+            if op == "-":
+                value = {k: -v for k, v in nums.items()}, den
         else:
             value = self.power()
         self.depth -= 1
@@ -188,76 +200,126 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        kind, op, _pos = self.peek()
-        if kind == "op" and op == "^":
-            self.next()
-            kind, value, pos = self.next()
-            negative = False
-            if kind == "op" and value == "-":
-                negative = True
-                kind, value, pos = self.next()
-            if kind != "int":
-                raise ParseError("exponent must be an integer literal", pos)
-            if negative:
-                raise ParseError("negative exponents are not supported", pos)
-            return base ** value
-        return base
+        tokens = self.tokens
+        if tokens[self.i][1] != "^":
+            return base
+        kind, value, pos = tokens[self.i + 1]
+        self.i += 2
+        negative = value == "-"
+        if negative:
+            kind, value, pos = tokens[self.i]
+            self.i += 1
+        if kind != "int":
+            raise ParseError("exponent must be an integer literal", pos)
+        if negative:
+            raise ParseError("negative exponents are not supported", pos)
+        return self.pow(base, value)
 
     def atom(self):
-        kind, value, pos = self.next()
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "int":
-            return self.scalars.of(value)
+            return {0: value}, 1
         if kind == "name":
             try:
-                return self.variables[value]
+                return {self.variables[value]: 1}, 1
             except KeyError:
                 raise ParseError("unknown variable %r" % value, pos) from None
-        if kind == "op" and value == "(":
+        if value == "(":
             inner = self.expression()
-            kind, value, pos = self.next()
-            if not (kind == "op" and value == ")"):
+            _kind, value, pos = self.tokens[self.i]
+            self.i += 1
+            if value != ")":
                 raise ParseError("expected ')'", pos)
             return inner
         raise ParseError("expected a value", pos)
 
+    # -- values: (nums, den), den an int or, over K(z), a dict of K[z] numerators
 
-def _split_top_level(tokens: list, separator: str) -> list:
-    """Split a token list (with trailing end marker) at depth-0 separators."""
-    groups = []
-    current = []
-    depth = 0
-    for tok in tokens[:-1]:
-        kind, value, _pos = tok
-        if kind == "op" and value == "(":
-            depth += 1
-        elif kind == "op" and value == ")":
-            depth -= 1
-        if kind == "op" and value == separator and depth == 0:
-            groups.append(current)
-            current = []
-        else:
-            current.append(tok)
-    groups.append(current)
-    end = tokens[-1]
-    return [g + [end] for g in groups]
+    def add(self, a, b, sub: bool):
+        (na, da), (nb, db) = a, b  # each value owns its dicts, so na is updated in place
+        if da != db:
+            if type(da) is type(db) is int:  # over the lcm
+                g = gcd(da, db)
+                na, nb, da = {k: v * (db // g) for k, v in na.items()}, \
+                    {k: v * (da // g) for k, v in nb.items()}, da // g * db
+            else:  # over the product of two K[z] dens, no gcd
+                da, db = _as_dict(da), _as_dict(db)
+                na, nb, da = self.product(na, db), self.product(nb, da), self.product(da, db)
+        for k, v in nb.items():
+            s = na.get(k, 0)
+            na[k] = s - v if sub else s + v
+        return na, da
 
+    def mul(self, a, b):
+        (na, da), (nb, db) = a, b
+        return self.product(na, nb), \
+            da * db if type(da) is type(db) is int else self.product(_as_dict(da), _as_dict(db))
 
-def _run(field, tokens: list, names: dict, kind):
-    """Evaluate one expression to a scalar, or to a ``kind`` polynomial
-    when ``kind`` is Poly1 or Poly2 (a scalar becomes a constant of it).
+    def div(self, a, b, pos: int):
+        nums, den = b
+        nums = self.nonzero(nums)
+        if nums and max(nums) >> self.shift:  # a term in x, y or t
+            raise ParseError("divisor must be constant", pos)
+        if not nums:
+            raise ParseError("division by zero", pos)
+        if type(den) is int and nums.keys() == {0}:  # c/den in K: times den/c
+            c, p = nums[0], self.scalars.characteristic  # F_p values stay over 1
+            return self.mul(a, ({0: den * pow(c, -1, p)}, 1) if p else
+                            ({0: -den}, -c) if c < 0 else ({0: den}, c))
+        return self.mul(a, (_as_dict(den), nums))  # a polynomial in z joins the K[z] den
 
-    ``names`` holds at most one polynomial kind, and z over K(z) is a
-    scalar, so no expression can evaluate to the wrong kind.
-    """
-    variables = dict(names)
-    if isinstance(field, RationalFunctionField):
-        variables.setdefault("z", Poly1.gen(field.base))
-    parser = _Parser(field, tokens, variables)
-    value = parser.expression()
-    parser.expect_end()
-    if kind is None:
-        return field.of(value)  # over K(z), the one lift of a K[z] value
-    return value if isinstance(value, kind) and value.field is field else kind.constant(field, value)
+    def pow(self, base, n: int):
+        nums, den = base
+        shift, limit = self.shift, self.limit
+        if limit and nums and (max(nums) >> shift) * n >= limit:
+            nums = self.nonzero(nums)  # a zero numerator makes no term
+            if nums and (max(nums) >> shift) * n >= limit:
+                raise ValueError(_BOUND)
+        if den == 1 and len(nums) == 1 and 1 in nums.values():  # a monomial
+            return {k * n: 1 for k in nums}, 1
+        kernel, K = self.kernel, self.scalars
+        if type(den) is int:  # ** raises one term in closed form, by one field power
+            p = kernel._normalized(K, nums, den) ** n
+            return p._num, p._den
+        return (kernel._normalized(K, nums, 1) ** n)._num, (kernel._normalized(K, den, 1) ** n)._num
+
+    def product(self, a: dict, b: dict) -> dict:
+        shift, limit = self.shift, self.limit
+        if limit and a and b and (max(a) >> shift) + (max(b) >> shift) >= limit:
+            a, b = self.nonzero(a), self.nonzero(b)
+            if a and b and (max(a) >> shift) + (max(b) >> shift) >= limit:
+                raise ValueError(_BOUND)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            (kb, cb), = b.items()
+            return {k + kb: v * cb for k, v in a.items()}
+        kernel, K = self.kernel, self.scalars
+        return kernel._make(K, a, 1)._raw_mul(kernel._make(K, b, 1))
+
+    def nonzero(self, nums: dict) -> dict:
+        return self.scalars.normalize(nums, 1)[0]
+
+    def build(self, nums: dict, den):
+        """nums / den as a ``kind`` over the field, by one normalize."""
+        field, K, kind = self.field, self.scalars, self.kind
+        if K is field:
+            if kind:
+                return kind._normalized(field, nums, den)
+            nums, den = K.normalize(nums, den)
+            return K.ratio(nums[0], den) if nums else K.zero
+        # over K(z), each monomial's coefficient, a polynomial in z over den,
+        # becomes one element, which runs a gcd only if den is in K[z]
+        shift = self.shift
+        mask = (1 << shift) - 1
+        coeffs: dict = {}
+        for k, v in nums.items():
+            coeffs.setdefault(k >> shift, {})[k & mask] = v
+        d, zden = (den, Poly1.one(K)) if type(den) is int else (1, Poly1._normalized(K, den, 1))
+        out = {m: RationalFunction(field, num, zden) for m, c in coeffs.items()
+               if (num := Poly1._normalized(K, c, d))}
+        return kind._make(field, out) if kind else out.get(0, field.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -266,45 +328,44 @@ def _run(field, tokens: list, names: dict, kind):
 
 def parse_scalar(field, text: str):
     """A field element from text; over K(z) the variable z is available."""
-    return _run(field, _tokenize(text), {}, None)
+    return _Parser(field, _tokenize(text), None, {}).component()
 
 
 def parse_poly1(field, text: str, var: str = "t") -> Poly1:
     """A one-variable polynomial in ``var`` with coefficients in ``field``."""
-    return _run(field, _tokenize(text), {var: Poly1.gen(field)}, Poly1)
+    return _Parser(field, _tokenize(text), Poly1, {var: 1}).component()
 
 
 def parse_poly2(field, text: str) -> Poly2:
     """A polynomial in x and y with coefficients in ``field``."""
-    names = {"x": Poly2.x(field), "y": Poly2.y(field)}
-    return _run(field, _tokenize(text), names, Poly2)
+    return _Parser(field, _tokenize(text), Poly2, _XY).component()
 
 
 def parse_auto(field, text: str):
     """A plane map literal: two comma-separated x,y-polynomials."""
     tokens = _tokenize(text)
-    groups = _split_top_level(tokens, ",")
-    if len(groups) != 2:
+    starts = _split(tokens, ",", 0)
+    if len(starts) != 2:
         raise ParseError("expected exactly two comma-separated components",
                          tokens[-1][2])
-    names = {"x": Poly2.x(field), "y": Poly2.y(field)}
-    return PlaneAuto(*(_run(field, group, names, Poly2) for group in groups))
+    parser = _Parser(field, tokens, Poly2, _XY)
+    return PlaneAuto(*map(parser.component, starts))
 
 
 def parse_polymat(field, text: str) -> PolyMat2:
     """A 2x2 matrix of t-polynomials: rows split by ';', entries by ','."""
     tokens = _tokenize(text)
-    rows = _split_top_level(tokens, ";")
+    rows = _split(tokens, ";", 0)
     if len(rows) != 2:
         raise ParseError("expected two ';'-separated rows", tokens[-1][2])
-    names = {"t": Poly1.gen(field)}
+    parser = _Parser(field, tokens, Poly1, {"t": 1})
     entries = []
     for row in rows:
-        cells = _split_top_level(row, ",")
+        cells = _split(tokens, ",", row)
         if len(cells) != 2:
             raise ParseError("expected two ','-separated entries per row",
-                             row[-1][2])
-        entries += [_run(field, cell, names, Poly1) for cell in cells]
+                             tokens[-1][2])
+        entries += map(parser.component, cells)
     return PolyMat2(field, *entries)
 
 

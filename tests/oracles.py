@@ -13,7 +13,8 @@ import re
 from fractions import Fraction
 from itertools import product
 
-from tameplane import AffineAuto, ElemAuto, PlaneAuto, Poly1, PrimeField, compose_all, vdk_factor
+from tameplane import (AffineAuto, ElemAuto, PlaneAuto, Poly1, Poly2, PolyMat2, PrimeField,
+                       RationalFunctionField, compose_all, vdk_factor)
 from tameplane.lab.pgroup import DEFAULT_WORK_BOUND, PGroup, _check_bound, _rref
 from tameplane.lab.unipotent import RationalMatrix
 from tameplane.textio import ParseError
@@ -332,3 +333,200 @@ def tokenize_by_character(text: str) -> list:
         pos = m.end()
     out.append(("end", None, len(text)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# text: the element-valued evaluator
+
+
+def _reference_divide(field, a, b, pos: int):
+    if isinstance(b, (Poly1, Poly2)):
+        if not b.is_constant():
+            raise ParseError("divisor must be constant", pos)
+        b = b.constant_term()
+    if not b:
+        raise ParseError("division by zero", pos)
+    inv = field.one / b
+    return a.scale(inv) if isinstance(a, (Poly1, Poly2)) else a * inv
+
+
+class ReferenceParser:
+    """Recursive descent over a token slice whose every value is a field
+    element, a Poly1, a Poly2 or, over K(z), a K[z] value: each literal,
+    variable and operator builds and normalizes one, and a K[z] value is
+    lifted to K(z) where it meets x, y, t, an element of K(z) or a division
+    by a polynomial in z."""
+
+    MAX_NESTING = 150
+
+    def __init__(self, field, tokens: list, variables: dict):
+        self.field = field
+        self.scalars = getattr(field, "base", field)
+        self.tokens = tokens
+        self.variables = variables
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_end(self):
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise ParseError("unexpected %r" % (value,), pos)
+
+    def expression(self):
+        value = self.term()
+        while True:
+            kind, op, pos = self.peek()
+            if kind == "op" and op in "+-":
+                self.next()
+                value = self.binary(op, value, self.term(), pos)
+            else:
+                return value
+
+    def term(self):
+        value = self.factor()
+        while True:
+            kind, op, pos = self.peek()
+            if kind == "op" and op in "*/":
+                self.next()
+                value = self.binary(op, value, self.factor(), pos)
+            else:
+                return value
+
+    def binary(self, op: str, a, b, pos: int):
+        field = self.field
+        if self.scalars is not field:
+            # level: 0 for a K[z] value, 1 for an element of K(z), 2 for x, y or t
+            poly = (Poly1, Poly2)
+            la = 0 if getattr(a, "field", None) is not field else 2 if isinstance(a, poly) else 1
+            lb = 0 if getattr(b, "field", None) is not field else 2 if isinstance(b, poly) else 1
+            if op == "/" and not (la or lb or isinstance(b, Poly1) and b.degree() > 0):
+                field = self.scalars
+            elif op == "/":
+                a, b = a if la else field.of(a), b if lb else field.of(b)
+            elif la < lb:
+                a = type(b).constant(field, a) if lb == 2 else field.of(a)
+            elif lb < la:
+                b = type(a).constant(field, b) if la == 2 else field.of(b)
+        if op == "/":
+            return _reference_divide(field, a, b, pos)
+        return a * b if op == "*" else a + b if op == "+" else a - b
+
+    def factor(self):
+        kind, op, pos = self.peek()
+        if self.depth > self.MAX_NESTING:
+            raise ParseError("nesting deeper than %d levels" % self.MAX_NESTING, pos)
+        self.depth += 1
+        if kind == "op" and op == "-":
+            self.next()
+            value = -self.factor()
+        elif kind == "op" and op == "+":
+            self.next()
+            value = self.factor()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
+
+    def power(self):
+        base = self.atom()
+        kind, op, _pos = self.peek()
+        if kind == "op" and op == "^":
+            self.next()
+            kind, value, pos = self.next()
+            negative = False
+            if kind == "op" and value == "-":
+                negative = True
+                kind, value, pos = self.next()
+            if kind != "int":
+                raise ParseError("exponent must be an integer literal", pos)
+            if negative:
+                raise ParseError("negative exponents are not supported", pos)
+            return base ** value
+        return base
+
+    def atom(self):
+        kind, value, pos = self.next()
+        if kind == "int":
+            return self.scalars.of(value)
+        if kind == "name":
+            try:
+                return self.variables[value]
+            except KeyError:
+                raise ParseError("unknown variable %r" % value, pos) from None
+        if kind == "op" and value == "(":
+            inner = self.expression()
+            kind, value, pos = self.next()
+            if not (kind == "op" and value == ")"):
+                raise ParseError("expected ')'", pos)
+            return inner
+        raise ParseError("expected a value", pos)
+
+
+def split_top_level(tokens: list, separator: str) -> list:
+    """Copies of the token groups between depth-0 separators, each closed
+    by the end marker."""
+    groups = []
+    current = []
+    depth = 0
+    for tok in tokens[:-1]:
+        kind, value, _pos = tok
+        if kind == "op" and value == "(":
+            depth += 1
+        elif kind == "op" and value == ")":
+            depth -= 1
+        if kind == "op" and value == separator and depth == 0:
+            groups.append(current)
+            current = []
+        else:
+            current.append(tok)
+    groups.append(current)
+    return [g + [tokens[-1]] for g in groups]
+
+
+def _reference_run(field, tokens: list, names: dict, kind):
+    variables = dict(names)
+    if isinstance(field, RationalFunctionField):
+        variables.setdefault("z", Poly1.gen(field.base))
+    parser = ReferenceParser(field, tokens, variables)
+    value = parser.expression()
+    parser.expect_end()
+    if kind is None:
+        return field.of(value)
+    return value if isinstance(value, kind) and value.field is field else kind.constant(field, value)
+
+
+def reference_parse(entry: str, field, text: str, var: str = "t"):
+    """What ``textio.<entry>(field, text)`` returns, by the element-valued
+    evaluator over copied token groups; ``var`` is parse_poly1's variable."""
+    tokens = tokenize_by_character(text)
+    xy = {"x": Poly2.x(field), "y": Poly2.y(field)}
+    if entry == "parse_scalar":
+        return _reference_run(field, tokens, {}, None)
+    if entry == "parse_poly1":
+        return _reference_run(field, tokens, {var: Poly1.gen(field)}, Poly1)
+    if entry == "parse_poly2":
+        return _reference_run(field, tokens, xy, Poly2)
+    if entry == "parse_auto":
+        groups = split_top_level(tokens, ",")
+        if len(groups) != 2:
+            raise ParseError("expected exactly two comma-separated components", tokens[-1][2])
+        return PlaneAuto(*(_reference_run(field, group, xy, Poly2) for group in groups))
+    assert entry == "parse_polymat", entry
+    rows = split_top_level(tokens, ";")
+    if len(rows) != 2:
+        raise ParseError("expected two ';'-separated rows", tokens[-1][2])
+    entries = []
+    for row in rows:
+        cells = split_top_level(row, ",")
+        if len(cells) != 2:
+            raise ParseError("expected two ','-separated entries per row", row[-1][2])
+        entries += [_reference_run(field, cell, {"t": Poly1.gen(field)}, Poly1) for cell in cells]
+    return PolyMat2(field, *entries)

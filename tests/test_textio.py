@@ -21,11 +21,12 @@ from tameplane import (
     parse_polymat,
     parse_scalar,
 )
+from tameplane import textio
 from tameplane.ratfunc import RationalFunction
 from tameplane.textio import _tokenize
 
 from conftest import F5, QZ, poly1, poly2
-from oracles import tokenize_by_character
+from oracles import reference_parse, tokenize_by_character
 
 F5Z = field_from_spec("fp:5-of-z")
 
@@ -192,8 +193,8 @@ def test_tokenizer_matches_the_per_character_loop(text):
 
 @pytest.mark.parametrize("field", (QZ, F5Z), ids=("q-of-z", "fp:5-of-z"))
 class TestFunctionFieldScalars:
-    """Over K(z), literals and z are evaluated in K[z] and lifted into K(z)
-    once; every value still equals the one built from RationalFunctions."""
+    """Over K(z), z is one more exponent and each coefficient becomes one
+    element at the end; every value equals the one built from RationalFunctions."""
 
     def test_values_equal_the_rational_function_ones(self, field):
         z, one, x = field.gen, field.one, Poly2.x(field)
@@ -249,12 +250,151 @@ class TestFunctionFieldScalars:
                             lambda self, *args: built.append(1) or init(self, *args))
         monkeypatch.setattr(RationalFunction, "_coprime",
                             classmethod(lambda cls, *args: built.append(1) or coprime(cls, *args)))
-        # a cli-mix invert input, and a map with squares and a mixed product
+        gcds = []
+        gcd = Poly1.gcd
+        monkeypatch.setattr(Poly1, "gcd", lambda a, b: gcds.append(1) or gcd(a, b))
+        # a cli-mix invert input, and a map with squares and a mixed product:
+        # every coefficient a polynomial in z, so no gcd runs
         for text in ("1/2 + 2*z - 5/3*z^2 + (3/2 + 13/2*z + 5*z^2 + z^3)*x + (1 + 28/3*z - z^3)*y, "
                      "-11/6 + 7/6*z + 2/3*z^2 + (1/3 + 9/2*z + 4*z^2 + z^3)*x"
                      " + (7/6 + 19/3*z + z^2 - z^3)*y",
                      "x + (-1 + 2*z^2)*x^2 + (2 - 4*z^2)*x*y + (-1 + 2*z^2)*y^2, "
                      "y + (-1 + 2*z^2)*x^2 + (2 - 4*z^2)*x*y + (-1 + 2*z^2)*y^2"):
             built.clear()
+            gcds.clear()
             auto = parse_auto(field, text)
             assert 0 < len(built) <= len(auto.p.terms) + len(auto.q.terms)
+            assert gcds == []
+        # a true denominator in z: one gcd per coefficient, at the end
+        built.clear()
+        auto = parse_auto(field, "x/(z + 1) + y/(z^2 - 1) + (z - 1)/(z^2 - 1)*x^2, y")
+        assert len(built) == len(gcds) + 1 == 4
+
+    def test_a_denominator_in_z_is_reduced_once_per_coefficient(self, field):
+        assert format_poly2(parse_poly2(field, "x/(z+1) + y/(z^2-1)")) == \
+            "(1)/(1 + z)*x + (1)/(%s + z^2)*y" % ("-1" if field is QZ else "4")
+        assert format_poly2(parse_poly2(field, "(z+1)/(z^2 + 2*z + 1)*x")) == "(1)/(1 + z)*x"
+
+    def test_huge_powers_of_z_and_t_stay_apart(self, field):
+        big = 2 ** 64
+        assert parse_scalar(field, "z^%d" % big) == field.gen ** big
+        assert parse_poly2(field, "z^%d*x + y" % big) == \
+            Poly2.x(field).scale(field.gen ** big) + Poly2.y(field)
+        assert parse_poly1(field, "t^%d*z^%d" % (big, big)) == \
+            Poly1.monomial(field, big, field.gen ** big)
+
+
+class TestEdgeCases:
+    def test_the_poly2_bound_is_raised_before_any_work(self):
+        for text in ("x^18446744073709551616", "0*x^18446744073709551616",
+                     "x^9223372036854775808*x^9223372036854775808"):
+            for field in (QQ, F5, QZ):
+                with pytest.raises(ValueError, match="below 2\\^64"):
+                    parse_poly2(field, text)
+        # a zero base, or a zero factor, makes no term to bound
+        assert parse_poly2(QQ, "(x - x)^18446744073709551616") == Poly2.zero(QQ)
+        assert parse_poly2(F5, "(5*x^9223372036854775808 + 1)^2") == Poly2.one(F5)
+
+    def test_a_divisor_that_is_zero_mod_p_is_a_division_by_zero(self):
+        for text in ("x/(x*5)", "x/(5*x)"):
+            with pytest.raises(ParseError) as info:
+                parse_poly2(F5, text)
+            assert str(info.value) == "division by zero (at position 1)"
+
+    def test_separators_count_only_outside_parentheses(self):
+        for parse, text, message in (
+                (parse_auto, "x), y", "expected exactly two comma-separated components (at position 5)"),
+                (parse_auto, "(x, y), y", "expected ')' (at position 2)"),
+                (parse_auto, "x, y +", "expected a value (at position 6)"),
+                (parse_auto, "x + , y", "expected a value (at position 7)"),
+                (parse_polymat, "1, (t ; 0), 1", "expected two ';'-separated rows (at position 13)"),
+                (parse_polymat, "1, t) ; 0, 1", "expected two ';'-separated rows (at position 12)"),
+                (parse_polymat, "1, t, 0 ; 0, 1", "expected two ','-separated entries per row (at position 14)"),
+                (parse_polymat, "1, 1/0 ; 0", "division by zero (at position 4)")):
+            with pytest.raises(ParseError) as info:
+                parse(QQ, text)
+            assert str(info.value) == message
+
+    def test_zero_to_the_zero_is_one(self, field):
+        assert parse_poly2(field, "(x - x)^0") == Poly2.one(field)
+        assert parse_scalar(field, "0^0") == field.one
+
+
+# -- the evaluator against the element-valued one in tests/oracles.py ------
+
+_SPECS = ("q", "fp:5", "fp:1000003", "q-of-z", "fp:5-of-z")
+_ENTRIES = ("parse_scalar", "parse_poly1", "parse_poly2", "parse_auto", "parse_polymat")
+_HUGE = (2 ** 63, 2 ** 64, 2 ** 64 + 1)
+_MANGLE = (",", ";", ")", "(", "^", " w ", "1/0")
+
+
+def _expressions(names, huge, z_divisors):
+    """Non-canonical texts over ``names``: nested parentheses, signs, sums,
+    products, quotients and powers of sums, raised to huge exponents only
+    where a value cannot grow with them (a variable in ``huge``, or a zero
+    difference); without ``z_divisors`` every divisor is a literal."""
+    leaves = [st.integers(0, 12).map(str), st.sampled_from(("1/2", "-3/4", "(-2)"))]
+    if names:
+        leaves.append(st.sampled_from(names))
+    if huge:
+        leaves.append(st.builds("%s^%d".__mod__, st.tuples(st.sampled_from(huge),
+                                                            st.sampled_from(_HUGE))))
+    divisor = st.sampled_from(("2", "(1/3)", "(-5)", "0", "(1 - 1)", "7"))
+
+    def extend(inner):
+        div = inner if z_divisors else divisor
+        return st.one_of(
+            inner.map("(%s)".__mod__),
+            st.builds("%s%s%s".__mod__, st.tuples(inner, st.sampled_from(" + |-|*| - ".split("|")),
+                                                   inner)),
+            st.builds("%s/%s".__mod__, st.tuples(inner, div.map("(%s)".__mod__) | div)),
+            st.builds("%s%s".__mod__, st.tuples(st.sampled_from(("-", "+", "- ")), inner)),
+            st.builds("(%s)^%d".__mod__, st.tuples(inner, st.integers(0, 3))),
+            st.builds(lambda a, e: "((%s) - (%s))^%d" % (a, a, e), inner, st.sampled_from(_HUGE)),
+        )
+    return st.recursive(st.one_of(leaves), extend, max_leaves=6)
+
+
+@st.composite
+def _draws(draw, spec):
+    field = field_from_spec(spec)
+    of_z = spec.endswith("-of-z")
+    entry = draw(st.sampled_from(_ENTRIES))
+    names = {"parse_scalar": (), "parse_poly1": ("t",), "parse_polymat": ("t",)}.get(entry, ("x", "y"))
+    # over K(z) a draw divides by polynomials in z or raises z to huge powers,
+    # not both: the gcd of a huge power of z would take as many steps
+    z_divisors = of_z and draw(st.booleans())
+    huge = names + (("z",) if of_z and not z_divisors else ())
+    names += ("z",) if of_z else ()
+    if not of_z and spec != "q":
+        huge += tuple(str(n) for n in range(2, 5))  # F_p literal powers are one pow mod p
+    expr = _expressions(names, huge, z_divisors)
+    parts = draw(st.lists(expr, min_size=4, max_size=4))
+    text = {"parse_auto": "%s, %s" % tuple(parts[:2]),
+            "parse_polymat": "%s, %s ; %s, %s" % tuple(parts)}.get(entry, parts[0])
+    if draw(st.integers(0, 2)):
+        return field, entry, text
+    # one draw in three gets a stray token, never inside a literal, and no
+    # '/' that could put a huge power of z under a division
+    at = draw(st.sampled_from([i for i in range(len(text) + 1)
+                                  if not (0 < i < len(text) and text[i - 1:i + 1].isdigit())]))
+    extra = draw(st.sampled_from(_MANGLE + (("/",) if z_divisors or not of_z else ())))
+    return field, entry, text[:at] + extra + text[at:]
+
+
+def _outcome(parse, *args):
+    try:
+        value = parse(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return type(value), repr(value), value
+
+
+@pytest.mark.parametrize("spec", _SPECS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_the_evaluator_matches_the_element_valued_one(spec, data):
+    field, entry, text = data.draw(_draws(spec), label="field, entry, text")
+    got = _outcome(getattr(textio, entry), field, text)
+    want = _outcome(reference_parse, entry, field, text)
+    assert got == want
