@@ -10,7 +10,7 @@ arithmetic.
 from types import ModuleType as _ModuleType
 
 from .scalars import QQ, PrimeField
-from .ratfunc import RationalFunctionField, field_from_spec
+from .ratfunc import RationalFunctionField, field_from_spec, field_spec
 from .poly import NEG_INF, Poly1, Poly2
 from .linear import PolyMat2, ProjPoint
 from .automorphisms import (
@@ -50,7 +50,6 @@ from .matrixrep import (
 )
 from .textio import (
     ParseError,
-    field_spec,
     format_auto,
     format_poly1,
     format_poly2,

@@ -56,8 +56,8 @@ from .automorphisms import (
     PlaneAuto,
     as_affine,
 )
-from .ratfunc import field_from_spec
-from .textio import ParseError, field_spec, format_poly1, format_scalar, parse_poly1, parse_scalar
+from .ratfunc import field_from_spec, field_spec
+from .textio import ParseError, format_poly1, format_scalar, parse_poly1, parse_scalar
 
 
 def in_borel(auto: PlaneAuto) -> bool:

@@ -16,8 +16,8 @@ substitution.  ``to_plane`` is that action on (x, y), and every product of
 atoms is multiplied out by applying them from the left, last atom first.
 
 Storage.  Each atom is numerators over one denominator (FLINT's ``fmpq_mat``
-form), kept canonical by the same three field hooks as polynomial
-coefficients, so compose, the splits and the triangularity test run on ints
+form), held in ``poly._Numerators`` as polynomial coefficients are, so
+compose, the splits and the triangularity test run on ints
 over Q and F_p.  Both atoms key their numerators alike: z1, t0 and z2 by -1,
 -2 and -3, and f's coefficients by their exponents.  An ``AffineAuto``
 (a x + b y + u, c x + d y + v) reads a, u and d as z1, t0 and z2, c x + v
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import Poly1, Poly2, Powers, exponents, monomial_key, over_lcm, taylor_shift
+from .poly import _Numerators, _X, _Y, Poly1, Poly2, Powers, exponents, over_lcm, taylor_shift
 
 
 class NotAnAutomorphism(ValueError):
@@ -103,27 +103,22 @@ def compose_all(*autos: PlaneAuto) -> PlaneAuto:
 # The keys of a, b, c, d, u and v in (a x + b y + u, c x + d y + v): ElemAuto's
 # z1, -4, f1, z2, t0 and f0 (module docstring).
 _KEYS = (-1, -4, 1, -3, -2, 0)
-_X, _Y = monomial_key(1, 0), monomial_key(0, 1)  # the Poly2 keys of x and y
 
 
-class _Atom:
-    """The storage both atoms share: numerators keyed as in the module
-    docstring over one denominator, compared structurally.  Atoms are
-    immutable: no code changes ``_num`` after ``_make``, so two atoms may
-    share one dict."""
+class _Atom(_Numerators):
+    """What both atoms share: numerators keyed as in the module docstring,
+    compared structurally, and one identity."""
 
-    __slots__ = ("field", "_num", "_den")
+    __slots__ = ()
 
     @classmethod
-    def _make(cls, field, nums: dict, den: int):
-        # internal: caller guarantees the canonical form
-        out = object.__new__(cls)
-        out.field, out._num, out._den = field, nums, den
-        return out
+    def identity(cls, field):
+        """(x, y): z1 = z2 = 1 over 1 in either atom."""
+        one = field.lift(field.one)[0]
+        return cls._make(field, {-1: one, -3: one}, 1)
 
-    def _entry(self, k):
-        n = self._num.get(k)
-        return self.field.zero if n is None else self.field.ratio(n, self._den)
+    def is_identity(self) -> bool:
+        return self == self.identity(self.field)
 
     def _rows(self, p: Poly2, q: Poly2) -> tuple:
         # (z1 p + b q + t0, z2 q + f(p)), f's powers of p ascending, so the ladder steps
@@ -167,10 +162,6 @@ class AffineAuto(_Atom):
         self._num, self._den = over_lcm({k: field.lift(field.of(e))
                                          for k, e in zip(_KEYS, (a, b, c, d, u, v)) if e})
 
-    @classmethod
-    def identity(cls, field) -> AffineAuto:
-        return cls(field, ((field.one, field.zero), (field.zero, field.one)))
-
     def _block(self) -> list:
         # the numerators of a, b, c, d, u and v, absent ones as the field's zero numerator
         get, zero = self._num.get, self.field.lift(self.field.zero)[0]
@@ -178,12 +169,12 @@ class AffineAuto(_Atom):
 
     @property
     def m(self) -> tuple:
-        a, b, c, d = map(self._entry, _KEYS[:4])
+        a, b, c, d = map(self._coeff_at, _KEYS[:4])
         return (a, b), (c, d)
 
     @property
     def shift(self) -> tuple:
-        return tuple(map(self._entry, _KEYS[4:]))
+        return tuple(map(self._coeff_at, _KEYS[4:]))
 
     def _det(self) -> dict:
         """The numerator of det m over den^2, through the hook: {} when zero."""
@@ -200,9 +191,9 @@ class AffineAuto(_Atom):
         e = other._den
         if e != 1:  # never outside Q, so K(z) numerators meet no int
             u, v = u * e, v * e
-        return AffineAuto._make(self.field, *self.field.normalize(dict(zip(_KEYS, (
+        return AffineAuto._normalized(self.field, dict(zip(_KEYS, (
             a * a2 + b * c2, a * b2 + b * d2, c * a2 + d * c2, c * b2 + d * d2,
-            a * u2 + b * v2 + u, c * u2 + d * v2 + v))), self._den * e))
+            a * u2 + b * v2 + u, c * u2 + d * v2 + v))), self._den * e)
 
     def inverse(self) -> AffineAuto:
         """m^-1 = den adj(N) / det N for m = N / den, and the shift
@@ -214,8 +205,8 @@ class AffineAuto(_Atom):
         n, dn = field.lift(field.one / field.ratio(det[0], 1))
         a, b, c, d, u, v = self._block()
         nd = n if den == 1 else n * den
-        return AffineAuto._make(field, *field.normalize(dict(zip(_KEYS, (
-            d * nd, -(b * nd), -(c * nd), a * nd, (b * v - d * u) * n, (c * u - a * v) * n))), dn))
+        return AffineAuto._normalized(field, dict(zip(_KEYS, (
+            d * nd, -(b * nd), -(c * nd), a * nd, (b * v - d * u) * n, (c * u - a * v) * n))), dn)
 
     def split(self) -> tuple[AffineAuto, AffineAuto]:
         """self = rep o r with rep = ((0, 1), (1, lam)), lam = d / b for m = ((a, b), (c, d)),
@@ -231,7 +222,7 @@ class AffineAuto(_Atom):
         nums[-1] -= ln * a
         nums[-2] -= ln * u
         rep = AffineAuto._make(f, *over_lcm({-4: f.lift(f.one), 1: f.lift(f.one), -3: (ln, ld)}))
-        return rep, AffineAuto._make(f, *f.normalize(nums, self._den * ld))
+        return rep, AffineAuto._normalized(f, nums, self._den * ld)
 
     def is_rep(self) -> bool:
         """b and c (keys -4 and 1) are one, and only lam (d, key -3) is beside them."""
@@ -259,18 +250,13 @@ class ElemAuto(_Atom):
         self._num, self._den = over_lcm(pairs)
 
     @classmethod
-    def identity(cls, field) -> ElemAuto:
-        one = field.lift(field.one)[0]
-        return cls._make(field, {-1: one, -3: one}, 1)
-
-    @classmethod
     def shear(cls, field, f: Poly1) -> ElemAuto:
         """(x, y + f(x))."""
         return cls(field, field.one, field.zero, field.one, f)
 
-    z1 = property(lambda self: self._entry(-1))
-    t0 = property(lambda self: self._entry(-2))
-    z2 = property(lambda self: self._entry(-3))
+    z1 = property(lambda self: self._coeff_at(-1))
+    t0 = property(lambda self: self._coeff_at(-2))
+    z2 = property(lambda self: self._coeff_at(-3))
 
     @property
     def f(self) -> Poly1:
@@ -298,7 +284,7 @@ class ElemAuto(_Atom):
                 w = out.get(k)
                 out[k] = z2 * n if w is None else w + z2 * n
         out[-1], out[-2], out[-3] = z1 * a, z1 * b + t0, z2 * o.get(-3, zero)
-        return ElemAuto._make(field, *field.normalize(out, self._den * e * m))
+        return ElemAuto._normalized(field, out, self._den * e * m)
 
     def _unshift(self) -> tuple:
         """(h, m, a, b, e) with x' = (x - t0) / z1 = (a x + b) / e and
@@ -327,7 +313,7 @@ class ElemAuto(_Atom):
         if g * m != 1:
             a, b = a * g * m, b * g * m
         out[-1], out[-2], out[-3] = a, b, c if den * m == 1 else c * den * m
-        return ElemAuto._make(field, *field.normalize(out, e * g * m))
+        return ElemAuto._normalized(field, out, e * g * m)
 
     def split(self) -> tuple[ElemAuto, ElemAuto]:
         """self = rep o b with rep = (x, y + h~(x)): for f(x) = h(z1 x + t0) and
@@ -345,7 +331,7 @@ class ElemAuto(_Atom):
         h[-1] = h[-3] = one if hd == 1 else hd
         b = {k: n if hd == 1 else n * hd for k, n in nums.items() if k < 0}
         b[1], b[0] = h1 * z, h1 * t + (h0 if den == 1 else h0 * den)
-        return ElemAuto._make(f, *f.normalize(h, hd)), ElemAuto._make(f, *f.normalize(b, den * hd))
+        return ElemAuto._normalized(f, h, hd), ElemAuto._normalized(f, b, den * hd)
 
     def is_rep(self) -> bool:
         """z1 and z2 are one, and the other keys are f's exponents from 2 up, at least one."""
@@ -362,10 +348,6 @@ class ElemAuto(_Atom):
         if not aff.is_lower_triangular():
             raise ValueError("affine map with upper triangular part is not elementary")
         return cls._make(aff.field, aff._num, aff._den)
-
-    def is_identity(self) -> bool:
-        one = self.field.lift(self.field.one)[0]
-        return self._den == 1 and self._num == {-1: one, -3: one}
 
     def __repr__(self):
         return "ElemAuto(z1=%r, t0=%r, z2=%r, f=%r)" % (self.z1, self.t0, self.z2, self.f)

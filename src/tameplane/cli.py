@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a requested check failed (lab suite or
 --verify), 2 malformed input, 3 domain errors such as a map that is not
-invertible or a matrix outside the degree-filtered group.
+invertible or a matrix outside the degree-filtered group.  In text, ``nf``
+prints each atom as a plane map, so a shear of degree 2^64 or more exits 3;
+jsonl prints the word, whose shears are ``Poly1``s of unbounded degree.
 
 The scalar backend is global (--field q | fp:<p> | q-of-z | fp:<p>-of-z),
 output is plain text or line-delimited JSON (--format), and every random
@@ -32,10 +34,9 @@ from .amalgam import (
 from .automorphisms import classify, compose_all
 from .linear import PolyMat2
 from .matrixrep import from_matrix, to_matrix
-from .ratfunc import field_from_spec
+from .ratfunc import field_from_spec, field_spec
 from .textio import (
     ParseError,
-    field_spec,
     format_auto,
     format_poly2,
     format_polymat,
@@ -169,7 +170,7 @@ def _cmd_from_matrix(field, args) -> int:
 
 def _cmd_lab(field, args) -> int:
     from .lab.suites import run  # the lab loads on the first lab command
-    return run(field, args)
+    return EXIT_OK if run(field, args) else EXIT_CHECK_FAILED
 
 
 def __getattr__(name):

@@ -1,14 +1,13 @@
 """Structured pass/fail records shared by the verification suites.
 
-Each check produces one :class:`CheckRecord`; a :class:`Report` is an
-ordered list of them with a text rendering (one line per record) and a
-JSONL rendering for machine diffing.
+Each check produces one :class:`CheckRecord`, which renders itself as a
+text line (``line``) or a JSON-safe dict (``record``); a :class:`Report`
+is an ordered list of them.  ``tameplane.lab.suites`` prints them.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _plain(value):
@@ -45,9 +44,9 @@ class CheckRecord:
         }
 
 
-@dataclass
 class Report:
-    records: list = field(default_factory=list)
+    def __init__(self):
+        self.records: list = []
 
     def add(self, check: str, expected, got, **parameters) -> bool:
         """Append a record; the check passes iff expected == got."""
@@ -58,12 +57,3 @@ class Report:
     @property
     def all_pass(self) -> bool:
         return all(r.passed for r in self.records)
-
-    def failures(self) -> list:
-        return [r for r in self.records if not r.passed]
-
-    def text_lines(self) -> list:
-        return [r.line() for r in self.records]
-
-    def jsonl(self) -> str:
-        return "\n".join(json.dumps(r.record(), sort_keys=True) for r in self.records)

@@ -1,14 +1,14 @@
 """The ``tameplane lab`` suites, each a ``Report`` from the parsed arguments.
 ``tameplane.cli`` imports this module on the first ``lab`` command (the
 lab package does not), so the other commands load neither the lab nor
-``tameplane.sampling``."""
+``tameplane.sampling``.  Exit codes are the CLI's."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
 
-from ..cli import EXIT_CHECK_FAILED, EXIT_OK
 from ..matrixrep import pingpong_check
 from ..sampling import random_matrix_factors, random_proj_point
 from ..textio import ParseError
@@ -16,16 +16,15 @@ from . import (DEFAULT_WORK_BOUND, RationalMatrix, Report, digit_lemma_scan,
                 log_scaling_check, pgroup_nilpotency_index, relations_report)
 
 
-def _print_report(args, report: Report) -> int:
-    if args.format == "jsonl":
-        text = report.jsonl()
-        if text:
-            print(text)
-    else:
-        for line in report.text_lines():
-            print(line)
-        print("%d checks, %d failures" % (len(report.records), len(report.failures())))
-    return EXIT_OK if report.all_pass else EXIT_CHECK_FAILED
+def _print_report(args, report: Report) -> bool:
+    """Print one line per record, and in text a summary; whether all passed."""
+    jsonl = args.format == "jsonl"
+    for r in report.records:
+        print(json.dumps(r.record(), sort_keys=True) if jsonl else r.line())
+    if not jsonl:
+        failures = sum(not r.passed for r in report.records)
+        print("%d checks, %d failures" % (len(report.records), failures))
+    return report.all_pass
 
 
 def _lab_pingpong(field, args) -> Report:
@@ -94,8 +93,8 @@ def _lab_relations(field, args) -> Report:
     return relations_report(word_trials=args.trials, seed=args.seed)
 
 
-def run(field, args) -> int:
-    """Run the suite ``args.suite`` and print its report; the exit code."""
+def run(field, args) -> bool:
+    """Run the suite ``args.suite`` and print its report; whether every check passed."""
     # each suite with the sizes it reads; a size below 1 would pass vacuously
     suites = {
         "pingpong": (_lab_pingpong, ("trials", "words")),

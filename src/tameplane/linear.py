@@ -9,7 +9,9 @@ one sum of two raw Poly1 products with a single normalize (``_mul_add``).
 
 The square-zero endomorphism e_delta = v w^T attached to a projective point
 bridges plane maps that shear along a line and matrices over K[t]; its
-factors v, w are fixed once here (``nil_factors``) and shared by every user.
+factors v, w are fixed here (``nil_factors``) for ``matrixrep``.  The line
+shears of ``amalgam`` take l = b p - a q from (a, b) = ``delta.vector()``:
+w . (p, q) at finite points and -w . (p, q) at infinity.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def nil_factors(point: ProjPoint):
     Finite points (lam : 1) get v = (lam, 1), w = (1, -lam).  The point at
     infinity gets v = (1, 0), w = (0, 1), the sign chosen so that upper
     triangular shears carry the + sign.  Any nonzero multiple of w works;
-    all modules share this one.
+    ``matrixrep`` uses this one.
     """
     f = point.field
     if point.at_infinity:

@@ -222,18 +222,3 @@ def pingpong_check(pairs, sample: ProjPoint) -> PingPongResult:
     end_dir = ProjPoint.of(field, u0.coeff(deg), u1.coeff(deg))
     moved = deg > 0 or end_dir != sample
     return PingPongResult(sample, deg, expected_degree, end_dir, pairs[0][0], moved)
-
-
-__all__ = [
-    "NotInMatrixGroup",
-    "FactorizationInvariantError",
-    "ShearFactor",
-    "line_matrix",
-    "matrix_factor",
-    "matrix_reduced_word",
-    "matrix_recompose",
-    "to_matrix",
-    "from_matrix",
-    "PingPongResult",
-    "pingpong_check",
-]

@@ -12,7 +12,8 @@ are ints and ``_den`` is a positive int with gcd(_den, *numerators) = 1,
 the canonical form of FLINT's ``fmpq_poly``; over F_p they are int residues
 in [1, p) and ``_den`` is 1; over K(z) they are field elements and ``_den``
 is 1.  The form is canonical, so equality and hashing compare (_num, _den)
-structurally.
+structurally.  ``_Numerators`` holds the store, its constructors and its
+reader ``_coeff_at``, for polynomials and ``automorphisms``' atoms alike.
 
 Hooks.  Each field object has three, and they are all the kernels here
 know of the field: ``lift(c)`` gives an element as (num, den);
@@ -203,23 +204,11 @@ def taylor_shift(field, nums: dict, a, b, d) -> tuple:
     return dict(enumerate(c)), d ** n
 
 
-class _SparsePoly:
-    """Arithmetic on numerators over one denominator, keyed by ints."""
+class _Numerators:
+    """Int-keyed numerators over one denominator, canonical (module docstring).
+    Immutable: no code changes ``_num`` after it is built, so objects may share a dict."""
 
     __slots__ = ("field", "_num", "_den")
-
-    _KEY_LIMIT = 0  # the least key past the exponent bound; 0 for none
-    # an int key as the read API gives it, and back (None past the bound)
-    _read = _key = staticmethod(lambda k: k)
-
-    def __init__(self, field, terms: dict | None = None):
-        """The polynomial with coefficients ``terms`` (read-API key -> scalar)."""
-        lift, of, key = field.lift, field.of, self._key
-        pairs = {key(k): lift(of(c)) for k, c in terms.items()} if terms else {}
-        if None in pairs:
-            raise ValueError(_BOUND)
-        self.field = field
-        self._num, self._den = over_lcm(pairs)
 
     @classmethod
     def _make(cls, field, nums: dict, den: int = 1):
@@ -237,6 +226,29 @@ class _SparsePoly:
         p.field = field
         p._num, p._den = field.normalize(nums, den)
         return p
+
+    def _coeff_at(self, key):
+        n = self._num.get(key)
+        return self.field.zero if n is None else self.field.ratio(n, self._den)
+
+
+class _SparsePoly(_Numerators):
+    """Arithmetic on numerators over one denominator, keyed by ints."""
+
+    __slots__ = ()
+
+    _KEY_LIMIT = 0  # the least key past the exponent bound; 0 for none
+    # an int key as the read API gives it, and back (None past the bound)
+    _read = _key = staticmethod(lambda k: k)
+
+    def __init__(self, field, terms: dict | None = None):
+        """The polynomial with coefficients ``terms`` (read-API key -> scalar)."""
+        lift, of, key = field.lift, field.of, self._key
+        pairs = {key(k): lift(of(c)) for k, c in terms.items()} if terms else {}
+        if None in pairs:
+            raise ValueError(_BOUND)
+        self.field = field
+        self._num, self._den = over_lcm(pairs)
 
     @classmethod
     def _lincomb(cls, field, pairs, den: int):
@@ -306,10 +318,6 @@ class _SparsePoly:
         then, for a Poly2, by the power of y."""
         ratio, den, read = self.field.ratio, self._den, self._read
         return [(read(k), ratio(n, den)) for k, n in sorted(self._num.items())]
-
-    def _coeff_at(self, key):
-        n = self._num.get(key)
-        return self.field.zero if n is None else self.field.ratio(n, self._den)
 
     def constant_term(self):
         return self._coeff_at(0)

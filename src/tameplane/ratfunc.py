@@ -1,7 +1,8 @@
 """Rational function fields K(z) over an exact base field.
 
 Elements are reduced fractions of ``Poly1`` values in the variable z with a
-monic denominator, so equality and hashing are structural.
+monic denominator, so equality and hashing are structural.  Every field's
+spec is read here (``field_from_spec``) and written (``field_spec``).
 
 Building an element from num/den runs a Euclidean gcd in K[z] (von zur
 Gathen & Gerhard, *Modern Computer Algebra*, ch. 3).  A zero num gives 0/1,
@@ -230,3 +231,14 @@ def field_from_spec(spec: str):
     else:
         raise ValueError("bad field spec %r" % spec)
     return RationalFunctionField(base) if of_z else base
+
+
+def field_spec(field) -> str:
+    """The flag string that names ``field``; inverse of ``field_from_spec``."""
+    if isinstance(field, RationalFunctionField):
+        return field_spec(field.base) + "-of-z"
+    if isinstance(field, PrimeField):
+        return "fp:%d" % field.p
+    if field == QQ:
+        return "q"
+    raise TypeError("unknown field %r" % (field,))

@@ -5,7 +5,7 @@ One grammar serves every entry point: integer and rational literals
 are legal depends on what is being parsed), ``+ - * ^``, parentheses, and
 unary minus.  ``/`` is accepted whenever the divisor is a nonzero
 constant, which covers rational literals and function-field scalars such
-as ``(z + 1)/(z^2)``.
+as ``(z + 1)/(z^2)``.  Field specs are read and written in ``ratfunc``.
 
 Every value is ``(nums, den)``, raw numerators keyed by monomial over one
 denominator as ``_SparsePoly`` stores them, left unnormalized until each
@@ -34,8 +34,7 @@ from math import gcd
 from .automorphisms import PlaneAuto
 from .linear import PolyMat2
 from .poly import _BOUND, _X, _Y, Poly1, Poly2
-from .ratfunc import RationalFunction, RationalFunctionField
-from .scalars import QQ, PrimeField
+from .ratfunc import RationalFunction
 
 
 class ParseError(ValueError):
@@ -45,21 +44,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else "%s (at position %d)" % (message, position))
         self.position = position
-
-
-# ---------------------------------------------------------------------------
-# field names
-
-
-def field_spec(field) -> str:
-    """The flag string that names ``field``; inverse of ``field_from_spec``."""
-    if isinstance(field, RationalFunctionField):
-        return field_spec(field.base) + "-of-z"
-    if isinstance(field, PrimeField):
-        return "fp:%d" % field.p
-    if field == QQ:
-        return "q"
-    raise TypeError("unknown field %r" % (field,))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,11 @@ class TestViews:
         aff = AffineAuto(QQ, ((2, 1), (1, 1)), (Fraction(3), Fraction(-1)))
         assert aff.compose(aff.inverse()) == AffineAuto.identity(QQ)
 
+    def test_both_atoms_store_the_identity_alike(self, field):
+        aff, el = AffineAuto.identity(field), ElemAuto.identity(field)
+        assert (aff._num, aff._den) == (el._num, el._den)
+        assert aff.is_identity() and el.is_identity()
+
     def test_elementary_inverse_and_conversion(self):
         el = ElemAuto(QQ, Fraction(2), Fraction(1), Fraction(1, 2),
                       Poly1(QQ, {2: Fraction(3)}))

@@ -3,6 +3,10 @@
 ``_SparsePoly._make``, ``AffineAuto._make``, ``ElemAuto._make`` and
 ``RationalFunction._coprime`` skip the normalize on the caller's word, and
 equality, hashing and the normal-form check all assume canonical objects.
+The atoms' ``compose``, ``inverse`` and ``split`` build their results
+through the normalizing ``_normalized``, as polynomials do, so fewer call
+sites skip the normalize; the atoms' ``_make`` still serves the identity,
+``as_affine``, ``to_affine``, ``from_affine`` and the affine split's rep.
 The test wraps the four constructors (with monkeypatch, for this module only), runs a seeded corpus
 through the public operations over q, fp:5, fp:1000003, q-of-z and
 fp:5-of-z, and asserts that no constructed object, and no polynomial in an

@@ -291,6 +291,16 @@ class TestExitCodes:
     def test_poly2_total_degrees_of_2_to_the_64_are_3(self, capsys, argv):
         assert run(capsys, *argv) == (3, "", "domain error: %s\n" % POLY2_BOUND)
 
+    def test_nf_json_past_the_bound_is_3_in_text_and_answered_in_jsonl(self, capsys):
+        # text prints each atom as a plane map, a Poly2; jsonl prints the shear's Poly1
+        word = json.dumps({"format": "tameplane-word", "version": 1, "field": "q", "factors": [],
+                           "tail": {"z1": "1", "t0": "0", "z2": "1", "f": "x^18446744073709551616"}})
+        assert run(capsys, "nf", "--json", word) == (3, "", "domain error: %s\n" % POLY2_BOUND)
+        code, out, err = run(capsys, "--format", "jsonl", "nf", "--json", word)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["factors"] == [
+            {"kind": "shear", "z1": "1", "t0": "0", "z2": "1", "f": "x^18446744073709551616"}]
+
     def test_the_largest_total_degree_below_the_bound_is_answered(self, capsys):
         assert run(capsys, "factor", "x, y + x^18446744073709551615") == (
             0, "shear: x, y + x^18446744073709551615\ntail: x, y\n", "")
@@ -477,6 +487,10 @@ class TestColdStart:
     def test_importing_the_cli_loads_neither_lab_nor_sampling(self):
         out = fresh_interpreter("import sys, tameplane.cli\nprint(%s)" % LAB_MODULES)
         assert out == "[]\n"
+
+    def test_the_lab_suites_do_not_load_the_cli(self):
+        out = fresh_interpreter("import sys, tameplane.lab.suites\nprint('tameplane.cli' in sys.modules)")
+        assert out == "False\n"
 
     def test_lab_after_compose_prints_the_same_in_one_process(self):
         out = fresh_interpreter(

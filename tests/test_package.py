@@ -18,7 +18,7 @@ def test_doctests_pass(name):
     assert result.failed == 0
 
 
-@pytest.mark.parametrize("name", ["tameplane", "tameplane.matrixrep", "tameplane.lab"])
+@pytest.mark.parametrize("name", ["tameplane", "tameplane.lab"])
 def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []

@@ -10,9 +10,8 @@ from hypothesis import given, strategies as st
 
 from tameplane import Poly1, Poly2, PrimeField, QQ, RationalFunctionField, field_from_spec
 from tameplane.lab.unipotent import RationalMatrix
-from tameplane.ratfunc import RationalFunction
+from tameplane.ratfunc import RationalFunction, field_spec
 from tameplane.scalars import _is_prime, power
-from tameplane.textio import field_spec
 
 from conftest import F5, QZ, nonzero_scalars, poly1, scalars
 from oracles import prime_field_elements
