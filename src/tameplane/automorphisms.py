@@ -29,6 +29,7 @@ and ``shift`` as the pair (u, v).  ``ElemAuto.compose`` is one Taylor shift
 of f's numerators, and ``ElemAuto._unshift`` the one that undoes z1 and t0.
 Each atom owns its coset modulo B: ``split`` writes it as rep o b with b in
 B, and ``is_rep`` tests for a representative (conventions in ``amalgam``).
+Equality and hashing are the store's too, between atoms of one kind.
 """
 
 from __future__ import annotations
@@ -107,9 +108,12 @@ _KEYS = (-1, -4, 1, -3, -2, 0)
 
 class _Atom(_Numerators):
     """What both atoms share: numerators keyed as in the module docstring,
-    compared structurally, and one identity."""
+    equal only within one kind and field (``_coerce``), and one identity."""
 
     __slots__ = ()
+
+    def _coerce(self, other):
+        return other if type(other) is type(self) and other.field is self.field else None
 
     @classmethod
     def identity(cls, field):
@@ -128,6 +132,8 @@ class _Atom(_Numerators):
     def apply(self, p: Poly2, q: Poly2) -> tuple[Poly2, Poly2]:
         """Components of self o (p, q): each one ``Poly2._lincomb`` of the
         numerators, row by row of the pairs (key, polynomial) of ``_rows``."""
+        if p.field is not self.field or q.field is not self.field:
+            raise ValueError("operands over different fields")
         nums = self._num
         return tuple(Poly2._lincomb(self.field, [(nums[k], g) for k, g in row if k in nums], self._den)
                      for row in self._rows(p, q))
@@ -138,13 +144,6 @@ class _Atom(_Numerators):
     def is_lower_triangular(self) -> bool:
         """In the common subgroup B: no b (key -4) and deg f <= 1 (no key above 1)."""
         return -4 not in self._num and max(self._num, default=0) <= 1
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.field == other.field
-                and self._den == other._den and self._num == other._num)
-
-    def __hash__(self):
-        return hash((self.field, self._den, frozenset(self._num.items())))
 
 
 class AffineAuto(_Atom):
@@ -186,6 +185,8 @@ class AffineAuto(_Atom):
 
     def compose(self, other: AffineAuto) -> AffineAuto:
         """(m | s) (m' | s') = (m m' | m s' + s den'), over den den'."""
+        if self._coerce(other) is None:
+            raise ValueError("atoms of different kinds or fields")
         a, b, c, d, u, v = self._block()
         a2, b2, c2, d2, u2, v2 = other._block()
         e = other._den
@@ -270,6 +271,8 @@ class ElemAuto(_Atom):
         (z1 z1' x + z1 t0' + t0, z2 z2' y + z2 f' + f(z1' x + t0')).  With
         numerators over D and E, f(z1' x + t0') is one Taylor shift of f's
         numerators, over D m, and the rest is over D E; all go over D E m."""
+        if self._coerce(other) is None:
+            raise ValueError("atoms of different kinds or fields")
         field, s, o, e = self.field, self._num, other._num, other._den
         zero = field.lift(field.zero)[0]
         z1, t0, z2 = s.get(-1, zero), s.get(-2, zero), s.get(-3, zero)

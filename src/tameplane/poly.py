@@ -12,8 +12,9 @@ are ints and ``_den`` is a positive int with gcd(_den, *numerators) = 1,
 the canonical form of FLINT's ``fmpq_poly``; over F_p they are int residues
 in [1, p) and ``_den`` is 1; over K(z) they are field elements and ``_den``
 is 1.  The form is canonical, so equality and hashing compare (_num, _den)
-structurally.  ``_Numerators`` holds the store, its constructors and its
-reader ``_coeff_at``, for polynomials and ``automorphisms``' atoms alike.
+structurally.  ``_Numerators`` holds the store, its constructors, its reader
+``_coeff_at`` and the one ``__eq__`` and ``__hash__`` (``_coerce`` says what
+a class compares with), for polynomials and ``automorphisms``' atoms alike.
 
 Hooks.  Each field object has three, and they are all the kernels here
 know of the field: ``lift(c)`` gives an element as (num, den);
@@ -231,6 +232,15 @@ class _Numerators:
         n = self._num.get(key)
         return self.field.zero if n is None else self.field.ratio(n, self._den)
 
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._den == o._den and self._num == o._num
+
+    def __hash__(self):
+        return hash((self.field, self._den, frozenset(self._num.items())))
+
 
 class _SparsePoly(_Numerators):
     """Arithmetic on numerators over one denominator, keyed by ints."""
@@ -327,8 +337,6 @@ class _SparsePoly(_Numerators):
     def _coerce(self, other):
         if type(other) is type(self) and other.field is self.field:
             return other
-        if isinstance(other, type(self)):
-            return other if other.field == self.field else None
         if isinstance(other, _SparsePoly):
             return None  # a Poly1 never mixes with a Poly2
         try:
@@ -446,17 +454,6 @@ class _SparsePoly(_Numerators):
             return self._monomial(self.field, k * n, self.field.ratio(c, self._den) ** n)
         return power(self.one(self.field), self, n)
 
-    # -- comparisons ------------------------------------------------------
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._den == o._den and self._num == o._num
-
-    def __hash__(self):
-        return hash((self.field, self._den, tuple(sorted(self._num.items()))))
-
     def __repr__(self):
         bits = ["%r*%s" % (c, self._MONOMIAL % k) for k, c in self.items()]
         return "%s(%s)" % (type(self).__name__, " + ".join(bits) or "0")
@@ -561,6 +558,8 @@ class Poly1(_SparsePoly):
 
     def substitute(self, value: _SparsePoly) -> _SparsePoly:
         """Plug a Poly1 or a Poly2 in for the variable; the result has its kind."""
+        if value.field is not self.field:
+            raise ValueError("operands over different fields")
         powers = Powers(value)
         return value._lincomb(self.field, ((c, powers[e]) for e, c in sorted(self._num.items())),
                               self._den)
@@ -623,6 +622,8 @@ class Poly2(_SparsePoly):
         """
         pu = u if isinstance(u, Powers) else Powers(u)
         pv = v if isinstance(v, Powers) else Powers(v)
+        if pu[1].field is not self.field or pv[1].field is not self.field:
+            raise ValueError("operands over different fields")
         nums = self._num
         return Poly2._lincomb(self.field, ((c, pu[i] * pv[j] if i and j else pu[i] if i else pv[j])
                                            for (i, j), c in zip(map(exponents, nums), nums.values())),

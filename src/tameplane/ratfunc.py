@@ -55,9 +55,7 @@ class RationalFunction:
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
-            if other.field == self.field:
-                return other
-            return None
+            return other if other.field is self.field else None
         try:
             return self.field.of(other)
         except TypeError:
@@ -150,7 +148,7 @@ class RationalFunction:
 
 
 class RationalFunctionField:
-    """The field of rational functions in one variable over ``base``."""
+    """The field of rational functions in one variable over ``base``, made once per base."""
 
     _cache: dict = {}
 
@@ -202,12 +200,6 @@ class RationalFunctionField:
             v = self.random_element(rng, height)
             if v:
                 return v
-
-    def __eq__(self, other):
-        return isinstance(other, RationalFunctionField) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("RationalFunctionField", self.base))
 
     def __repr__(self):
         return "%r(z)" % (self.base,)

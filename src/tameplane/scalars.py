@@ -8,7 +8,9 @@ Rational function fields K(z) are built on top of these in
 Every field object exposes the same small protocol used throughout the
 package: ``zero``, ``one``, ``of``, ``characteristic``, ``random_element``.
 Scalars themselves are immutable, hashable, support ``+ - * / **`` and are
-falsy exactly when zero.
+falsy exactly when zero.  Fields and F_p residues are interned (one ``QQ``,
+one ``PrimeField(p)`` per p, one K(z) per base, one element per residue), so
+they compare by identity and no field defines ``__eq__``.
 
 Polynomials (:mod:`tameplane.poly`) and the affine maps ``AffineAuto``
 (:mod:`tameplane.automorphisms`) store integer numerators over one
@@ -109,14 +111,11 @@ class PrimeFieldElement:
     field's ``_elems`` table instead of allocating.  Polynomials hold int
     residues, so this serves the element-valued side: coefficient reads
     (``ratio``), scalar arithmetic in the atoms and the matrix peel, and
-    parsing; equal elements are one object, which ``__eq__`` checks first.
-    ``PrimeFieldElement(F, v)`` is ``F.of(v)``.
+    parsing.  Equal elements are one object; they come only from the field
+    (``F.of(v)``, ``F.zero``, ``F.one``), as the class cannot be called.
     """
 
     __slots__ = ("field", "value")
-
-    def __new__(cls, field: PrimeField, value: int):
-        return field._elems[value % field.p]
 
     def _residue(self, other):
         """The residue of an int or of an element of this field; None for any
@@ -172,15 +171,7 @@ class PrimeFieldElement:
         return self.value != 0
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return (
-            type(other) is PrimeFieldElement
-            and other.field is self.field
-            and other.value == self.value
-        )
+        return self is other or (isinstance(other, int) and self.value == other % self.field.p)
 
     def __hash__(self):
         return hash((self.field.p, self.value))
@@ -262,12 +253,6 @@ class PrimeField:
     def random_nonzero(self, rng, height: int = 4) -> PrimeFieldElement:
         return self._elems[rng.randrange(1, self.p)]
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, PrimeField) and other.p == self.p)
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return "F_%d" % self.p
 
@@ -315,12 +300,6 @@ class RationalField:
     def random_nonzero(self, rng, height: int = 4):
         num = rng.choice([n for n in range(-height, height + 1) if n != 0])
         return Fraction(num, rng.randint(1, height))
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
 
     def __repr__(self):
         return "Q"

@@ -14,6 +14,9 @@ F1000003 = PrimeField(1000003)
 F_M61 = PrimeField(2 ** 61 - 1)
 QZ = RationalFunctionField(QQ)
 FIELDS = (QQ, F5, QZ)
+# pairs of distinct fields, for operations that must refuse operands from two
+MIXED_FIELDS = pytest.mark.parametrize("k1, k2", [(QQ, F5), (F5, PrimeField(7)), (QQ, QZ)],
+                                       ids=("Q-F5", "F5-F7", "Q-Qz"))
 
 # one "[criterion NN] PASS/FAIL ..." line per acceptance criterion,
 # echoed after the test summary so they are visible without -s

@@ -36,7 +36,7 @@ from tameplane.amalgam import _in_normal_form, _vdk_atoms
 from tameplane.sampling import random_shear_pairs, random_tame_atoms, random_tame_auto
 from tameplane.textio import ParseError, format_auto, parse_auto
 
-from conftest import F2, F5, FIELDS, QZ, nonzero_scalars, poly1, scalars
+from conftest import F2, F5, FIELDS, MIXED_FIELDS, QZ, nonzero_scalars, poly1, scalars
 from oracles import (
     evaluate_poly2,
     free_reduce,
@@ -182,6 +182,14 @@ class TestNormalForm:
             cut = rng.randint(0, len(atoms))
             padded = [*atoms[:cut], pad, pad.inverse(), *atoms[cut:]]
             assert word_of_atoms(QQ, padded) == direct
+
+    @MIXED_FIELDS
+    def test_atoms_over_another_field_are_refused(self, k1, k2):
+        atoms = [ElemAuto.shear(k1, Poly1.gen(k1) ** 2), ElemAuto.shear(k2, Poly1.gen(k2) ** 2)]
+        with pytest.raises(ValueError):
+            word_of_atoms(k1, atoms)
+        with pytest.raises(ValueError):
+            word_of_atoms(k2, atoms[1:] + [AffineAuto(k1, ((0, 1), (1, 0)))])
 
     def test_normal_form_preserves_the_element(self):
         rng = random.Random(37)

@@ -25,7 +25,7 @@ from tameplane.automorphisms import as_affine, as_elementary
 from tameplane.sampling import random_affine, random_elementary, random_tame_auto
 from tameplane.textio import format_auto, parse_auto
 
-from conftest import F5, FIELDS, poly1
+from conftest import F5, FIELDS, MIXED_FIELDS, poly1
 from oracles import evaluate_auto, evaluate_poly1
 
 SWAP = AffineAuto(QQ, ((0, 1), (1, 0))).to_plane()
@@ -140,6 +140,8 @@ class TestViews:
         aff, el = AffineAuto.identity(field), ElemAuto.identity(field)
         assert (aff._num, aff._den) == (el._num, el._den)
         assert aff.is_identity() and el.is_identity()
+        # equal numerators, but an atom equals only an atom of its own kind
+        assert aff != el and el != aff and len({aff, el}) == 2
 
     def test_elementary_inverse_and_conversion(self):
         el = ElemAuto(QQ, Fraction(2), Fraction(1), Fraction(1, 2),
@@ -333,6 +335,37 @@ class TestValidation:
     def test_mixed_fields_are_rejected(self):
         with pytest.raises(ValueError):
             PlaneAuto(Poly2.x(QQ), Poly2.y(F5))
+
+    @MIXED_FIELDS
+    def test_compose_refuses_a_map_over_another_field(self, k1, k2):
+        with pytest.raises(ValueError, match="different fields"):
+            parse_auto(k1, "x + y^2/3, y").compose(parse_auto(k2, "x, y + 2*x"))
+
+    @MIXED_FIELDS
+    def test_an_atom_refuses_components_over_another_field(self, k1, k2):
+        shear = ElemAuto.shear(k1, Poly1.gen(k1) ** 2)
+        swap = AffineAuto(k1, ((0, 1), (1, 0)))
+        for atom in (shear, swap):
+            with pytest.raises(ValueError, match="different fields"):
+                atom.apply(Poly2.x(k2), Poly2.y(k2))
+            with pytest.raises(ValueError, match="different fields"):
+                atom.apply(Poly2.x(k1), Poly2.y(k2))
+
+    @MIXED_FIELDS
+    def test_atoms_over_two_fields_do_not_compose(self, k1, k2):
+        with pytest.raises(ValueError):
+            ElemAuto.shear(k1, Poly1.gen(k1) ** 2).compose(ElemAuto.shear(k2, Poly1.gen(k2) ** 2))
+        with pytest.raises(ValueError):
+            AffineAuto(k1, ((0, 1), (1, 0))).compose(AffineAuto(k2, ((1, 1), (0, 1))))
+        assert ElemAuto.identity(k1) != ElemAuto.identity(k2)
+
+    def test_atoms_of_two_kinds_do_not_compose(self, field):
+        shear = ElemAuto.shear(field, Poly1.gen(field) ** 2)
+        swap = AffineAuto(field, ((0, 1), (1, 0)))
+        with pytest.raises(ValueError):
+            shear.compose(swap)
+        with pytest.raises(ValueError):
+            swap.compose(shear)
 
     def test_singular_affine_reports_not_invertible(self):
         aff = AffineAuto(QQ, ((1, 2), (2, 4)))

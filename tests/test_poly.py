@@ -18,7 +18,7 @@ from tameplane import NEG_INF, ElemAuto, PlaneAuto, Poly1, Poly2, QQ, parse_auto
 from tameplane import poly
 from tameplane.scalars import power
 
-from conftest import F1000003, F5, F_M61, QZ, nonzero_scalars, poly1, poly2, scalars
+from conftest import F1000003, F5, F_M61, MIXED_FIELDS, QZ, nonzero_scalars, poly1, poly2, scalars
 from oracles import evaluate_auto, evaluate_poly1, evaluate_poly2
 
 PACKED_FIELDS = (QQ, F5, F1000003, F_M61)
@@ -346,6 +346,21 @@ class TestOracleAgreement:
             frac = sympy.Rational(c)
             want_terms[monom] = Fraction(int(frac.p), int(frac.q))
         assert got == Poly2(QQ, want_terms)
+
+
+class TestMixedFields:
+    """Substitution mixes raw numerators, so it refuses another field."""
+
+    @MIXED_FIELDS
+    def test_substitute_refuses_another_field(self, k1, k2):
+        with pytest.raises(ValueError, match="different fields"):
+            Poly1(k2, {2: 1}).substitute(Poly2.x(k1) + 1)
+        with pytest.raises(ValueError, match="different fields"):
+            Poly1(k2, {2: 1}).substitute(Poly1.gen(k1))
+        with pytest.raises(ValueError, match="different fields"):
+            Poly2.x(k2).substitute(Poly2.y(k1), Poly2.x(k1))
+        with pytest.raises(ValueError, match="different fields"):
+            Poly2.x(k2).substitute(Poly2.y(k2), Poly2.x(k1))
 
 
 class TestDivision:

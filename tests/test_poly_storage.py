@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tameplane import Poly1, Poly2, PrimeField, QQ
+from tameplane import Poly1, Poly2, PrimeField, QQ, parse_poly2
 from tameplane.ratfunc import RationalFunction
 from tameplane.scalars import PrimeFieldElement
 
@@ -196,6 +196,8 @@ def test_products_built_along_different_routes_are_equal_and_hash_equal(field):
         (p5 * p5, (x + half * y + 1) ** 10),
         (Poly2(field, {(1, 0): half, (0, 0): half}) - Poly2(field, {(1, 0): half}),
          Poly2.constant(field, half)),
+        (parse_poly2(field, "x^2 + 3*y - 1/2"),
+         Poly2(field, {(2, 0): 1, (0, 1): 3, (0, 0): -half})),
     ]
     for a, b in routes:
         assert_canonical(a)
@@ -239,7 +241,8 @@ def test_rational_items_print_as_fractions():
 
 
 def test_fields_do_not_mix():
-    for a, b in ((Poly2.x(F5), Poly2.x(PrimeField(7))), (Poly2.x(QQ), Poly2.x(F5))):
+    for a, b in ((Poly2.x(F5), Poly2.x(PrimeField(7))), (Poly2.x(QQ), Poly2.x(F5)),
+                 (Poly2.x(QQ), Poly2.x(QZ))):
         with pytest.raises(TypeError):
             a * b
         with pytest.raises(TypeError):

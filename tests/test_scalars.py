@@ -1,6 +1,8 @@
 """Field axioms and interning for the scalar backends."""
 
+import copy
 import operator
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, strategies as st
 from tameplane import Poly1, Poly2, PrimeField, QQ, RationalFunctionField, field_from_spec
 from tameplane.lab.unipotent import RationalMatrix
 from tameplane.ratfunc import RationalFunction, field_spec
-from tameplane.scalars import _is_prime, power
+from tameplane.scalars import PrimeFieldElement, RationalField, _is_prime, power
 
 from conftest import F5, QZ, nonzero_scalars, poly1, scalars
 from oracles import prime_field_elements
@@ -37,8 +39,38 @@ def test_prime_field_instances_are_interned():
 
 
 def test_rational_function_field_is_per_base():
-    assert RationalFunctionField(QQ) == RationalFunctionField(QQ)
-    assert RationalFunctionField(QQ) != RationalFunctionField(PrimeField(5))
+    assert RationalFunctionField(QQ) is RationalFunctionField(QQ)
+    assert RationalFunctionField(QQ) is not RationalFunctionField(PrimeField(5))
+
+
+# Fields have no __eq__: two fields are the same exactly when they are one
+# object, so every way to name a field must give that one object.
+@pytest.mark.parametrize("spec", ["q", "fp:5", "q-of-z", "fp:5-of-z"])
+def test_a_spec_names_one_field_object(spec):
+    assert field_from_spec(spec) is field_from_spec(spec)
+
+
+def _pickled(field):
+    return pickle.loads(pickle.dumps(field))
+
+
+def test_the_rational_field_is_a_singleton():
+    assert RationalField() is QQ
+    assert copy.copy(QQ) is QQ and copy.deepcopy(QQ) is QQ
+    assert _pickled(QQ) is QQ
+
+
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, _pickled], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("field", [F5, QZ], ids=["fp5", "q-of-z"])
+def test_a_field_cannot_be_copied_into_a_second_one(field, copier):
+    with pytest.raises((TypeError, AttributeError)):
+        copier(field)
+
+
+def test_a_residue_comes_only_from_its_field():
+    with pytest.raises(TypeError):
+        PrimeFieldElement(F5, 3)
+    assert F5.of(3) == 8 and F5.of(3) != PrimeField(7).of(3)
 
 
 class TestFieldLaws:
